@@ -19,6 +19,7 @@ from .linearized import (
     build_normal_system,
     linearized_minimize,
     split_spaces,
+    summarize_spectrum,
 )
 from .transform import condition_of_y, interior_scaling, residual_and_error
 
@@ -74,23 +75,15 @@ class SweepRecord:
 
 def spectrum_at(problem, pair, policy=TruncationPolicy()):
     """Full SVD report of the dA normal system at the given state."""
-    split = split_spaces(problem, pair)
-    system = build_normal_system(problem, pair, split)
+    system = build_normal_system(problem, pair, split_spaces(problem, pair))
     s = system.sigma
-    null_dim = policy.null_count(s)
-    retained = len(s) - null_dim
-    if retained == 0:
-        cond = math.nan
-        gap = 1.0 if null_dim else 0.0
-    else:
-        cond = float(s[0] / s[retained - 1])
-        gap = float(s[retained] / s[retained - 1]) if null_dim else 0.0
+    null_dim, gap, cond, cond_eq7 = summarize_spectrum(s, policy)
     return SpectrumReport(
         sigma=s.copy(),
         null_dim=null_dim,
         gap_ratio=gap,
         cond_retained=cond,
-        cond_eq7_estimate=float(math.sqrt(cond)) if cond == cond else math.nan,
+        cond_eq7_estimate=cond_eq7,
     )
 
 

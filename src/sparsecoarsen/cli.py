@@ -2,8 +2,9 @@
 
 Each subcommand minimizes local decoupling problems over a (lambda, m) grid
 and writes one CSV with a fixed schema into --out.  Floats are written with
-17 significant digits, so reruns with the same inputs are byte-identical and
---jobs never changes file contents.
+17 significant digits.  Reruns with the same inputs are byte-identical on the
+same machine with the same BLAS thread count, whatever --jobs is; another
+thread count can move the last digits.
 
 Exit codes: 0 success, 2 bad arguments or config file, 3 numerical failure
 (partial output is kept and a .FAILED marker is written next to it).

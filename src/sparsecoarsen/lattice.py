@@ -10,9 +10,9 @@ sparsity at supernode granularity.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -55,6 +55,16 @@ class SparsityPattern:
     def positions(self):
         """Canonical (i, j) pairs with i <= j, sorted. One entry per free value."""
         return sorted(self.entries)
+
+    @cached_property
+    def index_arrays(self):
+        """Read-only (rows, cols) arrays of positions(), built once per pattern."""
+        pos = self.positions()
+        rows = np.array([i for i, _ in pos], dtype=np.intp)
+        cols = np.array([j for _, j in pos], dtype=np.intp)
+        rows.flags.writeable = False
+        cols.flags.writeable = False
+        return rows, cols
 
     def mask(self):
         """Dense boolean admissibility mask, symmetric."""
@@ -128,6 +138,8 @@ def build_helmholtz(spec):
     Couplings to off-grid neighbors are simply dropped (Dirichlet truncation);
     the diagonal stays lam - 4 everywhere.
     """
+    import scipy.sparse as sp  # deferred: the only user; sweeps never need it
+
     w, h = spec.width, spec.height
     n = w * h
     rows, cols, vals = [], [], []

@@ -20,8 +20,14 @@ equations have closed-form entries in G = Y Q_null Q_null^T Y^T and are
 solved by a truncated SVD: the system is singular by construction, because
 interior diagonal gauge directions dA = D A~ + A~ D lie in its null space.
 A full line search along (dY, dA) then guards the nonlinear terms.
+
+Each outer step computes the residual R once and hands it to the assembly
+and to dY.  The step's results are bit-for-bit those of the direct
+formulas, which the tests keep as a reference: near a stop, a change in the
+last bit can decide whether a minimization stops or runs on.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -36,6 +42,7 @@ from .transform import (
 )
 
 LINE_SEARCH_ABSCISSAE = np.array([0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0])
+_LINE_SEARCH_VANDER = np.vander(LINE_SEARCH_ABSCISSAE, 7)
 
 
 @dataclass
@@ -58,20 +65,29 @@ class NormalSystem:
 
     matrix: np.ndarray
     rhs: np.ndarray
-    basis_map: list  # canonical (i, j) with i <= j, one per free value
+    basis: tuple  # (rows, cols) index arrays of the free positions, rows <= cols
     n_interior: int
     expected_null: int | None  # n_interior when A~ had full rank, else None
-    _svd: tuple | None = field(default=None, repr=False)
+    _eig: tuple | None = field(default=None, repr=False)
 
-    def svd(self):
-        if self._svd is None:
-            u, s, vt = np.linalg.svd(self.matrix, hermitian=True)
-            self._svd = (u, s, vt)
-        return self._svd
+    def eig(self):
+        """Eigenpairs by descending |w|: (vectors, singular values |w|, signs of w).
+
+        This is the eigh that np.linalg.svd(hermitian=True) wraps, ordered as
+        it orders it, with one copy of the vectors where it makes two.  The
+        copy must be C-ordered: products with a Fortran-ordered v[:, order]
+        take another BLAS path and round differently.
+        """
+        if self._eig is None:
+            w, v = np.linalg.eigh(self.matrix)
+            s = np.abs(w)
+            order = np.argsort(s)[::-1]
+            self._eig = (v.take(order, axis=1), s[order], np.copysign(1.0, w)[order])
+        return self._eig
 
     @property
     def sigma(self):
-        return self.svd()[1]
+        return self.eig()[1]
 
 
 @dataclass(frozen=True)
@@ -110,6 +126,20 @@ class TruncationPolicy:
         raise ValueError(f"unknown truncation policy kind: {self.kind!r}")
 
 
+def summarize_spectrum(s, policy):
+    """(null_dim, gap_ratio, cond_retained, cond_eq7_estimate) of a descending spectrum.
+
+    The condition numbers are NaN when the policy truncates everything.
+    """
+    null_dim = policy.null_count(s)
+    retained = len(s) - null_dim
+    if retained == 0:
+        return null_dim, (1.0 if null_dim else 0.0), math.nan, math.nan
+    cond = float(s[0] / s[retained - 1])
+    gap = float(s[retained] / s[retained - 1]) if null_dim else 0.0
+    return null_dim, gap, cond, math.sqrt(cond)
+
+
 @dataclass
 class SolveDiagnostics:
     null_dim: int
@@ -135,7 +165,7 @@ def split_spaces(problem, pair, rank_tol=1e-12):
     )
 
 
-def build_normal_system(problem, pair, split):
+def build_normal_system(problem, pair, split, residual=None):
     """Assemble the dA normal equations from G and M without forming the operator.
 
     With G = Y Qn Qn^T Y^T and M = Y Qn (Qn^T R Qn) Qn^T Y^T, the entries are
@@ -143,6 +173,10 @@ def build_normal_system(problem, pair, split):
         N_kl  = Tr(B_k G B_l G),  rhs_k = Tr(B_k M)
 
     over the symmetrized pattern basis B_k, i.e. O(n_pattern^2) work given G.
+    `residual` is R at `pair` when the caller already has it.
+
+    G is symmetrized first, so G_ji = G_ij^T exactly and N comes out exactly
+    symmetric: each entry and its mirror are the same two products, summed.
     """
     if problem.target_pattern.n_entries == 0:
         raise ValueError("target pattern has no free positions")
@@ -150,39 +184,40 @@ def build_normal_system(problem, pair, split):
     z = y @ split.q_null
     g = z @ z.T
     g = 0.5 * (g + g.T)
-    r = residual_and_error(problem, pair).residual
+    r = residual_and_error(problem, pair).residual if residual is None else residual
     t = split.q_null.T @ r @ split.q_null
     m = z @ t @ z.T
     m = 0.5 * (m + m.T)
 
-    basis = problem.target_pattern.positions()
-    i_idx = np.array([i for i, _ in basis])
-    j_idx = np.array([j for _, j in basis])
+    i_idx, j_idx = problem.target_pattern.index_arrays
     delta = np.where(i_idx == j_idx, 2.0, 1.0)  # diagonal positions count once
 
-    gii = g[np.ix_(i_idx, i_idx)]
-    gjj = g[np.ix_(j_idx, j_idx)]
-    gij = g[np.ix_(i_idx, j_idx)]
-    gji = g[np.ix_(j_idx, i_idx)]
-    scale = 2.0 / np.outer(delta, delta)
-    matrix = scale * (gii * gjj + gij * gji)
-    matrix = 0.5 * (matrix + matrix.T)
+    # Columns first, then whole rows: G is symmetric, so the column
+    # gathers are the rows G_i, G_j transposed, and every P x P gather
+    # copies contiguous rows.
+    g_ti = g.take(i_idx, axis=1)
+    g_tj = g.take(j_idx, axis=1)
+    matrix = g_ti.take(i_idx, axis=0)  # G_ii
+    matrix *= g_tj.take(j_idx, axis=0)  # G_jj
+    gij = g_tj.take(i_idx, axis=0)
+    matrix += gij * gij.T
+    matrix *= np.outer(2.0 / delta, 1.0 / delta)  # 2 / (delta_k delta_l), exactly
     rhs = (2.0 / delta) * m[i_idx, j_idx]
 
     return NormalSystem(
         matrix=matrix,
         rhs=rhs,
-        basis_map=basis,
+        basis=(i_idx, j_idx),
         n_interior=problem.n_interior,
         expected_null=problem.n_interior if split.rank == problem.n_interior else None,
     )
 
 
-def _embed_da(values, basis_map, n):
+def _embed_da(values, basis, n):
+    rows, cols = basis
     da = np.zeros((n, n))
-    for v, (i, j) in zip(values, basis_map):
-        da[i, j] = v
-        da[j, i] = v
+    da[rows, cols] = values
+    da[cols, rows] = values
     return da
 
 
@@ -193,9 +228,9 @@ def solve_for_da(system, policy=TruncationPolicy(), n_local=None):
     emitted when the detected null dimension disagrees with the gauge count
     n_interior (only meaningful when A~ had full rank).
     """
-    u, s, vt = system.svd()
+    u, s, sign = system.eig()
     n = len(s)
-    null_dim = policy.null_count(s)
+    null_dim, gap_ratio, cond_retained, cond_eq7 = summarize_spectrum(s, policy)
     retained = n - null_dim
 
     if system.expected_null is not None and null_dim != system.expected_null:
@@ -209,37 +244,36 @@ def solve_for_da(system, policy=TruncationPolicy(), n_local=None):
     rhs_norm = float(np.linalg.norm(system.rhs))
     if retained == 0:
         coeffs = np.zeros(n)
-        cond_retained = np.nan
-        gap_ratio = 1.0 if null_dim else 0.0
         rhs_null = rhs_norm
     else:
         proj = u[:, :retained].T @ system.rhs
-        coeffs = vt[:retained].T @ (proj / s[:retained])
-        cond_retained = float(s[0] / s[retained - 1])
-        gap_ratio = float(s[retained] / s[retained - 1]) if null_dim else 0.0
+        coeffs = u[:, :retained] @ (proj / s[:retained] * sign[:retained])
         rhs_null = float(np.linalg.norm(u[:, retained:].T @ system.rhs))
 
     if n_local is None:
-        n_local = 1 + max(max(i, j) for i, j in system.basis_map)
-    da = _embed_da(coeffs, system.basis_map, n_local)
+        n_local = 1 + int(system.basis[1].max())
+    da = _embed_da(coeffs, system.basis, n_local)
     diagnostics = SolveDiagnostics(
         null_dim=null_dim,
         gap_ratio=gap_ratio,
         cond_retained=cond_retained,
-        cond_eq7_estimate=float(np.sqrt(cond_retained)),
+        cond_eq7_estimate=cond_eq7,
         rhs_null_component=rhs_null,
         rhs_norm=rhs_norm,
     )
     return da, diagnostics
 
 
-def compute_dy(problem, pair, da, split):
-    """dY = 1/2 (K^+)^T (R - Y^T dA Y)(I + Qn Qn^T); zero when K has rank 0."""
+def compute_dy(problem, pair, da, split, residual=None):
+    """dY = 1/2 (K^+)^T (R - Y^T dA Y)(I + Qn Qn^T); zero when K has rank 0.
+
+    `residual` is R at `pair` when the caller already has it.
+    """
     n_i, n_l = problem.n_interior, problem.n_local
     if split.rank == 0:
         return np.zeros((n_i, n_l))
     y = pair.full_y()
-    r = residual_and_error(problem, pair).residual
+    r = residual_and_error(problem, pair).residual if residual is None else residual
     w = r - y.T @ da @ y
     w = 0.5 * (w + w.T)
     pinv_t = (split.u / split.sigma[None, :]) @ split.q.T
@@ -276,31 +310,37 @@ def rotated_block_norms(problem, pair, split, dy, da):
     )
 
 
-def _g_squared(problem, pair, dy, da, alpha):
-    """Squared error norm along the step: g(alpha) is a degree-6 polynomial."""
+def line_objective(problem, pair, dy, da):
+    """Squared error norm along the step, g(alpha), a degree-6 polynomial.
+
+    Returns g as a function of alpha; the full Y is built once for all calls.
+    """
     n_i = problem.n_interior
-    y = pair.full_y()
-    y[:n_i] += alpha * dy
-    at = pair.a_tilde + alpha * da
-    s = y.T @ (at @ y)
-    s = 0.5 * (s + s.T)
-    return float(np.sum((problem.a_ll - s) ** 2))
+    y0 = pair.full_y()
+
+    def g(alpha):
+        y = y0.copy()
+        y[:n_i] += alpha * dy
+        at = pair.a_tilde + alpha * da
+        s = y.T @ (at @ y)
+        s = 0.5 * (s + s.T)
+        return float(np.sum((problem.a_ll - s) ** 2))
+
+    return g
 
 
-def fit_line_polynomial(problem, pair, dy, da):
+def fit_line_polynomial(g):
     """Exact degree-6 fit of g via 7 evaluations; returns (coeffs, scale).
 
-    coeffs are highest-degree-first for the scaled variable alpha/scale.  The
-    abscissae shrink when evaluations overflow (trust scaling).
+    g is a line_objective.  coeffs are highest-degree-first for the scaled
+    variable alpha/scale.  The abscissae shrink when evaluations overflow
+    (trust scaling).
     """
     scale = 1.0
     for _ in range(60):
-        vals = np.array(
-            [_g_squared(problem, pair, dy, da, scale * t) for t in LINE_SEARCH_ABSCISSAE]
-        )
+        vals = np.array([g(scale * t) for t in LINE_SEARCH_ABSCISSAE])
         if np.all(np.isfinite(vals)):
-            vander = np.vander(LINE_SEARCH_ABSCISSAE, 7)
-            return np.linalg.solve(vander, vals), scale
+            return np.linalg.solve(_LINE_SEARCH_VANDER, vals), scale
         scale *= 0.25
     raise NumericalFailure("line search could not evaluate the objective finitely")
 
@@ -312,8 +352,9 @@ def line_search(problem, pair, dy, da, alpha_max=4.0):
     that improves on g(0) wins, otherwise alpha = 0.  The returned error is
     the (non-squared) norm at the chosen alpha, never above the current one.
     """
-    coeffs, scale = fit_line_polynomial(problem, pair, dy, da)
-    g0 = _g_squared(problem, pair, dy, da, 0.0)
+    g_of = line_objective(problem, pair, dy, da)
+    coeffs, scale = fit_line_polynomial(g_of)
+    g0 = g_of(0.0)
 
     deriv = np.polyder(coeffs)
     if np.any(deriv != 0.0):
@@ -327,7 +368,7 @@ def line_search(problem, pair, dy, da, alpha_max=4.0):
         alpha = float(root.real) * scale
         if not (0.0 < alpha <= alpha_max):
             continue
-        g = _g_squared(problem, pair, dy, da, alpha)
+        g = g_of(alpha)
         if np.isfinite(g) and g < best_g:
             best_alpha, best_g = alpha, g
     return best_alpha, float(np.sqrt(best_g))
@@ -359,12 +400,13 @@ def linearized_minimize(problem, opts=MinimizeOptions()):
     stagnant = 0
 
     for k in range(opts.max_iter + 1):
-        err = residual_and_error(problem, pair).norm
+        report = residual_and_error(problem, pair)
+        err = report.norm
         if not np.isfinite(err):
             raise NumericalFailure("linearized minimize produced a non-finite error", trace)
 
         split = split_spaces(problem, pair, rank_tol=opts.rank_tol)
-        system = build_normal_system(problem, pair, split)
+        system = build_normal_system(problem, pair, split, report.residual)
         da, diag = solve_for_da(system, policy=opts.policy, n_local=problem.n_local)
         diags.append(diag)
         trace.iterations.append(
@@ -391,7 +433,7 @@ def linearized_minimize(problem, opts=MinimizeOptions()):
         if k == opts.max_iter:
             break
 
-        dy = compute_dy(problem, pair, da, split)
+        dy = compute_dy(problem, pair, da, split, report.residual)
         alpha_prev, _ = line_search(problem, pair, dy, da, alpha_max=opts.alpha_max)
         pair.y_rows += alpha_prev * dy
         pair.a_tilde += alpha_prev * da

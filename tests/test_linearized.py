@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -14,10 +15,10 @@ from sparsecoarsen.linearized import (
     LINE_SEARCH_ABSCISSAE,
     MinimizeOptions,
     TruncationPolicy,
-    _g_squared,
     build_normal_system,
     compute_dy,
     fit_line_polynomial,
+    line_objective,
     line_search,
     linearized_minimize,
     linearized_residual,
@@ -25,6 +26,7 @@ from sparsecoarsen.linearized import (
     solve_for_da,
     split_spaces,
 )
+from sparsecoarsen import linearized
 from sparsecoarsen.transform import initial_guess, residual_and_error
 
 from test_transform import random_state
@@ -54,6 +56,126 @@ def materialized_system(problem, pair, split):
     op = np.array(cols).T
     target = (split.q_null.T @ r @ split.q_null).ravel()
     return op.T @ op, op.T @ target
+
+
+def direct_normal_system(problem, pair, split):
+    """The direct assembly: four np.ix_ gathers, then a symmetrization pass."""
+    z = pair.full_y() @ split.q_null
+    g = z @ z.T
+    g = 0.5 * (g + g.T)
+    r = residual_and_error(problem, pair).residual
+    t = split.q_null.T @ r @ split.q_null
+    m = z @ t @ z.T
+    m = 0.5 * (m + m.T)
+    basis = problem.target_pattern.positions()
+    i_idx = np.array([i for i, _ in basis])
+    j_idx = np.array([j for _, j in basis])
+    delta = np.where(i_idx == j_idx, 2.0, 1.0)
+    gii = g[np.ix_(i_idx, i_idx)]
+    gjj = g[np.ix_(j_idx, j_idx)]
+    gij = g[np.ix_(i_idx, j_idx)]
+    gji = g[np.ix_(j_idx, i_idx)]
+    matrix = 2.0 / np.outer(delta, delta) * (gii * gjj + gij * gji)
+    matrix = 0.5 * (matrix + matrix.T)
+    rhs = (2.0 / delta) * m[i_idx, j_idx]
+    return matrix, rhs
+
+
+def direct_solve(matrix, rhs, positions, n_local, policy=TruncationPolicy()):
+    """The direct solve: svd(hermitian=True), a truncated solve, a loop embed.
+
+    Returns dA and the SolveDiagnostics fields in declaration order.
+    """
+    u, s, vt = np.linalg.svd(matrix, hermitian=True)
+    null_dim = policy.null_count(s)
+    retained = len(s) - null_dim
+    rhs_norm = float(np.linalg.norm(rhs))
+    if retained == 0:
+        coeffs = np.zeros(len(s))
+        cond, gap, rhs_null = np.nan, (1.0 if null_dim else 0.0), rhs_norm
+    else:
+        proj = u[:, :retained].T @ rhs
+        coeffs = vt[:retained].T @ (proj / s[:retained])
+        cond = float(s[0] / s[retained - 1])
+        gap = float(s[retained] / s[retained - 1]) if null_dim else 0.0
+        rhs_null = float(np.linalg.norm(u[:, retained:].T @ rhs))
+    da = np.zeros((n_local, n_local))
+    for v, (i, j) in zip(coeffs, positions):
+        da[i, j] = v
+        da[j, i] = v
+    fields = (null_dim, gap, cond, float(np.sqrt(cond)), rhs_null, rhs_norm)
+    return da, fields
+
+
+BYTE_IDENTITY_CASES = (
+    [("scalar", m, None) for m in (1, 2, 3, 4)]
+    + [("supernode", m, (2, 1)) for m in (1, 2, 3)]
+)
+
+
+def case_problem(kind, m, dims, lam=0.0):
+    if kind == "scalar":
+        return extract_local_scalar(m, lam)
+    return extract_local_supernode(m, *dims, lam)
+
+
+class TestByteIdentity:
+    """The step's shortcuts reproduce the direct formulas bit for bit.
+
+    Near a stop, one flipped last bit can decide between stopping and
+    running on to max_iter, so agreement to a tolerance is not enough.
+    """
+
+    @pytest.mark.parametrize("kind,m,dims", BYTE_IDENTITY_CASES)
+    @pytest.mark.parametrize("state", ["initial", "random"])
+    def test_assembly_and_solve_match_direct_formulas(self, kind, m, dims, state):
+        problem = case_problem(kind, m, dims)
+        pair = (initial_guess(problem) if state == "initial"
+                else random_state(problem, seed=10 + m))
+        split = split_spaces(problem, pair)
+        system = build_normal_system(problem, pair, split)
+        matrix, rhs = direct_normal_system(problem, pair, split)
+        assert np.array_equal(system.matrix, matrix)
+        assert np.array_equal(system.rhs, rhs)
+        assert np.array_equal(system.matrix, system.matrix.T)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            da, diag = solve_for_da(system, n_local=problem.n_local)
+        ref_da, ref_fields = direct_solve(matrix, rhs,
+                                          problem.target_pattern.positions(),
+                                          problem.n_local)
+        assert np.array_equal(da, ref_da)
+        assert np.array_equal(np.array(dataclasses.astuple(diag), dtype=float),
+                              np.array(ref_fields, dtype=float), equal_nan=True)
+
+    @pytest.mark.parametrize("kind,m,dims", BYTE_IDENTITY_CASES)
+    def test_passed_residual_changes_nothing(self, kind, m, dims):
+        problem = case_problem(kind, m, dims, lam=3.5)
+        pair = random_state(problem, seed=20 + m)
+        split = split_spaces(problem, pair)
+        r = residual_and_error(problem, pair).residual
+        own = build_normal_system(problem, pair, split)
+        passed = build_normal_system(problem, pair, split, r)
+        assert np.array_equal(own.matrix, passed.matrix)
+        assert np.array_equal(own.rhs, passed.rhs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            da, _ = solve_for_da(own, n_local=problem.n_local)
+        assert np.array_equal(compute_dy(problem, pair, da, split),
+                              compute_dy(problem, pair, da, split, r))
+
+    def test_one_residual_per_outer_step(self, monkeypatch):
+        calls = []
+        original = linearized.residual_and_error
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(linearized, "residual_and_error", counted)
+        _, trace, _ = linearized_minimize(extract_local_scalar(3, 0.0))
+        assert len(calls) == len(trace.iterations)
 
 
 class TestSplitSpaces:
@@ -272,10 +394,11 @@ class TestLineSearch:
         system = build_normal_system(problem, pair, split)
         da, _ = solve_for_da(system, n_local=problem.n_local)
         dy = compute_dy(problem, pair, da, split)
-        coeffs, scale = fit_line_polynomial(problem, pair, dy, da)
+        g = line_objective(problem, pair, dy, da)
+        coeffs, scale = fit_line_polynomial(g)
         rng = np.random.default_rng(19)
         for alpha in rng.uniform(-2.0, 2.0, size=20):
-            direct = _g_squared(problem, pair, dy, da, alpha)
+            direct = g(alpha)
             fitted = np.polyval(coeffs, alpha / scale)
             assert fitted == pytest.approx(direct, rel=1e-9,
                                            abs=1e-12 * max(direct, 1.0))
