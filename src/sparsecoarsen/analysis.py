@@ -203,43 +203,38 @@ def fit_decay_rate(ms, errors, stagnation_rel=0.1):
     return float(-coef[0]), r2, len(keep)
 
 
+def problem_for(m, lam, p=1, q=1):
+    """The local problem at decay length m and shift lam: scalar, or p x q supernodes."""
+    if (p, q) == (1, 1):
+        return extract_local_scalar(m, lam)
+    return extract_local_supernode(m, p, q, lam)
+
+
 def _sweep_point(args):
     lam, m, p, q, opts = args
-    if (p, q) == (1, 1):
-        problem = extract_local_scalar(m, lam)
-    else:
-        problem = extract_local_supernode(m, p, q, lam)
-    n_pattern = problem.target_pattern.n_entries
+    problem = problem_for(m, lam, p, q)
+    point = dict(lam=lam, m=m, p=p, q=q, n_local=problem.n_local,
+                 n_pattern=problem.target_pattern.n_entries)
     try:
-        pair, trace, diags = linearized_minimize(problem, opts)
+        pair, trace, _ = linearized_minimize(problem, opts)
         final = trace.iterations[-1]
         return SweepRecord(
-            lam=lam,
-            m=m,
-            p=p,
-            q=q,
+            **point,
             error=final.error,
             iterations=trace.n_steps,
             cond_y=condition_of_y(pair),
             cond_eq7_estimate=final.cond_eq7_estimate,
             null_dim=final.null_dim,
-            n_local=problem.n_local,
-            n_pattern=n_pattern,
             status="ok" if trace.converged else "max_iter",
         )
     except NumericalFailure as exc:
         return SweepRecord(
-            lam=lam,
-            m=m,
-            p=p,
-            q=q,
+            **point,
             error=math.nan,
             iterations=0,
             cond_y=math.nan,
             cond_eq7_estimate=math.nan,
             null_dim=-1,
-            n_local=problem.n_local,
-            n_pattern=n_pattern,
             status=f"failed: {exc}",
         )
 
@@ -247,12 +242,15 @@ def _sweep_point(args):
 def run_sweep(lambdas, ms, p=1, q=1, opts=MinimizeOptions(), jobs=1):
     """Minimize over the (lambda, m) grid; rows sorted by (lambda, m).
 
-    Points are independent, so jobs > 1 distributes them over processes;
-    results are identical and identically ordered regardless of jobs.
-    Numerical failures become explicit failure records, never invented values.
+    Points are independent, so jobs > 1 distributes them over at most one
+    process per point; results are identical and identically ordered
+    regardless of jobs.  Numerical failures become explicit failure records,
+    never invented values.
     """
     points = [(lam, m, p, q, opts) for lam in sorted(lambdas) for m in sorted(ms)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # The pool starts all of its workers on the first submit.
+    workers = min(jobs, len(points))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_sweep_point, points))
     return [_sweep_point(pt) for pt in points]

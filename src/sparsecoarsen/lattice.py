@@ -249,13 +249,11 @@ def extract_local_scalar(m, lam):
     return _assemble_local(interior, boundary, fill, lam, (1, 1))
 
 
-def supernode_layout(m, p, q):
-    """Supernode partition of the m-hop supernode diamond.
+def _supernode_region(m, p, q):
+    """The m-hop supernode diamond: supernode coords, members, node split.
 
-    Supernode (X, Y) covers nodes [X*p, X*p + p) x [Y*q, Y*q + q).  Node ids
-    refer to the region order used by extract_local_supernode.  Adjacency is
-    over supernode ids; for the five-point stencil it is exactly the 2D grid
-    adjacency of supernode coordinates.
+    Returns (supernode coords, {coord: member nodes}, interior nodes,
+    boundary nodes, adjacency as unordered supernode id pairs).
     """
     if m < 1 or p < 1 or q < 1:
         raise ValueError("m, p, q must all be >= 1")
@@ -265,12 +263,26 @@ def supernode_layout(m, p, q):
         for (sx, sy) in scoords
     }
     interior = [c for s in _diamond(m - 1) for c in members[s]]
-    boundary = [
-        c
-        for s in scoords
-        if abs(s[0]) + abs(s[1]) == m
-        for c in members[s]
-    ]
+    boundary = [c for s in scoords if abs(s[0]) + abs(s[1]) == m for c in members[s]]
+    sid_of = {s: k for k, s in enumerate(scoords)}
+    adjacency = set()
+    for (sx, sy) in scoords:
+        for nb in ((sx + 1, sy), (sx, sy + 1)):
+            if nb in sid_of:
+                a, b = sid_of[(sx, sy)], sid_of[nb]
+                adjacency.add((min(a, b), max(a, b)))
+    return scoords, members, interior, boundary, frozenset(adjacency)
+
+
+def supernode_layout(m, p, q):
+    """Supernode partition of the m-hop supernode diamond.
+
+    Supernode (X, Y) covers nodes [X*p, X*p + p) x [Y*q, Y*q + q).  Node ids
+    refer to the region order used by extract_local_supernode.  Adjacency is
+    over supernode ids; for the five-point stencil it is exactly the 2D grid
+    adjacency of supernode coordinates.
+    """
+    scoords, members, interior, boundary, adjacency = _supernode_region(m, p, q)
     order = sorted(interior, key=_sort_key) + sorted(boundary, key=_sort_key)
     index = {coord: k for k, coord in enumerate(order)}
 
@@ -279,20 +291,13 @@ def supernode_layout(m, p, q):
     for sid, ids in enumerate(node_ids):
         for node in ids:
             owner[node] = sid
-    sid_of = {s: k for k, s in enumerate(scoords)}
-    adj = set()
-    for (sx, sy) in scoords:
-        for nb in ((sx + 1, sy), (sx, sy + 1)):
-            if nb in sid_of:
-                a, b = sid_of[(sx, sy)], sid_of[nb]
-                adj.add((min(a, b), max(a, b)))
     return SupernodeLayout(
         p=p,
         q=q,
         supernode_coords=tuple(scoords),
         node_ids=node_ids,
         supernode_of_node=owner,
-        adjacency=frozenset(adj),
+        adjacency=adjacency,
     )
 
 
@@ -305,23 +310,10 @@ def extract_local_supernode(m, p, q, lam):
     stencil coupling simply start at zero.  The decoupled node is the
     lowest-indexed member of the central supernode (its origin corner).
     """
-    layout = supernode_layout(m, p, q)
-    scoords = layout.supernode_coords
-    members = {
-        s: [(s[0] * p + a, s[1] * q + b) for b in range(q) for a in range(p)]
-        for s in scoords
-    }
-    interior = [c for s in _diamond(m - 1) for c in members[s]]
-    boundary = [c for s in scoords if abs(s[0]) + abs(s[1]) == m for c in members[s]]
-
+    scoords, members, interior, boundary, adjacency = _supernode_region(m, p, q)
     fill = []
-    for s in scoords:
-        nodes = members[s]
+    for nodes in members.values():
         fill += [(u, v) for a, u in enumerate(nodes) for v in nodes[a + 1:]]
-    sid_of = {s: k for k, s in enumerate(scoords)}
-    for (sx, sy) in scoords:
-        for nb in ((sx + 1, sy), (sx, sy + 1)):
-            if nb in sid_of:
-                fill += [(u, v) for u in members[(sx, sy)] for v in members[nb]]
-
+    for a, b in adjacency:
+        fill += [(u, v) for u in members[scoords[a]] for v in members[scoords[b]]]
     return _assemble_local(interior, boundary, fill, lam, (p, q))

@@ -281,13 +281,17 @@ def compute_dy(problem, pair, da, split, residual=None):
     return 0.5 * pinv_t @ w2
 
 
-def linearized_residual(problem, pair, dy, da):
-    """|| R - Y^T dA Y - K^T dY - dY^T K ||_F at the given step."""
+def _linearized_residual_matrix(problem, pair, dy, da):
+    """L = R - Y^T dA Y - K^T dY - dY^T K at the given step."""
     y = pair.full_y()
     r = residual_and_error(problem, pair).residual
     k = (pair.a_tilde @ y)[: problem.n_interior]
-    l = r - y.T @ da @ y - k.T @ dy - dy.T @ k
-    return float(np.linalg.norm(l))
+    return r - y.T @ da @ y - k.T @ dy - dy.T @ k
+
+
+def linearized_residual(problem, pair, dy, da):
+    """|| R - Y^T dA Y - K^T dY - dY^T K ||_F at the given step."""
+    return float(np.linalg.norm(_linearized_residual_matrix(problem, pair, dy, da)))
 
 
 def rotated_block_norms(problem, pair, split, dy, da):
@@ -296,10 +300,7 @@ def rotated_block_norms(problem, pair, split, dy, da):
     Returns (span/span, 2 * span/null, null/null); their sum equals the
     squared full linearized residual.
     """
-    y = pair.full_y()
-    r = residual_and_error(problem, pair).residual
-    k = (pair.a_tilde @ y)[: problem.n_interior]
-    l = r - y.T @ da @ y - k.T @ dy - dy.T @ k
+    l = _linearized_residual_matrix(problem, pair, dy, da)
     qq = split.q.T @ l @ split.q
     qn = split.q.T @ l @ split.q_null
     nn = split.q_null.T @ l @ split.q_null

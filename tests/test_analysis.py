@@ -194,3 +194,31 @@ class TestRunSweep:
         records = run_sweep([0.0], [1])
         assert records[0].status.startswith("failed:")
         assert math.isnan(records[0].error)
+
+    @pytest.mark.parametrize("jobs, n_points, workers", [
+        (5000, 1, None),  # one point runs serially, no pool at all
+        (5000, 3, 3),
+        (2, 3, 2),
+    ])
+    def test_pool_capped_at_point_count(self, monkeypatch, jobs, n_points,
+                                        workers):
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(analysis, "ProcessPoolExecutor", SerialPool)
+        records = run_sweep([0.0], list(range(1, n_points + 1)),
+                            opts=MinimizeOptions(max_iter=5), jobs=jobs)
+        assert len(records) == n_points
+        assert started == ([] if workers is None else [workers])

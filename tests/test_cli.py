@@ -88,22 +88,64 @@ class TestExitCodes:
                      "--out", str(tmp_path)])
         assert code == 2
 
-    def test_numerical_failure_keeps_partial_output(self, tmp_path,
-                                                     monkeypatch):
-        real = cli.linearized_minimize
+    def test_help_shows_metavars(self, capsys):
+        assert main(["lambda-sweep", "--help"]) == 0
+        out = capsys.readouterr().out
+        for shown in ("--lambda L[,L...]", "--m M[,M...]", "--format FORMAT"):
+            assert shown in out
 
-        def flaky(problem, opts):
+    @pytest.mark.parametrize("command, solver, m_col, failed_at", [
+        ("sd-convergence", "steepest_descent", 0, "m=2"),
+        ("svd-spectrum", "spectrum_at", 0, "m=2"),
+        ("lin-convergence", "linearized_minimize", 0, "m=2"),
+        ("spatial-decay", "linearized_minimize", 1, "m=2"),
+        ("global-verify", "linearized_minimize", 0, "lambda=0 m=2"),
+    ])
+    def test_numerical_failure_keeps_partial_output(self, tmp_path,
+                                                     monkeypatch, command,
+                                                     solver, m_col, failed_at):
+        real = getattr(cli, solver)
+
+        def flaky(problem, *args, **kwargs):
             if problem.n_local > 5:
                 raise NumericalFailure("synthetic breakdown")
-            return real(problem, opts)
+            return real(problem, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "linearized_minimize", flaky)
-        code = main(["lin-convergence", "--m", "1,2", "--out", str(tmp_path)])
+        monkeypatch.setattr(cli, solver, flaky)
+        code = main([command, "--lambda", "0", "--m", "1,2,3",
+                     "--format", "csv+svg", "--out", str(tmp_path)])
         assert code == 3
-        rows = read_rows(tmp_path / "lin_convergence.csv")[1:]
-        assert rows and all(r[0] == "1" for r in rows)  # m=1 kept
-        marker = tmp_path / "lin_convergence.FAILED"
-        assert "m=2" in marker.read_text()
+        stem = command.replace("-", "_")
+        rows = read_rows(tmp_path / f"{stem}.csv")[1:]
+        assert rows and all(r[m_col] == "1" for r in rows)  # only m=1 kept
+        marker = (tmp_path / f"{stem}.FAILED").read_text()
+        assert marker.startswith(f"{failed_at}: synthetic breakdown")
+        charted = command != "global-verify"
+        assert (tmp_path / f"{stem}.svg").exists() == charted
+
+
+class TestFlagTable:
+    VALUES = {"lambda": "0,3.5", "m": "1,2", "p": "2", "q": "3",
+              "max-iter": "7", "tol": "1e-9", "out": "elsewhere",
+              "format": "csv+svg", "jobs": "2"}
+
+    def test_every_key_has_a_sample(self):
+        assert set(self.VALUES) == set(cli._FLAGS)
+
+    @pytest.mark.parametrize("key", sorted(VALUES))
+    def test_config_and_flag_agree(self, tmp_path, key):
+        field = cli._FLAGS[key][0]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}={self.VALUES[key]}\n")
+        parser = cli.build_parser()
+
+        def resolved(*argv):
+            args = parser.parse_args(["lambda-sweep", *argv])
+            return getattr(cli.resolve_settings(args), field)
+
+        via_flag = resolved(f"--{key}", self.VALUES[key])
+        assert via_flag == resolved("--config", str(cfg))
+        assert via_flag != resolved()  # differs from the default
 
 
 class TestSchemas:
