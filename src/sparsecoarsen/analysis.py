@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blas import single_thread
 from .errors import NumericalFailure
 from .lattice import StencilSpec, build_helmholtz, extract_local_scalar, extract_local_supernode
 from .linearized import (
@@ -211,41 +212,47 @@ def problem_for(m, lam, p=1, q=1):
 
 
 def _sweep_point(args):
-    lam, m, p, q, opts = args
-    problem = problem_for(m, lam, p, q)
-    point = dict(lam=lam, m=m, p=p, q=q, n_local=problem.n_local,
-                 n_pattern=problem.target_pattern.n_entries)
-    try:
-        pair, trace, _ = linearized_minimize(problem, opts)
-        final = trace.iterations[-1]
-        return SweepRecord(
-            **point,
-            error=final.error,
-            iterations=trace.n_steps,
-            cond_y=condition_of_y(pair),
-            cond_eq7_estimate=final.cond_eq7_estimate,
-            null_dim=final.null_dim,
-            status="ok" if trace.converged else "max_iter",
-        )
-    except NumericalFailure as exc:
-        return SweepRecord(
-            **point,
-            error=math.nan,
-            iterations=0,
-            cond_y=math.nan,
-            cond_eq7_estimate=math.nan,
-            null_dim=-1,
-            status=f"failed: {exc}",
-        )
+    # A point is a small dense problem: BLAS threads only spin on it, and
+    # their count moves the last digits, so each point runs on one thread.
+    with single_thread():
+        lam, m, p, q, opts = args
+        problem = problem_for(m, lam, p, q)
+        point = dict(lam=lam, m=m, p=p, q=q, n_local=problem.n_local,
+                     n_pattern=problem.target_pattern.n_entries)
+        try:
+            pair, trace, _ = linearized_minimize(problem, opts)
+            final = trace.iterations[-1]
+            return SweepRecord(
+                **point,
+                error=final.error,
+                iterations=trace.n_steps,
+                cond_y=condition_of_y(pair),
+                cond_eq7_estimate=final.cond_eq7_estimate,
+                null_dim=final.null_dim,
+                status="ok" if trace.converged else "max_iter",
+            )
+        except NumericalFailure as exc:
+            return SweepRecord(
+                **point,
+                error=math.nan,
+                iterations=0,
+                cond_y=math.nan,
+                cond_eq7_estimate=math.nan,
+                null_dim=-1,
+                status=f"failed: {exc}",
+            )
 
 
 def run_sweep(lambdas, ms, p=1, q=1, opts=MinimizeOptions(), jobs=1):
     """Minimize over the (lambda, m) grid; rows sorted by (lambda, m).
 
     Points are independent, so jobs > 1 distributes them over at most one
-    process per point; results are identical and identically ordered
-    regardless of jobs.  Numerical failures become explicit failure records,
-    never invented values.
+    process per point.  Each point runs on one BLAS thread (blas.single_thread)
+    and the caller's thread count is restored after it, so on a given machine
+    the records are identical and identically ordered whatever jobs or the
+    caller's BLAS thread count is; where no OpenBLAS thread control is found,
+    that holds only at a fixed BLAS thread count.  Numerical failures become
+    explicit failure records, never invented values.
     """
     points = [(lam, m, p, q, opts) for lam in sorted(lambdas) for m in sorted(ms)]
     # The pool starts all of its workers on the first submit.

@@ -2,9 +2,13 @@
 
 Each subcommand minimizes local decoupling problems over a (lambda, m) grid
 and writes one CSV with a fixed schema into --out.  Floats are written with
-17 significant digits.  Reruns with the same inputs are byte-identical on the
-same machine with the same BLAS thread count, whatever --jobs is; another
-thread count can move the last digits.
+17 significant digits.  lambda-sweep runs each point on one BLAS thread, so
+on a given machine its CSVs depend on neither --jobs nor the BLAS thread count
+(OPENBLAS_NUM_THREADS); lambda_sweep_blas.json next to them records the BLAS
+library and the thread count per point.  The other subcommands run in the
+inherited BLAS environment: their reruns are byte-identical on the same
+machine with the same BLAS thread count, and another thread count can move the
+last digits.
 
 Exit codes: 0 success, 2 bad arguments or config file, 3 numerical failure
 (partial output is kept and a .FAILED marker is written next to it).
@@ -12,6 +16,7 @@ Exit codes: 0 success, 2 bad arguments or config file, 3 numerical failure
 
 import argparse
 import itertools
+import json
 import math
 import sys
 from dataclasses import dataclass
@@ -28,6 +33,7 @@ from .analysis import (
     spatial_decay,
     spectrum_at,
 )
+from .blas import single_thread_config
 from .errors import NumericalFailure
 from .linearized import MinimizeOptions, linearized_minimize
 from .transform import initial_guess, steepest_descent
@@ -330,9 +336,15 @@ def cmd_spatial_decay(settings, outdir):
 
 
 def cmd_lambda_sweep(settings, outdir):
-    opts = _options(settings)
-    records = run_sweep(settings.lambdas, settings.ms, settings.p, settings.q,
-                        opts, jobs=settings.jobs)
+    # lam and 8 - lam are exactly conjugate stencils, so converged errors
+    # should match; mirrors not already swept are computed in the same pool.
+    swept = set(settings.lambdas)
+    mirrors = sorted({8.0 - lam for lam in swept} - swept)
+    everything = run_sweep(list(settings.lambdas) + mirrors, settings.ms,
+                           settings.p, settings.q, _options(settings),
+                           jobs=settings.jobs)
+    records = [rec for rec in everything if rec.lam in swept]
+    mirror_records = [rec for rec in everything if rec.lam not in swept]
     header = ["lambda", "m", "p", "q", "error", "iterations", "cond_y",
               "cond_eq7_estimate", "null_dim", "n_local", "n_pattern",
               "status"]
@@ -340,12 +352,6 @@ def cmd_lambda_sweep(settings, outdir):
              rec.cond_y, rec.cond_eq7_estimate, rec.null_dim, rec.n_local,
              rec.n_pattern, rec.status) for rec in records]
 
-    # lam and 8 - lam are exactly conjugate stencils, so converged errors
-    # should match; mirrors not already swept are computed here.
-    swept = set(settings.lambdas)
-    mirrors = sorted({8.0 - lam for lam in swept if 8.0 - lam not in swept})
-    mirror_records = run_sweep(mirrors, settings.ms, settings.p, settings.q,
-                               opts, jobs=settings.jobs)
     by_point = {(rec.lam, rec.m): rec for rec in records + mirror_records}
     sym_rows = []
     for lam, m in itertools.product(settings.lambdas, settings.ms):
@@ -360,6 +366,10 @@ def cmd_lambda_sweep(settings, outdir):
     write_csv(outdir / "lambda_sweep_symmetry.csv",
               ["lambda", "lambda_mirror", "m", "error", "error_mirror",
                "rel_diff"], sym_rows)
+
+    # No --jobs here, so that output directories agree across --jobs.
+    (outdir / "lambda_sweep_blas.json").write_text(
+        json.dumps(single_thread_config(), indent=2, sort_keys=True) + "\n")
 
     failure = "; ".join(
         f"lambda={rec.lam:g} m={rec.m}: {rec.status}"

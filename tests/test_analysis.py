@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sparsecoarsen.analysis as analysis
+import sparsecoarsen.blas as blas
 from sparsecoarsen.analysis import (
     default_verify_grid,
     fit_decay_rate,
@@ -222,3 +223,62 @@ class TestRunSweep:
                             opts=MinimizeOptions(max_iter=5), jobs=jobs)
         assert len(records) == n_points
         assert started == ([] if workers is None else [workers])
+
+
+@pytest.fixture
+def openblas():
+    """numpy's OpenBLAS thread control, at 2 threads for the test's duration."""
+    control = blas.find_openblas()
+    if control is None:
+        pytest.skip("no OpenBLAS thread control in this process")
+    before = control.get_threads()
+    control.set_threads(2)  # a caller count the pin must override and restore
+    try:
+        yield control
+    finally:
+        control.set_threads(before)
+
+
+class TestSingleBlasThread:
+    def test_every_point_on_one_thread_and_caller_count_restored(
+            self, monkeypatch, openblas):
+        seen = []
+
+        def recording(problem, opts):
+            seen.append(openblas.get_threads())
+            return linearized_minimize(problem, opts)
+
+        monkeypatch.setattr(analysis, "linearized_minimize", recording)
+        before = openblas.get_threads()
+        records = run_sweep([0.0, 1.0], [1, 2],
+                            opts=MinimizeOptions(max_iter=5))
+        assert len(records) == 4
+        assert seen == [1, 1, 1, 1]
+        assert openblas.get_threads() == before
+
+    def test_caller_count_restored_when_sweep_raises(self, monkeypatch,
+                                                     openblas):
+        def broken(problem, opts):
+            raise ValueError("not a numerical failure")
+
+        monkeypatch.setattr(analysis, "linearized_minimize", broken)
+        before = openblas.get_threads()
+        with pytest.raises(ValueError):
+            run_sweep([0.0], [1])
+        assert openblas.get_threads() == before
+
+    def test_vendored_library_found_without_proc_maps(self, monkeypatch):
+        # Where /proc/self/maps cannot be read, numpy's vendored directory
+        # is searched instead.
+        if blas.find_openblas() is None:
+            pytest.skip("no OpenBLAS thread control in this process")
+
+        def no_proc(path, *args, **kwargs):
+            raise OSError(f"cannot open {path}")
+
+        monkeypatch.setattr(blas, "open", no_proc, raising=False)
+        if not blas._library_paths():
+            pytest.skip("numpy vendors no OpenBLAS here")
+        found = blas.find_openblas.__wrapped__()
+        assert found is not None
+        assert found.config == blas.find_openblas().config

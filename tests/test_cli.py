@@ -1,11 +1,30 @@
+import contextlib
 import csv
+import json
 import math
 
 import pytest
 
+import sparsecoarsen.analysis as analysis
+import sparsecoarsen.blas as blas
 import sparsecoarsen.cli as cli
 from sparsecoarsen.cli import ConfigError, main, read_config, write_csv
 from sparsecoarsen.errors import NumericalFailure
+
+
+@contextlib.contextmanager
+def caller_blas_threads(threads):
+    """Run the block at this OpenBLAS thread count, where it can be set."""
+    control = blas.find_openblas()
+    if control is None:
+        yield
+        return
+    before = control.get_threads()
+    control.set_threads(threads)
+    try:
+        yield
+    finally:
+        control.set_threads(before)
 
 
 def read_rows(path):
@@ -210,6 +229,45 @@ class TestSchemas:
             [("3", "5"), ("3", "5"), ("5", "3"), ("5", "3")]
         assert all(float(r[5]) <= 1e-10 for r in sym[1:])
 
+    def test_lambda_sweep_mirrors_share_one_pool(self, tmp_path,
+                                                  monkeypatch):
+        pools, solved = [], []
+        real = analysis.linearized_minimize
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        def flaky(problem, opts):
+            solved.append(problem.lam)
+            if problem.lam == 8.0:
+                raise NumericalFailure("synthetic breakdown")
+            return real(problem, opts)
+
+        monkeypatch.setattr(analysis, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(analysis, "linearized_minimize", flaky)
+        code = main(["lambda-sweep", "--lambda", "5,0", "--m", "1",
+                     "--jobs", "2", "--out", str(tmp_path)])
+        assert code == 3
+        assert pools == [2]
+        # the mirror 3 of 5 sorts between the swept 0 and 5
+        assert solved == [0.0, 3.0, 5.0, 8.0]
+        rows = read_rows(tmp_path / "lambda_sweep.csv")[1:]
+        assert [(r[0], r[-1]) for r in rows] == [("0", "ok"), ("5", "ok")]
+        sym = read_rows(tmp_path / "lambda_sweep_symmetry.csv")[1:]
+        assert [(r[0], r[1]) for r in sym] == [("5", "3")]
+        assert (tmp_path / "lambda_sweep.FAILED").read_text() == \
+            "lambda=8 m=1: failed: synthetic breakdown\n"
+
     def test_global_verify(self, tmp_path):
         assert main(["global-verify", "--m", "2", "--lambda", "0,3.5",
                      "--out", str(tmp_path)]) == 0
@@ -231,6 +289,47 @@ class TestDeterminism:
                      "lambda_sweep.svg"):
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
+
+    def test_lambda_sweep_directory_independent_of_jobs_and_blas_threads(
+            self, tmp_path):
+        # Run on the caller's BLAS thread count, the m=7 rows differ between
+        # one and two threads on a machine with two or more cores.
+        args = ["lambda-sweep", "--lambda", "0", "--m", "6,7"]
+        dirs = []
+        for jobs, threads in (("1", 2), ("2", 2), ("1", 1)):
+            dirs.append(tmp_path / f"jobs{jobs}_threads{threads}")
+            with caller_blas_threads(threads):
+                assert main(args + ["--jobs", jobs,
+                                    "--out", str(dirs[-1])]) == 0
+        names = sorted(p.name for p in dirs[0].iterdir())
+        assert "lambda_sweep_blas.json" in names
+        for other in dirs[1:]:
+            assert sorted(p.name for p in other.iterdir()) == names
+            for name in names:
+                assert (dirs[0] / name).read_bytes() == \
+                    (other / name).read_bytes(), (other.name, name)
+
+    def test_blas_sidecar(self, tmp_path):
+        assert main(["lambda-sweep", "--lambda", "4", "--m", "1",
+                     "--out", str(tmp_path)]) == 0
+        sidecar = json.loads(
+            (tmp_path / "lambda_sweep_blas.json").read_text())
+        assert sorted(sidecar) == ["library", "threads_per_point"]
+        if blas.find_openblas() is None:
+            assert sidecar == {"library": None, "threads_per_point": None}
+        else:
+            assert sidecar["threads_per_point"] == 1
+            assert sidecar["library"].startswith("OpenBLAS")
+
+    def test_blas_sidecar_without_thread_control(self, tmp_path,
+                                                 monkeypatch):
+        monkeypatch.setattr(blas, "find_openblas", lambda: None)
+        assert main(["lambda-sweep", "--lambda", "4", "--m", "1",
+                     "--out", str(tmp_path)]) == 0
+        assert read_rows(tmp_path / "lambda_sweep.csv")[1][-1] == "ok"
+        assert json.loads(
+            (tmp_path / "lambda_sweep_blas.json").read_text()) == \
+            {"library": None, "threads_per_point": None}
 
     def test_svg_written_on_request(self, tmp_path):
         assert main(["sd-convergence", "--m", "1", "--max-iter", "30",
