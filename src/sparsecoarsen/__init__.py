@@ -26,7 +26,6 @@ from .lattice import (
 )
 from .linearized import (
     MinimizeOptions,
-    TruncationPolicy,
     linearized_minimize,
 )
 from .transform import (
@@ -51,7 +50,6 @@ __all__ = [
     "SupernodeLayout",
     "SweepRecord",
     "TransformPair",
-    "TruncationPolicy",
     "build_helmholtz",
     "checkerboard_diagonal",
     "condition_of_y",

@@ -16,7 +16,6 @@ from .errors import NumericalFailure
 from .lattice import StencilSpec, build_helmholtz, extract_local_scalar, extract_local_supernode
 from .linearized import (
     MinimizeOptions,
-    TruncationPolicy,
     build_normal_system,
     linearized_minimize,
     split_spaces,
@@ -74,11 +73,11 @@ class SweepRecord:
     status: str  # "ok", "max_iter", or "failed: <reason>"
 
 
-def spectrum_at(problem, pair, policy=TruncationPolicy()):
-    """Full SVD report of the dA normal system at the given state."""
+def spectrum_at(problem, pair):
+    """Full spectrum report of the dA normal system at the given state."""
     system = build_normal_system(problem, pair, split_spaces(problem, pair))
     s = system.sigma
-    null_dim, gap, cond, cond_eq7 = summarize_spectrum(s, policy)
+    null_dim, gap, cond, cond_eq7 = summarize_spectrum(s)
     return SpectrumReport(
         sigma=s.copy(),
         null_dim=null_dim,
@@ -227,8 +226,8 @@ def _sweep_point(args):
                 error=final.error,
                 iterations=trace.n_steps,
                 cond_y=condition_of_y(pair),
-                cond_eq7_estimate=final.cond_eq7_estimate,
-                null_dim=final.null_dim,
+                cond_eq7_estimate=final.solve.cond_eq7_estimate,
+                null_dim=final.solve.null_dim,
                 status="ok" if trace.converged else "max_iter",
             )
         except NumericalFailure as exc:

@@ -253,10 +253,6 @@ def _options(settings):
     return MinimizeOptions(max_iter=settings.max_iter, rel_tol=settings.tol)
 
 
-def _none_to_nan(v):
-    return math.nan if v is None else v
-
-
 def _error_series(results):
     return [(f"m={m}", [rec.iteration for rec in trace.iterations],
              [rec.error for rec in trace.iterations])
@@ -296,8 +292,8 @@ def cmd_lin_convergence(settings, outdir):
     opts = _options(settings)
     lam, results, failure = _per_m(
         settings, lambda problem: linearized_minimize(problem, opts)[1])
-    rows = [(m, rec.iteration, rec.error, _none_to_nan(rec.alpha),
-             _none_to_nan(rec.cond_eq7_estimate))
+    rows = [(m, rec.iteration, rec.error, rec.alpha,
+             rec.solve.cond_eq7_estimate)
             for m, _, trace in results for rec in trace.iterations]
     chart = (_error_series(results),
              f"linearized minimization, lambda={lam:g}", "iteration",
@@ -335,11 +331,19 @@ def cmd_spatial_decay(settings, outdir):
                      ["kind", "distance_or_m", "value"], rows, failure, chart)
 
 
+def _mirror(lam, swept):
+    """8 - lam, or the swept value within 1e-12 of it: 8 - 7.9 is not 0.1."""
+    mirror = 8.0 - lam
+    near = min(sorted(swept), key=lambda s: abs(s - mirror))
+    return near if abs(near - mirror) <= 1e-12 else mirror
+
+
 def cmd_lambda_sweep(settings, outdir):
     # lam and 8 - lam are exactly conjugate stencils, so converged errors
     # should match; mirrors not already swept are computed in the same pool.
     swept = set(settings.lambdas)
-    mirrors = sorted({8.0 - lam for lam in swept} - swept)
+    mirror_of = {lam: _mirror(lam, swept) for lam in swept}
+    mirrors = sorted(set(mirror_of.values()) - swept)
     everything = run_sweep(list(settings.lambdas) + mirrors, settings.ms,
                            settings.p, settings.q, _options(settings),
                            jobs=settings.jobs)
@@ -356,12 +360,12 @@ def cmd_lambda_sweep(settings, outdir):
     sym_rows = []
     for lam, m in itertools.product(settings.lambdas, settings.ms):
         a = by_point.get((lam, m))
-        b = by_point.get((8.0 - lam, m))
+        b = by_point.get((mirror_of[lam], m))
         if a is None or b is None or a.status.startswith("failed") \
                 or b.status.startswith("failed"):
             continue
         denom = max(abs(a.error), abs(b.error), 1e-300)
-        sym_rows.append((lam, 8.0 - lam, m, a.error, b.error,
+        sym_rows.append((lam, mirror_of[lam], m, a.error, b.error,
                          abs(a.error - b.error) / denom))
     write_csv(outdir / "lambda_sweep_symmetry.csv",
               ["lambda", "lambda_mirror", "m", "error", "error_mirror",

@@ -17,9 +17,16 @@ zeroes the two blocks that involve dY, leaving only the projected problem
 
 which is a linear least squares in the free values of dA.  Its normal
 equations have closed-form entries in G = Y Q_null Q_null^T Y^T and are
-solved by a truncated SVD: the system is singular by construction, because
-interior diagonal gauge directions dA = D A~ + A~ D lie in its null space.
-A full line search along (dY, dA) then guards the nonlinear terms.
+solved through their symmetric eigendecomposition (eigh), dropping the
+eigenvalues with |w| < NULL_REL_TOL * max |w|: the system is singular by
+construction, because interior diagonal gauge directions dA = D A~ + A~ D
+lie in its null space.  A full line search along (dY, dA) then guards the
+nonlinear terms.
+
+The solver's rules are fixed module constants, not options: NULL_REL_TOL
+(the null cut), RANK_TOL (the rank of K), ABS_TOL and PATIENCE (the stop
+rules) and ALPHA_MAX (the line search's longest step).  Only the iteration
+cap and the stagnation tolerance are MinimizeOptions.
 
 Each outer step computes the residual R once and hands it to the assembly
 and to dY.  The step's results are bit-for-bit those of the direct
@@ -44,6 +51,21 @@ from .transform import (
 LINE_SEARCH_ABSCISSAE = np.array([0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0])
 _LINE_SEARCH_VANDER = np.vander(LINE_SEARCH_ABSCISSAE, 7)
 
+# Normal-system |eigenvalues| below this fraction of the largest are null.
+# The gauge plateau sits near roundoff; from m = 6 on, the squared
+# conditioning pushes physical values below the cut too (a known miscount).
+NULL_REL_TOL = 1e-8
+# Singular values of K = P_I A~ Y at or below this fraction of the largest
+# are dropped from its span: K is one product, so its noise floor is near eps.
+RANK_TOL = 1e-12
+# An error below this is zero at the O(1) scale of the stencil entries.
+ABS_TOL = 1e-13
+# Consecutive stagnant steps before stopping: one flat step can be a fluke.
+PATIENCE = 3
+# Longest line-search step: far beyond the full step alpha = 1 the
+# linearization the step came from says nothing.
+ALPHA_MAX = 4.0
+
 
 @dataclass
 class SubspaceSplit:
@@ -66,7 +88,6 @@ class NormalSystem:
     matrix: np.ndarray
     rhs: np.ndarray
     basis: tuple  # (rows, cols) index arrays of the free positions, rows <= cols
-    n_interior: int
     expected_null: int | None  # n_interior when A~ had full rank, else None
     _eig: tuple | None = field(default=None, repr=False)
 
@@ -90,49 +111,15 @@ class NormalSystem:
         return self.eig()[1]
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
-    """How solve_for_da decides which singular values are numerically null.
-
-    kind "threshold" drops sigma < rel_tol * sigma_max (the default policy);
-    kind "gap" splits at the largest consecutive sigma ratio among the
-    smaller half of the spectrum.  Values below the noise floor of the
-    normal-matrix assembly (n * eps * sigma_max) are one indistinguishable
-    plateau: ratios inside it are meaningless, so only cuts whose upper side
-    clears the floor are candidates.
-    """
-
-    kind: str = "threshold"
-    rel_tol: float = 1e-8
-
-    def null_count(self, s):
-        n = len(s)
-        if n == 0:
-            return 0
-        if s[0] <= 0.0:
-            return n
-        if self.kind == "threshold":
-            return int(np.sum(s < self.rel_tol * s[0]))
-        if self.kind == "gap":
-            floor = max(n, 16) * np.finfo(float).eps * s[0]
-            best, cut = 0.0, n
-            for i in range(n // 2, n - 1):
-                if s[i] < floor:
-                    break  # everything from here down is noise
-                ratio = s[i] / s[i + 1] if s[i + 1] > 0.0 else np.inf
-                if ratio > best:
-                    best, cut = ratio, i + 1
-            return n - cut if best >= 10.0 else 0
-        raise ValueError(f"unknown truncation policy kind: {self.kind!r}")
-
-
-def summarize_spectrum(s, policy):
+def summarize_spectrum(s):
     """(null_dim, gap_ratio, cond_retained, cond_eq7_estimate) of a descending spectrum.
 
-    The condition numbers are NaN when the policy truncates everything.
+    Values below NULL_REL_TOL * s[0] are null, and all are when s[0] <= 0.
+    The condition numbers are NaN when everything is null.
     """
-    null_dim = policy.null_count(s)
-    retained = len(s) - null_dim
+    n = len(s)
+    null_dim = n if n == 0 or s[0] <= 0.0 else int(np.sum(s < NULL_REL_TOL * s[0]))
+    retained = n - null_dim
     if retained == 0:
         return null_dim, (1.0 if null_dim else 0.0), math.nan, math.nan
     cond = float(s[0] / s[retained - 1])
@@ -150,13 +137,13 @@ class SolveDiagnostics:
     rhs_norm: float
 
 
-def split_spaces(problem, pair, rank_tol=1e-12):
+def split_spaces(problem, pair):
     """SVD split of K = P_I A~ Y into span (q) and null space (q_null)."""
     k = (pair.a_tilde @ pair.full_y())[: problem.n_interior]
     u, s, vt = np.linalg.svd(k, full_matrices=True)
     rank = 0
     if s.size and s[0] > 0.0:
-        rank = int(np.sum(s > rank_tol * s[0]))
+        rank = int(np.sum(s > RANK_TOL * s[0]))
     return SubspaceSplit(
         q=vt[:rank].T.copy(),
         q_null=vt[rank:].T.copy(),
@@ -208,7 +195,6 @@ def build_normal_system(problem, pair, split, residual=None):
         matrix=matrix,
         rhs=rhs,
         basis=(i_idx, j_idx),
-        n_interior=problem.n_interior,
         expected_null=problem.n_interior if split.rank == problem.n_interior else None,
     )
 
@@ -221,16 +207,17 @@ def _embed_da(values, basis, n):
     return da
 
 
-def solve_for_da(system, policy=TruncationPolicy(), n_local=None):
-    """Truncated-SVD solve of the normal equations; returns (dA, diagnostics).
+def solve_for_da(system, n_local=None):
+    """Solve the normal equations on their non-null eigenpairs; returns (dA, diagnostics).
 
-    Truncated directions are always dropped from the solution.  A warning is
-    emitted when the detected null dimension disagrees with the gauge count
-    n_interior (only meaningful when A~ had full rank).
+    The null directions (summarize_spectrum) are always dropped from the
+    solution.  A warning is emitted when the detected null dimension
+    disagrees with the gauge count n_interior (only meaningful when A~ had
+    full rank).
     """
     u, s, sign = system.eig()
     n = len(s)
-    null_dim, gap_ratio, cond_retained, cond_eq7 = summarize_spectrum(s, policy)
+    null_dim, gap_ratio, cond_retained, cond_eq7 = summarize_spectrum(s)
     retained = n - null_dim
 
     if system.expected_null is not None and null_dim != system.expected_null:
@@ -346,10 +333,10 @@ def fit_line_polynomial(g):
     raise NumericalFailure("line search could not evaluate the objective finitely")
 
 
-def line_search(problem, pair, dy, da, alpha_max=4.0):
+def line_search(problem, pair, dy, da):
     """Exact line search on the degree-6 polynomial g; returns (alpha, error).
 
-    Candidates are the real critical points in (0, alpha_max]; the best one
+    Candidates are the real critical points in (0, ALPHA_MAX]; the best one
     that improves on g(0) wins, otherwise alpha = 0.  The returned error is
     the (non-squared) norm at the chosen alpha, never above the current one.
     """
@@ -367,7 +354,7 @@ def line_search(problem, pair, dy, da, alpha_max=4.0):
         if abs(root.imag) > 1e-8 * max(1.0, abs(root.real)):
             continue
         alpha = float(root.real) * scale
-        if not (0.0 < alpha <= alpha_max):
+        if not (0.0 < alpha <= ALPHA_MAX):
             continue
         g = g_of(alpha)
         if np.isfinite(g) and g < best_g:
@@ -379,23 +366,19 @@ def line_search(problem, pair, dy, da, alpha_max=4.0):
 class MinimizeOptions:
     max_iter: int = 200
     rel_tol: float = 1e-10  # relative error change considered stagnant
-    patience: int = 3  # consecutive stagnant iterations before stopping
-    abs_tol: float = 1e-13  # error below which we stop outright
-    rank_tol: float = 1e-12
-    policy: TruncationPolicy = TruncationPolicy()
-    alpha_max: float = 4.0
 
 
 def linearized_minimize(problem, opts=MinimizeOptions()):
     """Outer loop: split, solve for dA, form dY, line-search, update.
 
-    Returns (pair, trace, diagnostics) with one diagnostics entry per visited
-    state, including the converged one.  Raises NumericalFailure (with the
-    partial trace attached) if the error turns non-finite.
+    Returns (pair, trace, diagnostics).  The trace has one IterationRecord
+    per visited state, including the converged one, whose `solve` is that
+    state's SolveDiagnostics; diagnostics lists those same objects.  Raises
+    NumericalFailure (with the partial trace attached) if the error turns
+    non-finite.
     """
     pair = initial_guess(problem)
     trace = ConvergenceTrace()
-    diags = []
     alpha_prev = 0.0
     err_prev = None
     stagnant = 0
@@ -406,28 +389,18 @@ def linearized_minimize(problem, opts=MinimizeOptions()):
         if not np.isfinite(err):
             raise NumericalFailure("linearized minimize produced a non-finite error", trace)
 
-        split = split_spaces(problem, pair, rank_tol=opts.rank_tol)
+        split = split_spaces(problem, pair)
         system = build_normal_system(problem, pair, split, report.residual)
-        da, diag = solve_for_da(system, policy=opts.policy, n_local=problem.n_local)
-        diags.append(diag)
+        da, diag = solve_for_da(system, n_local=problem.n_local)
         trace.iterations.append(
-            IterationRecord(
-                iteration=k,
-                error=err,
-                alpha=alpha_prev,
-                null_dim=diag.null_dim,
-                gap_ratio=diag.gap_ratio,
-                cond_retained=diag.cond_retained,
-                cond_eq7_estimate=diag.cond_eq7_estimate,
-            )
-        )
+            IterationRecord(iteration=k, error=err, alpha=alpha_prev, solve=diag))
 
-        if err < opts.abs_tol:
+        if err < ABS_TOL:
             trace.converged = True
             break
         if err_prev is not None:
             stagnant = stagnant + 1 if abs(err_prev - err) < opts.rel_tol * err_prev else 0
-            if stagnant >= opts.patience:
+            if stagnant >= PATIENCE:
                 trace.converged = True
                 break
         err_prev = err
@@ -435,8 +408,8 @@ def linearized_minimize(problem, opts=MinimizeOptions()):
             break
 
         dy = compute_dy(problem, pair, da, split, report.residual)
-        alpha_prev, _ = line_search(problem, pair, dy, da, alpha_max=opts.alpha_max)
+        alpha_prev, _ = line_search(problem, pair, dy, da)
         pair.y_rows += alpha_prev * dy
         pair.a_tilde += alpha_prev * da
 
-    return pair, trace, diags
+    return pair, trace, [rec.solve for rec in trace.iterations]

@@ -59,11 +59,8 @@ class ErrorReport:
 class IterationRecord:
     iteration: int
     error: float
-    alpha: float
-    null_dim: int | None = None
-    gap_ratio: float | None = None
-    cond_retained: float | None = None
-    cond_eq7_estimate: float | None = None
+    alpha: float  # step length that led to this state; 0.0 at the start
+    solve: "SolveDiagnostics | None" = None  # linearized: this state's dA solve
 
 
 @dataclass

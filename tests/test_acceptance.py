@@ -21,10 +21,8 @@ from sparsecoarsen.analysis import (
 from sparsecoarsen.lattice import extract_local_scalar, extract_local_supernode
 from sparsecoarsen.linearized import (
     MinimizeOptions,
-    TruncationPolicy,
     build_normal_system,
     linearized_minimize,
-    solve_for_da,
     split_spaces,
 )
 from sparsecoarsen.transform import (
@@ -35,7 +33,7 @@ from sparsecoarsen.transform import (
     steepest_descent,
 )
 
-from test_linearized import materialized_system
+from test_linearized import gap_null_count, materialized_system
 from test_transform import random_state
 
 _CACHE = {}
@@ -105,7 +103,6 @@ class TestAcceptance:
                 f"steps={steps} gates={[2 * m + 5 for m in range(1, 6)]}")
 
     def test_criterion_03_null_space_detection(self):
-        gap = TruncationPolicy(kind="gap")
         worst_plateau, worst_rhs = 0.0, 0.0
         ok = True
         for m in range(2, 7):
@@ -114,18 +111,21 @@ class TestAcceptance:
             for pair in states:
                 split = split_spaces(problem, pair)
                 system = build_normal_system(problem, pair, split)
-                null = gap.null_count(system.sigma)
+                u, s, _ = system.eig()
+                null = gap_null_count(s)
                 ok = ok and null == problem.n_interior
                 if null:
-                    plateau = float(system.sigma[len(system.sigma) - null:]
-                                    .max() / system.sigma[0])
+                    plateau = float(s[len(s) - null:].max() / s[0])
                     worst_plateau = max(worst_plateau, plateau)
                     ok = ok and plateau <= 1e-8
-                _, diag = solve_for_da(system, gap, n_local=problem.n_local)
-                ok = ok and diag.rhs_null_component <= 1e-12 * diag.rhs_norm
-                if diag.rhs_norm > 0:
-                    worst_rhs = max(worst_rhs,
-                                    diag.rhs_null_component / diag.rhs_norm)
+                # the rhs part in the null directions, as solve_for_da forms it
+                retained = len(s) - null
+                rhs_norm = float(np.linalg.norm(system.rhs))
+                rhs_null = (rhs_norm if retained == 0 else
+                            float(np.linalg.norm(u[:, retained:].T @ system.rhs)))
+                ok = ok and rhs_null <= 1e-12 * rhs_norm
+                if rhs_norm > 0:
+                    worst_rhs = max(worst_rhs, rhs_null / rhs_norm)
         verdict(3, "null dim = n_I for m=2..6", ok,
                 f"initial and one-step states; plateau<= {worst_plateau:.1e} "
                 f"(<=1e-8), rhs-null <= {worst_rhs:.1e}*|rhs| (<=1e-12)")
@@ -165,7 +165,7 @@ class TestAcceptance:
         products = []
         for lam in (0.0, 1.0, 2.0, 3.0, 3.5):
             _, _, trace, _ = converged(lam, 4)
-            cond = trace.iterations[-1].cond_eq7_estimate
+            cond = trace.iterations[-1].solve.cond_eq7_estimate
             products.append(trace.final_error * cond)
         ratio = max(products) / min(products)
         verdict(7, "error x condition estimate is flat", ratio < 10.0,

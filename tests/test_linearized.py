@@ -13,8 +13,8 @@ from sparsecoarsen.lattice import (
 )
 from sparsecoarsen.linearized import (
     LINE_SEARCH_ABSCISSAE,
+    NULL_REL_TOL,
     MinimizeOptions,
-    TruncationPolicy,
     build_normal_system,
     compute_dy,
     fit_line_polynomial,
@@ -25,6 +25,7 @@ from sparsecoarsen.linearized import (
     rotated_block_norms,
     solve_for_da,
     split_spaces,
+    summarize_spectrum,
 )
 from sparsecoarsen import linearized
 from sparsecoarsen.transform import initial_guess, residual_and_error
@@ -58,6 +59,32 @@ def materialized_system(problem, pair, split):
     return op.T @ op, op.T @ target
 
 
+def gap_null_count(s):
+    """Null count of a descending spectrum at its largest drop.
+
+    Splits at the largest consecutive ratio among the smaller half of the
+    spectrum and needs a drop of at least 10.  Values below the noise floor
+    of the normal-matrix assembly (n * eps * s[0]) are one indistinguishable
+    plateau: ratios inside it are meaningless, so only cuts whose upper side
+    clears the floor are candidates.  An independent check on the solver's
+    relative cut, which it must agree with where the gauge null space is clean.
+    """
+    n = len(s)
+    if n == 0:
+        return 0
+    if s[0] <= 0.0:
+        return n
+    floor = max(n, 16) * np.finfo(float).eps * s[0]
+    best, cut = 0.0, n
+    for i in range(n // 2, n - 1):
+        if s[i] < floor:
+            break  # everything from here down is noise
+        ratio = s[i] / s[i + 1] if s[i + 1] > 0.0 else np.inf
+        if ratio > best:
+            best, cut = ratio, i + 1
+    return n - cut if best >= 10.0 else 0
+
+
 def direct_normal_system(problem, pair, split):
     """The direct assembly: four np.ix_ gathers, then a symmetrization pass."""
     z = pair.full_y() @ split.q_null
@@ -81,13 +108,14 @@ def direct_normal_system(problem, pair, split):
     return matrix, rhs
 
 
-def direct_solve(matrix, rhs, positions, n_local, policy=TruncationPolicy()):
+def direct_solve(matrix, rhs, positions, n_local):
     """The direct solve: svd(hermitian=True), a truncated solve, a loop embed.
 
-    Returns dA and the SolveDiagnostics fields in declaration order.
+    Singular values below 1e-8 * s[0] are null.  Returns dA and the
+    SolveDiagnostics fields in declaration order.
     """
     u, s, vt = np.linalg.svd(matrix, hermitian=True)
-    null_dim = policy.null_count(s)
+    null_dim = int(np.sum(s < 1e-8 * s[0]))
     retained = len(s) - null_dim
     rhs_norm = float(np.linalg.norm(rhs))
     if retained == 0:
@@ -277,29 +305,30 @@ class TestNormalSystem:
             build_normal_system(problem, pair, split_spaces(problem, pair))
 
 
-class TestTruncationPolicy:
+class TestNullCount:
     def test_threshold_counts_below_relative_cut(self):
         s = np.array([1.0, 1e-3, 1e-9, 1e-14, 1e-16])
-        assert TruncationPolicy().null_count(s) == 3
-        assert TruncationPolicy(rel_tol=1e-15).null_count(s) == 1
+        assert summarize_spectrum(s)[0] == 3
+        # the cut is strict: a value exactly at NULL_REL_TOL * s[0] is kept
+        assert summarize_spectrum(np.array([2.0, 2.0 * NULL_REL_TOL]))[0] == 0
+
+    def test_zero_and_empty_spectra(self):
+        assert summarize_spectrum(np.zeros(3))[:2] == (3, 1.0)
+        assert summarize_spectrum(np.zeros(0))[:2] == (0, 0.0)
 
     def test_gap_picks_largest_lower_half_drop(self):
         s = np.array([1.0, 0.5, 0.2, 0.1, 1e-12, 3e-13])
-        assert TruncationPolicy(kind="gap").null_count(s) == 2
+        assert gap_null_count(s) == 2
 
     def test_gap_requires_a_real_drop(self):
         s = np.array([1.0, 0.8, 0.6, 0.4, 0.3, 0.2])
-        assert TruncationPolicy(kind="gap").null_count(s) == 0
+        assert gap_null_count(s) == 0
 
     def test_gap_ignores_ratios_inside_noise_plateau(self):
         # junk below the assembly noise floor can contain huge internal
         # ratios; the cut must still land at the physical boundary above it
         s = np.array([1.0, 0.5, 0.2, 0.1, 1e-16, 1e-40])
-        assert TruncationPolicy(kind="gap").null_count(s) == 2
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            TruncationPolicy(kind="fancy").null_count(np.array([1.0]))
+        assert gap_null_count(s) == 2
 
 
 class TestSolveForDa:
@@ -328,21 +357,25 @@ class TestSolveForDa:
         pair = initial_guess(problem)
         system = build_normal_system(problem, pair,
                                      split_spaces(problem, pair))
-        with pytest.warns(RuntimeWarning):
-            solve_for_da(system, TruncationPolicy(rel_tol=0.5),
-                         n_local=problem.n_local)
+        assert system.expected_null == problem.n_interior
+        wrong = dataclasses.replace(system,
+                                    expected_null=problem.n_interior + 1)
+        with pytest.warns(RuntimeWarning, match="detected null dimension"):
+            solve_for_da(wrong, n_local=problem.n_local)
 
     def test_everything_truncated_gives_zero(self):
         problem = extract_local_scalar(1, 0.0)
         pair = random_state(problem, seed=1)
         system = build_normal_system(problem, pair,
                                      split_spaces(problem, pair))
+        zero = dataclasses.replace(system, matrix=np.zeros_like(system.matrix))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            da, diag = solve_for_da(system, TruncationPolicy(rel_tol=10.0),
-                                    n_local=problem.n_local)
+            da, diag = solve_for_da(zero, n_local=problem.n_local)
         assert np.all(da == 0.0)
+        assert diag.null_dim == len(system.rhs)
         assert math.isnan(diag.cond_retained)
+        assert diag.rhs_null_component == diag.rhs_norm
 
 
 class TestComputeDy:
@@ -454,9 +487,10 @@ class TestLinearizedMinimize:
         problem = extract_local_scalar(2, 0.0)
         _, trace, diags = linearized_minimize(problem)
         assert len(diags) == len(trace.iterations)
-        for rec in trace.iterations:
-            assert rec.null_dim == problem.n_interior
-            assert rec.cond_eq7_estimate > 0.0
+        for rec, diag in zip(trace.iterations, diags):
+            assert rec.solve is diag
+            assert rec.solve.null_dim == problem.n_interior
+            assert rec.solve.cond_eq7_estimate > 0.0
 
     def test_stuck_problem_stops_by_stagnation(self):
         # nothing to optimize at lam=4, m=1: the masked A~ is the zero matrix
@@ -464,7 +498,7 @@ class TestLinearizedMinimize:
         _, trace, _ = linearized_minimize(problem)
         assert trace.converged
         assert trace.final_error == pytest.approx(math.sqrt(8.0), rel=1e-14)
-        assert trace.n_steps <= MinimizeOptions().patience
+        assert trace.n_steps <= linearized.PATIENCE
 
     def test_max_iter_reported_as_not_converged(self):
         problem = extract_local_scalar(3, 0.0)
@@ -474,8 +508,19 @@ class TestLinearizedMinimize:
         assert trace.n_steps == 2
 
     def test_abs_tol_stops_early(self):
-        problem = extract_local_scalar(1, 0.0)
-        _, trace, _ = linearized_minimize(problem,
-                                          MinimizeOptions(abs_tol=10.0))
+        # a diagonal operator on a diagonal pattern: the initial guess is exact
+        problem = LocalProblem(
+            a_ll=np.diag([4.0, 3.0]),
+            interior=(0,),
+            boundary=(1,),
+            decoupled=0,
+            target_pattern=SparsityPattern(dim=2,
+                                           entries=frozenset({(0, 0), (1, 1)})),
+            coords=np.array([[0, 0], [1, 0]]),
+            lam=0.0,
+            supernode_dims=(1, 1),
+        )
+        _, trace, _ = linearized_minimize(problem)
+        assert trace.final_error == 0.0 < linearized.ABS_TOL
         assert trace.converged
         assert trace.n_steps == 0
