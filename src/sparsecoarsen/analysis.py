@@ -71,6 +71,7 @@ class SweepRecord:
     n_local: int
     n_pattern: int
     status: str  # "ok", "max_iter", or "failed: <reason>"
+    stop_reason: str  # the trace's stop_reason (transform.STOP_REASONS)
 
 
 def spectrum_at(problem, pair):
@@ -229,6 +230,7 @@ def _sweep_point(args):
                 cond_eq7_estimate=final.solve.cond_eq7_estimate,
                 null_dim=final.solve.null_dim,
                 status="ok" if trace.converged else "max_iter",
+                stop_reason=trace.stop_reason,
             )
         except NumericalFailure as exc:
             return SweepRecord(
@@ -239,6 +241,7 @@ def _sweep_point(args):
                 cond_eq7_estimate=math.nan,
                 null_dim=-1,
                 status=f"failed: {exc}",
+                stop_reason="failed",
             )
 
 

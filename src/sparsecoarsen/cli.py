@@ -43,6 +43,14 @@ class ConfigError(ValueError):
     """Invalid command line arguments or config file contents."""
 
 
+def _reject_repeats(key, text, vals):
+    # A repeated value would be solved and written twice.
+    for i, v in enumerate(vals):
+        if v in vals[:i]:
+            raise ConfigError(f"{key} value {v:g} is repeated in {text!r}")
+    return vals
+
+
 def _parse_lambdas(key, text):
     toks = [t.strip() for t in str(text).split(",")]
     try:
@@ -51,7 +59,7 @@ def _parse_lambdas(key, text):
         raise ConfigError(f"bad {key} list {text!r}") from exc
     if not vals or any(not math.isfinite(v) for v in vals):
         raise ConfigError(f"{key} values must be finite, got {text!r}")
-    return vals
+    return _reject_repeats(key, text, vals)
 
 
 def _parse_ms(key, text):
@@ -62,7 +70,7 @@ def _parse_ms(key, text):
         raise ConfigError(f"bad {key} list {text!r}") from exc
     if not vals or any(v < 1 for v in vals):
         raise ConfigError(f"{key} values must be integers >= 1, got {text!r}")
-    return vals
+    return _reject_repeats(key, text, vals)
 
 
 def _parse_int(key, text):
@@ -105,8 +113,11 @@ _FLAGS = {
     "p": ("p", _parse_int, "P", "supernode width (default 1)"),
     "q": ("q", _parse_int, "Q", "supernode height (default 1)"),
     "max-iter": ("max_iter", _parse_int, "MAX_ITER",
-                 "iteration cap per minimization"),
-    "tol": ("tol", _parse_tol, "TOL", "relative stagnation tolerance"),
+                 f"iteration cap per minimization (default "
+                 f"{MinimizeOptions.max_iter}, 1000 for sd-convergence)"),
+    "tol": ("tol", _parse_tol, "TOL",
+            f"relative stagnation tolerance (default "
+            f"{MinimizeOptions.rel_tol:g}, 1e-12 for sd-convergence)"),
     "out": ("out", _parse_text, "OUT", "output directory (default: out)"),
     "format": ("fmt", _parse_format, "FORMAT", "csv or csv+svg (default: csv)"),
     "jobs": ("jobs", _parse_int, "JOBS",
@@ -116,8 +127,8 @@ _FLAGS = {
 _COMMON_DEFAULTS = {
     "p": 1,
     "q": 1,
-    "max-iter": 200,
-    "tol": 1e-10,
+    "max-iter": MinimizeOptions.max_iter,
+    "tol": MinimizeOptions.rel_tol,
     "out": "out",
     "format": "csv",
     "jobs": 1,

@@ -28,6 +28,23 @@ The solver's rules are fixed module constants, not options: NULL_REL_TOL
 rules) and ALPHA_MAX (the line search's longest step).  Only the iteration
 cap and the stagnation tolerance are MinimizeOptions.
 
+A minimization stops at the first of these, recorded as the trace's
+stop_reason:
+
+- abs_tol: the error is below ABS_TOL;
+- stagnated: PATIENCE consecutive steps each changed the error by less than
+  rel_tol relative.  The default 1e-8 sits above the error's rounding noise
+  (mirror problems agree to about 3e-11, BLAS thread counts move it by up
+  to 2e-9), so noise cannot decide whether a creeping run stops;
+- no_descent: the line search returned alpha = 0, so the next state would
+  be this one and would repeat this step's bits;
+- max_iter: max_iter steps were taken;
+- failed: a NumericalFailure is raised, with the partial trace attached.
+
+The stop rules read the errors but never enter the arithmetic of a step, so
+tightening rel_tol only extends a trace: the default trace is a prefix of the
+trace at any smaller rel_tol.
+
 Each outer step computes the residual R once and hands it to the assembly
 and to dY.  The step's results are bit-for-bit those of the direct
 formulas, which the tests keep as a reference: near a stop, a change in the
@@ -318,17 +335,19 @@ def line_objective(problem, pair, dy, da):
 
 
 def fit_line_polynomial(g):
-    """Exact degree-6 fit of g via 7 evaluations; returns (coeffs, scale).
+    """Exact degree-6 fit of g via 7 evaluations; returns (coeffs, scale, g(0)).
 
     g is a line_objective.  coeffs are highest-degree-first for the scaled
     variable alpha/scale.  The abscissae shrink when evaluations overflow
-    (trust scaling).
+    (trust scaling); the first abscissa is 0 at every scale, so g(0) is
+    evaluated once.
     """
+    g0 = g(0.0)
     scale = 1.0
     for _ in range(60):
-        vals = np.array([g(scale * t) for t in LINE_SEARCH_ABSCISSAE])
+        vals = np.array([g0] + [g(scale * t) for t in LINE_SEARCH_ABSCISSAE[1:]])
         if np.all(np.isfinite(vals)):
-            return np.linalg.solve(_LINE_SEARCH_VANDER, vals), scale
+            return np.linalg.solve(_LINE_SEARCH_VANDER, vals), scale, g0
         scale *= 0.25
     raise NumericalFailure("line search could not evaluate the objective finitely")
 
@@ -341,8 +360,7 @@ def line_search(problem, pair, dy, da):
     the (non-squared) norm at the chosen alpha, never above the current one.
     """
     g_of = line_objective(problem, pair, dy, da)
-    coeffs, scale = fit_line_polynomial(g_of)
-    g0 = g_of(0.0)
+    coeffs, scale, g0 = fit_line_polynomial(g_of)
 
     deriv = np.polyder(coeffs)
     if np.any(deriv != 0.0):
@@ -365,17 +383,18 @@ def line_search(problem, pair, dy, da):
 @dataclass(frozen=True)
 class MinimizeOptions:
     max_iter: int = 200
-    rel_tol: float = 1e-10  # relative error change considered stagnant
+    rel_tol: float = 1e-8  # relative error change considered stagnant
 
 
 def linearized_minimize(problem, opts=MinimizeOptions()):
     """Outer loop: split, solve for dA, form dY, line-search, update.
 
     Returns (pair, trace, diagnostics).  The trace has one IterationRecord
-    per visited state, including the converged one, whose `solve` is that
-    state's SolveDiagnostics; diagnostics lists those same objects.  Raises
-    NumericalFailure (with the partial trace attached) if the error turns
-    non-finite.
+    per visited state, including the last one, whose `solve` is that
+    state's SolveDiagnostics; diagnostics lists those same objects.  Its
+    stop_reason says which stop rule ended the run (module docstring).
+    Raises NumericalFailure, with the partial trace attached and its
+    stop_reason "failed", if the error or the line search turns non-finite.
     """
     pair = initial_guess(problem)
     trace = ConvergenceTrace()
@@ -383,33 +402,42 @@ def linearized_minimize(problem, opts=MinimizeOptions()):
     err_prev = None
     stagnant = 0
 
-    for k in range(opts.max_iter + 1):
-        report = residual_and_error(problem, pair)
-        err = report.norm
-        if not np.isfinite(err):
-            raise NumericalFailure("linearized minimize produced a non-finite error", trace)
+    try:
+        for k in range(opts.max_iter + 1):
+            report = residual_and_error(problem, pair)
+            err = report.norm
+            if not np.isfinite(err):
+                raise NumericalFailure("linearized minimize produced a non-finite error")
 
-        split = split_spaces(problem, pair)
-        system = build_normal_system(problem, pair, split, report.residual)
-        da, diag = solve_for_da(system, n_local=problem.n_local)
-        trace.iterations.append(
-            IterationRecord(iteration=k, error=err, alpha=alpha_prev, solve=diag))
+            split = split_spaces(problem, pair)
+            system = build_normal_system(problem, pair, split, report.residual)
+            da, diag = solve_for_da(system, n_local=problem.n_local)
+            trace.iterations.append(
+                IterationRecord(iteration=k, error=err, alpha=alpha_prev, solve=diag))
 
-        if err < ABS_TOL:
-            trace.converged = True
-            break
-        if err_prev is not None:
-            stagnant = stagnant + 1 if abs(err_prev - err) < opts.rel_tol * err_prev else 0
-            if stagnant >= PATIENCE:
-                trace.converged = True
+            if err < ABS_TOL:
+                trace.stop_reason = "abs_tol"
                 break
-        err_prev = err
-        if k == opts.max_iter:
-            break
+            if err_prev is not None:
+                stagnant = stagnant + 1 if abs(err_prev - err) < opts.rel_tol * err_prev else 0
+                if stagnant >= PATIENCE:
+                    trace.stop_reason = "stagnated"
+                    break
+            err_prev = err
+            if k == opts.max_iter:
+                trace.stop_reason = "max_iter"
+                break
 
-        dy = compute_dy(problem, pair, da, split, report.residual)
-        alpha_prev, _ = line_search(problem, pair, dy, da)
-        pair.y_rows += alpha_prev * dy
-        pair.a_tilde += alpha_prev * da
+            dy = compute_dy(problem, pair, da, split, report.residual)
+            alpha_prev, _ = line_search(problem, pair, dy, da)
+            if alpha_prev == 0.0:  # the next state would be this one
+                trace.stop_reason = "no_descent"
+                break
+            pair.y_rows += alpha_prev * dy
+            pair.a_tilde += alpha_prev * da
+    except NumericalFailure as exc:
+        trace.stop_reason = "failed"
+        exc.trace = trace
+        raise
 
     return pair, trace, [rec.solve for rec in trace.iterations]

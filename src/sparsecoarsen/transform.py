@@ -63,10 +63,21 @@ class IterationRecord:
     solve: "SolveDiagnostics | None" = None  # linearized: this state's dA solve
 
 
+# Why a minimization ended: the error reached zero, it stagnated, the line
+# search found no descent, the iteration cap was hit, or a NumericalFailure
+# was raised with the trace attached (linearized.py states each rule).
+STOP_REASONS = ("abs_tol", "stagnated", "no_descent", "max_iter", "failed")
+
+
 @dataclass
 class ConvergenceTrace:
     iterations: list = field(default_factory=list)
-    converged: bool = False
+    stop_reason: str | None = None  # one of STOP_REASONS once the run ends
+
+    @property
+    def converged(self):
+        """True when the run ended on its own stop rule, not on the cap or a failure."""
+        return self.stop_reason in ("abs_tol", "stagnated", "no_descent")
 
     @property
     def final_error(self):
@@ -148,7 +159,8 @@ def steepest_descent(problem, max_iter=1000, tol=1e-12):
 
     Follows the negative gradient in the joint (Y, A~) variables; the step
     length reuses the exact degree-6 polynomial line search.  Stops when the
-    relative error change drops below tol.  Returns (pair, trace).
+    relative error change drops below tol (stop_reason "stagnated") or after
+    max_iter steps ("max_iter").  Returns (pair, trace).
     """
     from .linearized import line_search  # deferred: linearized imports this module
 
@@ -161,13 +173,14 @@ def steepest_descent(problem, max_iter=1000, tol=1e-12):
         grad_y, grad_a = objective_gradient(problem, pair)
         alpha, new_err = line_search(problem, pair, -grad_y, -grad_a)
         if not np.isfinite(new_err):
+            trace.stop_reason = "failed"
             raise NumericalFailure("steepest descent produced a non-finite error", trace)
         pair.y_rows += alpha * -grad_y
         pair.a_tilde += alpha * -grad_a
         trace.iterations.append(IterationRecord(iteration=k, error=new_err, alpha=alpha))
         if abs(err - new_err) < tol * max(err, 1e-300):
-            trace.converged = True
-            err = new_err
-            break
+            trace.stop_reason = "stagnated"
+            return pair, trace
         err = new_err
+    trace.stop_reason = "max_iter"
     return pair, trace

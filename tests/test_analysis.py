@@ -173,6 +173,7 @@ class TestRunSweep:
             [(0.0, 1), (0.0, 2), (1.0, 1), (1.0, 2)]
         for rec in records:
             assert rec.status == "ok"
+            assert rec.stop_reason in ("abs_tol", "stagnated", "no_descent")
             assert rec.n_local == 2 * rec.m * rec.m + 2 * rec.m + 1
             assert rec.error > 0.0
 
@@ -185,7 +186,18 @@ class TestRunSweep:
     def test_max_iter_status(self):
         records = run_sweep([0.0], [3], opts=MinimizeOptions(max_iter=2))
         assert records[0].status == "max_iter"
+        assert records[0].stop_reason == "max_iter"
         assert records[0].iterations == 2
+
+    # The supernode m = 4 points meet the known null-dimension miscount.
+    @pytest.mark.filterwarnings("ignore:detected null dimension:RuntimeWarning")
+    def test_mirror_pair_stops_alike(self):
+        # lam and 8 - lam are conjugate stencils: under the default stop rule
+        # rounding noise no longer decides which of the two stops
+        a, b = run_sweep([2.0, 6.0], [4], 2, 1)
+        assert (a.iterations, a.stop_reason) == (b.iterations, b.stop_reason)
+        assert a.status == b.status == "ok"
+        assert abs(a.error - b.error) <= 1e-10 * max(a.error, b.error)
 
     def test_failure_marked_not_raised(self, monkeypatch):
         def boom(problem, opts):
@@ -194,6 +206,7 @@ class TestRunSweep:
         monkeypatch.setattr(analysis, "linearized_minimize", boom)
         records = run_sweep([0.0], [1])
         assert records[0].status.startswith("failed:")
+        assert records[0].stop_reason == "failed"
         assert math.isnan(records[0].error)
 
     @pytest.mark.parametrize("jobs, n_points, workers", [

@@ -10,7 +10,7 @@ import sparsecoarsen.blas as blas
 import sparsecoarsen.cli as cli
 from sparsecoarsen.cli import ConfigError, main, read_config, write_csv
 from sparsecoarsen.errors import NumericalFailure
-from sparsecoarsen.linearized import linearized_minimize
+from sparsecoarsen.linearized import MinimizeOptions, linearized_minimize
 
 
 @contextlib.contextmanager
@@ -113,6 +113,32 @@ class TestExitCodes:
         out = capsys.readouterr().out
         for shown in ("--lambda L[,L...]", "--m M[,M...]", "--format FORMAT"):
             assert shown in out
+
+    def test_common_defaults_are_the_solver_defaults(self):
+        settings = cli.resolve_settings(
+            cli.build_parser().parse_args(["lambda-sweep"]))
+        assert settings.tol == MinimizeOptions().rel_tol == 1e-8
+        assert settings.max_iter == MinimizeOptions().max_iter
+
+    @pytest.mark.parametrize("key, text, repeated", [
+        ("lambda", "1,1", "1"),
+        ("lambda", "0.5,2,0.50", "0.5"),
+        ("m", "2,3,2", "2"),
+    ])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_repeated_values_rejected(self, tmp_path, capsys, key, text,
+                                      repeated, via):
+        out = tmp_path / "o"
+        if via == "flag":
+            argv = [f"--{key}", text]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{key}={text}\n")
+            argv = ["--config", str(cfg)]
+        code = main(["lambda-sweep", *argv, "--out", str(out)])
+        assert code == 2
+        assert f"{key} value {repeated} is repeated" in capsys.readouterr().err
+        assert not out.exists()  # nothing solved or written
 
     @pytest.mark.parametrize("command, solver, m_col, failed_at", [
         ("sd-convergence", "steepest_descent", 0, "m=2"),

@@ -6,6 +6,8 @@ import pytest
 from sparsecoarsen.errors import NumericalFailure
 from sparsecoarsen.lattice import extract_local_scalar, extract_local_supernode
 from sparsecoarsen.transform import (
+    STOP_REASONS,
+    ConvergenceTrace,
     TransformPair,
     condition_of_y,
     initial_guess,
@@ -180,6 +182,7 @@ class TestSteepestDescent:
     def test_m1_reaches_known_minimum(self):
         problem = extract_local_scalar(1, 0.0)
         pair, trace = steepest_descent(problem, max_iter=2000, tol=1e-14)
+        assert trace.stop_reason == "stagnated"
         assert trace.converged
         assert trace.final_error == pytest.approx(0.74382120488419345,
                                                   rel=1e-8)
@@ -209,11 +212,30 @@ class TestSteepestDescent:
         assert trace.n_steps == len(trace.iterations) - 1
         assert trace.iterations[0].alpha == 0.0
 
+    def test_cap_reported_as_max_iter(self):
+        problem = extract_local_scalar(2, 0.0)
+        _, trace = steepest_descent(problem, max_iter=3, tol=1e-12)
+        assert trace.stop_reason == "max_iter"
+        assert not trace.converged
+        assert trace.n_steps == 3
+
     def test_supernode_problem_supported(self):
         problem = extract_local_supernode(1, 2, 1, 0.0)
         pair, trace = steepest_descent(problem, max_iter=200, tol=1e-10)
         assert trace.final_error < math.sqrt(8.0)
         assert np.all(pair.a_tilde[~problem.target_pattern.mask()] == 0.0)
+
+
+class TestConvergenceTrace:
+    def test_converged_follows_stop_reason(self):
+        for reason in STOP_REASONS:
+            trace = ConvergenceTrace(stop_reason=reason)
+            assert trace.converged == (reason not in ("max_iter", "failed"))
+
+    def test_converged_is_read_only(self):
+        trace = ConvergenceTrace()
+        with pytest.raises(AttributeError):
+            trace.converged = True
 
 
 class TestTransformPair:
