@@ -25,17 +25,17 @@ from .lattice import (
     supernode_layout,
 )
 from .linearized import (
+    ConvergenceTrace,
     MinimizeOptions,
     linearized_minimize,
+    steepest_descent,
 )
 from .transform import (
-    ConvergenceTrace,
     TransformPair,
     condition_of_y,
     initial_guess,
     objective_gradient,
     residual_and_error,
-    steepest_descent,
 )
 
 __all__ = [

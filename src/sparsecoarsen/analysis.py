@@ -71,16 +71,16 @@ class SweepRecord:
     n_local: int
     n_pattern: int
     status: str  # "ok", "max_iter", or "failed: <reason>"
-    stop_reason: str  # the trace's stop_reason (transform.STOP_REASONS)
+    stop_reason: str  # the trace's stop_reason (linearized.STOP_REASONS)
 
 
 def spectrum_at(problem, pair):
     """Full spectrum report of the dA normal system at the given state."""
     system = build_normal_system(problem, pair, split_spaces(problem, pair))
-    s = system.sigma
+    _, s, _ = system.eig
     null_dim, gap, cond, cond_eq7 = summarize_spectrum(s)
     return SpectrumReport(
-        sigma=s.copy(),
+        sigma=s,
         null_dim=null_dim,
         gap_ratio=gap,
         cond_retained=cond,
@@ -214,6 +214,8 @@ def problem_for(m, lam, p=1, q=1):
 def _sweep_point(args):
     # A point is a small dense problem: BLAS threads only spin on it, and
     # their count moves the last digits, so each point runs on one thread.
+    # cli.main pins its process too; this pin covers pool workers that do
+    # not inherit it (spawn, forkserver) and library callers of run_sweep.
     with single_thread():
         lam, m, p, q, opts = args
         problem = problem_for(m, lam, p, q)

@@ -2,13 +2,12 @@
 
 Each subcommand minimizes local decoupling problems over a (lambda, m) grid
 and writes one CSV with a fixed schema into --out.  Floats are written with
-17 significant digits.  lambda-sweep runs each point on one BLAS thread, so
-on a given machine its CSVs depend on neither --jobs nor the BLAS thread count
-(OPENBLAS_NUM_THREADS); lambda_sweep_blas.json next to them records the BLAS
-library and the thread count per point.  The other subcommands run in the
-inherited BLAS environment: their reruns are byte-identical on the same
-machine with the same BLAS thread count, and another thread count can move the
-last digits.
+17 significant digits.  Every subcommand runs on one BLAS thread
+(blas.single_thread), so on a given machine its outputs depend on neither
+--jobs nor the BLAS thread count (OPENBLAS_NUM_THREADS); where no OpenBLAS
+thread control is found, that holds only at a fixed thread count.
+lambda_sweep_blas.json records the BLAS library and the thread count per
+sweep point.
 
 Exit codes: 0 success, 2 bad arguments or config file, 3 numerical failure
 (partial output is kept and a .FAILED marker is written next to it).
@@ -33,10 +32,11 @@ from .analysis import (
     spatial_decay,
     spectrum_at,
 )
-from .blas import single_thread_config
+from .blas import single_thread, single_thread_config
 from .errors import NumericalFailure
-from .linearized import MinimizeOptions, linearized_minimize
-from .transform import initial_guess, steepest_descent
+from .linearized import (STEEPEST_DESCENT_OPTIONS, MinimizeOptions,
+                         linearized_minimize, steepest_descent)
+from .transform import initial_guess
 
 
 class ConfigError(ValueError):
@@ -114,10 +114,12 @@ _FLAGS = {
     "q": ("q", _parse_int, "Q", "supernode height (default 1)"),
     "max-iter": ("max_iter", _parse_int, "MAX_ITER",
                  f"iteration cap per minimization (default "
-                 f"{MinimizeOptions.max_iter}, 1000 for sd-convergence)"),
+                 f"{MinimizeOptions.max_iter}, "
+                 f"{STEEPEST_DESCENT_OPTIONS.max_iter} for sd-convergence)"),
     "tol": ("tol", _parse_tol, "TOL",
             f"relative stagnation tolerance (default "
-            f"{MinimizeOptions.rel_tol:g}, 1e-12 for sd-convergence)"),
+            f"{MinimizeOptions.rel_tol:g}, "
+            f"{STEEPEST_DESCENT_OPTIONS.rel_tol:g} for sd-convergence)"),
     "out": ("out", _parse_text, "OUT", "output directory (default: out)"),
     "format": ("fmt", _parse_format, "FORMAT", "csv or csv+svg (default: csv)"),
     "jobs": ("jobs", _parse_int, "JOBS",
@@ -134,11 +136,11 @@ _COMMON_DEFAULTS = {
     "jobs": 1,
 }
 
-# Per-command defaults; steepest descent gets more iterations because it
-# converges far more slowly than the linearized method.
+# Per-command defaults; steepest descent has its own solver defaults.
 _DEFAULTS = {
     "sd-convergence": {"lambda": (0.0,), "m": (1, 2, 3, 4),
-                       "max-iter": 1000, "tol": 1e-12},
+                       "max-iter": STEEPEST_DESCENT_OPTIONS.max_iter,
+                       "tol": STEEPEST_DESCENT_OPTIONS.rel_tol},
     "svd-spectrum": {"lambda": (0.0,), "m": tuple(range(1, 9))},
     "lin-convergence": {"lambda": (0.0,), "m": tuple(range(1, 8))},
     "spatial-decay": {"lambda": (0.0,), "m": tuple(range(1, 8))},
@@ -271,9 +273,9 @@ def _error_series(results):
 
 
 def cmd_sd_convergence(settings, outdir):
+    opts = _options(settings)
     lam, results, failure = _per_m(
-        settings, lambda problem: steepest_descent(
-            problem, max_iter=settings.max_iter, tol=settings.tol)[1])
+        settings, lambda problem: steepest_descent(problem, opts)[1])
     rows = [(m, rec.iteration, rec.error)
             for m, _, trace in results for rec in trace.iterations]
     chart = (_error_series(results), f"steepest descent, lambda={lam:g}",
@@ -472,7 +474,8 @@ def main(argv=None):
         settings = resolve_settings(args)
         outdir = Path(settings.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        return _HANDLERS[settings.command](settings, outdir)
+        with single_thread():
+            return _HANDLERS[settings.command](settings, outdir)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -199,56 +199,6 @@ def decoupled_pattern(base, c):
     return SparsityPattern(dim=base.dim, entries=frozenset(kept))
 
 
-def _assemble_local(interior_coords, boundary_coords, fill_pairs, lam, dims):
-    """Common final assembly: ordering, dense operator, decoupled pattern."""
-    order = sorted(interior_coords, key=_sort_key) + sorted(boundary_coords, key=_sort_key)
-    index = {coord: k for k, coord in enumerate(order)}
-    n = len(order)
-    coords = np.array(order, dtype=int)
-
-    a_ll = np.zeros((n, n))
-    np.fill_diagonal(a_ll, lam - 4.0)
-    for (x, y) in order:
-        for (nx, ny) in ((x + 1, y), (x, y + 1)):
-            if (nx, ny) in index:
-                a_ll[index[(x, y)], index[(nx, ny)]] = 1.0
-                a_ll[index[(nx, ny)], index[(x, y)]] = 1.0
-
-    pairs = [(k, k) for k in range(n)]
-    pairs += [(index[u], index[v]) for u, v in fill_pairs]
-    base = SparsityPattern.from_pairs(n, pairs)
-    c = index[(0, 0)]
-    return LocalProblem(
-        a_ll=a_ll,
-        interior=tuple(range(len(interior_coords))),
-        boundary=tuple(range(len(interior_coords), n)),
-        decoupled=c,
-        target_pattern=decoupled_pattern(base, c),
-        coords=coords,
-        lam=lam,
-        supernode_dims=dims,
-    )
-
-
-def extract_local_scalar(m, lam):
-    """Local problem around one node: the m-hop diamond, interior = < m hops.
-
-    The decoupled node sits at the origin and is index 0 in the region order.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    interior = _diamond(m - 1)
-    boundary = [pt for pt in _diamond(m) if abs(pt[0]) + abs(pt[1]) == m]
-    region = set(interior) | set(boundary)
-    fill = [
-        ((x, y), (nx, ny))
-        for (x, y) in region
-        for (nx, ny) in ((x + 1, y), (x, y + 1))
-        if (nx, ny) in region
-    ]
-    return _assemble_local(interior, boundary, fill, lam, (1, 1))
-
-
 def _supernode_region(m, p, q):
     """The m-hop supernode diamond: supernode coords, members, node split.
 
@@ -311,9 +261,42 @@ def extract_local_supernode(m, p, q, lam):
     lowest-indexed member of the central supernode (its origin corner).
     """
     scoords, members, interior, boundary, adjacency = _supernode_region(m, p, q)
-    fill = []
+    order = sorted(interior, key=_sort_key) + sorted(boundary, key=_sort_key)
+    index = {coord: k for k, coord in enumerate(order)}
+    n = len(order)
+
+    a_ll = np.zeros((n, n))
+    np.fill_diagonal(a_ll, lam - 4.0)
+    for (x, y) in order:
+        for (nx, ny) in ((x + 1, y), (x, y + 1)):
+            if (nx, ny) in index:
+                a_ll[index[(x, y)], index[(nx, ny)]] = 1.0
+                a_ll[index[(nx, ny)], index[(x, y)]] = 1.0
+
+    pairs = [(k, k) for k in range(n)]
     for nodes in members.values():
-        fill += [(u, v) for a, u in enumerate(nodes) for v in nodes[a + 1:]]
+        pairs += [(index[u], index[v]) for a, u in enumerate(nodes) for v in nodes[a + 1:]]
     for a, b in adjacency:
-        fill += [(u, v) for u in members[scoords[a]] for v in members[scoords[b]]]
-    return _assemble_local(interior, boundary, fill, lam, (p, q))
+        pairs += [(index[u], index[v])
+                  for u in members[scoords[a]] for v in members[scoords[b]]]
+    base = SparsityPattern.from_pairs(n, pairs)
+    c = index[(0, 0)]
+    return LocalProblem(
+        a_ll=a_ll,
+        interior=tuple(range(len(interior))),
+        boundary=tuple(range(len(interior), n)),
+        decoupled=c,
+        target_pattern=decoupled_pattern(base, c),
+        coords=np.array(order, dtype=int),
+        lam=lam,
+        supernode_dims=(p, q),
+    )
+
+
+def extract_local_scalar(m, lam):
+    """Local problem around one node: the m-hop diamond, interior = < m hops.
+
+    The 1 x 1 supernode problem.  The decoupled node sits at the origin and
+    is index 0 in the region order.
+    """
+    return extract_local_supernode(m, 1, 1, lam)

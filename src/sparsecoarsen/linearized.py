@@ -1,4 +1,10 @@
-"""Linearized minimization of the coarsening error norm.
+"""The minimization loop, and the linearized and steepest-descent steps it takes.
+
+Both minimizers run one loop (_descend): from the initial guess, each state's
+residual R is computed once and a step turns it into a direction (dY, dA);
+the state is recorded, the stop rules are applied, and an exact line search
+along the direction gives the next state.  steepest_descent steps along the
+negative gradient; linearized_minimize steps as follows.
 
 Linearizing A_LL - (Y+dY)^T (A~+dA) (Y+dY) around the current pair gives the
 residual
@@ -20,16 +26,16 @@ equations have closed-form entries in G = Y Q_null Q_null^T Y^T and are
 solved through their symmetric eigendecomposition (eigh), dropping the
 eigenvalues with |w| < NULL_REL_TOL * max |w|: the system is singular by
 construction, because interior diagonal gauge directions dA = D A~ + A~ D
-lie in its null space.  A full line search along (dY, dA) then guards the
-nonlinear terms.
+lie in its null space.  The line search then guards the nonlinear terms.
 
 The solver's rules are fixed module constants, not options: NULL_REL_TOL
 (the null cut), RANK_TOL (the rank of K), ABS_TOL and PATIENCE (the stop
 rules) and ALPHA_MAX (the line search's longest step).  Only the iteration
-cap and the stagnation tolerance are MinimizeOptions.
+cap and the stagnation tolerance are MinimizeOptions; steepest descent's
+defaults are STEEPEST_DESCENT_OPTIONS.
 
-A minimization stops at the first of these, recorded as the trace's
-stop_reason:
+A minimization of either kind stops at the first of these, recorded as the
+trace's stop_reason:
 
 - abs_tol: the error is below ABS_TOL;
 - stagnated: PATIENCE consecutive steps each changed the error by less than
@@ -45,25 +51,22 @@ The stop rules read the errors but never enter the arithmetic of a step, so
 tightening rel_tol only extends a trace: the default trace is a prefix of the
 trace at any smaller rel_tol.
 
-Each outer step computes the residual R once and hands it to the assembly
-and to dY.  The step's results are bit-for-bit those of the direct
-formulas, which the tests keep as a reference: near a stop, a change in the
-last bit can decide whether a minimization stops or runs on.
+The linearized step hands the loop's residual to the assembly and to dY.
+Its results are bit-for-bit those of the direct formulas, which the tests
+keep as a reference: near a stop, a change in the last bit can decide
+whether a minimization stops or runs on.  Its phases are called by their
+module names at call time, so a tracer that replaces one sees every call.
 """
 
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import NumericalFailure
-from .transform import (
-    ConvergenceTrace,
-    IterationRecord,
-    initial_guess,
-    residual_and_error,
-)
+from .transform import initial_guess, objective_gradient, residual_and_error
 
 LINE_SEARCH_ABSCISSAE = np.array([0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0])
 _LINE_SEARCH_VANDER = np.vander(LINE_SEARCH_ABSCISSAE, 7)
@@ -98,7 +101,7 @@ class SubspaceSplit:
         return self.q.shape[1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class NormalSystem:
     """Normal equations of the projected dA least-squares problem."""
 
@@ -106,26 +109,23 @@ class NormalSystem:
     rhs: np.ndarray
     basis: tuple  # (rows, cols) index arrays of the free positions, rows <= cols
     expected_null: int | None  # n_interior when A~ had full rank, else None
-    _eig: tuple | None = field(default=None, repr=False)
 
+    @cached_property
     def eig(self):
         """Eigenpairs by descending |w|: (vectors, singular values |w|, signs of w).
 
         This is the eigh that np.linalg.svd(hermitian=True) wraps, ordered as
         it orders it, with one copy of the vectors where it makes two.  The
         copy must be C-ordered: products with a Fortran-ordered v[:, order]
-        take another BLAS path and round differently.
+        take another BLAS path and round differently.  Computed once and kept
+        with the system, which a minimization holds until the next step's is
+        built (_LinearizedStep); dataclasses.replace makes a new system,
+        which solves afresh.
         """
-        if self._eig is None:
-            w, v = np.linalg.eigh(self.matrix)
-            s = np.abs(w)
-            order = np.argsort(s)[::-1]
-            self._eig = (v.take(order, axis=1), s[order], np.copysign(1.0, w)[order])
-        return self._eig
-
-    @property
-    def sigma(self):
-        return self.eig()[1]
+        w, v = np.linalg.eigh(self.matrix)
+        s = np.abs(w)
+        order = np.argsort(s)[::-1]
+        return v.take(order, axis=1), s[order], np.copysign(1.0, w)[order]
 
 
 def summarize_spectrum(s):
@@ -224,7 +224,7 @@ def _embed_da(values, basis, n):
     return da
 
 
-def solve_for_da(system, n_local=None):
+def solve_for_da(system, n_local):
     """Solve the normal equations on their non-null eigenpairs; returns (dA, diagnostics).
 
     The null directions (summarize_spectrum) are always dropped from the
@@ -232,7 +232,7 @@ def solve_for_da(system, n_local=None):
     disagrees with the gauge count n_interior (only meaningful when A~ had
     full rank).
     """
-    u, s, sign = system.eig()
+    u, s, sign = system.eig
     n = len(s)
     null_dim, gap_ratio, cond_retained, cond_eq7 = summarize_spectrum(s)
     retained = n - null_dim
@@ -254,8 +254,6 @@ def solve_for_da(system, n_local=None):
         coeffs = u[:, :retained] @ (proj / s[:retained] * sign[:retained])
         rhs_null = float(np.linalg.norm(u[:, retained:].T @ system.rhs))
 
-    if n_local is None:
-        n_local = 1 + int(system.basis[1].max())
     da = _embed_da(coeffs, system.basis, n_local)
     diagnostics = SolveDiagnostics(
         null_dim=null_dim,
@@ -386,19 +384,51 @@ class MinimizeOptions:
     rel_tol: float = 1e-8  # relative error change considered stagnant
 
 
-def linearized_minimize(problem, opts=MinimizeOptions()):
-    """Outer loop: split, solve for dA, form dY, line-search, update.
+# Steepest descent converges far more slowly than the linearized method.
+STEEPEST_DESCENT_OPTIONS = MinimizeOptions(max_iter=1000, rel_tol=1e-12)
 
-    Returns (pair, trace, diagnostics).  The trace has one IterationRecord
-    per visited state, including the last one, whose `solve` is that
-    state's SolveDiagnostics; diagnostics lists those same objects.  Its
-    stop_reason says which stop rule ended the run (module docstring).
-    Raises NumericalFailure, with the partial trace attached and its
-    stop_reason "failed", if the error or the line search turns non-finite.
+
+@dataclass
+class IterationRecord:
+    iteration: int
+    error: float  # || A_LL - Y^T A~ Y ||_F at this state
+    alpha: float  # step length that led to this state; 0.0 at the start
+    solve: SolveDiagnostics | None = None  # linearized: this state's dA solve
+
+
+# The stop rules of _descend, in the module docstring's order.
+STOP_REASONS = ("abs_tol", "stagnated", "no_descent", "max_iter", "failed")
+
+
+@dataclass
+class ConvergenceTrace:
+    iterations: list = field(default_factory=list)
+    stop_reason: str | None = None  # one of STOP_REASONS once the run ends
+
+    @property
+    def converged(self):
+        """True when the run ended on its own stop rule, not on the cap or a failure."""
+        return self.stop_reason in ("abs_tol", "stagnated", "no_descent")
+
+    @property
+    def final_error(self):
+        return self.iterations[-1].error
+
+    @property
+    def n_steps(self):
+        return len(self.iterations) - 1
+
+
+def _descend(problem, step, opts):
+    """The loop of both minimizers (module docstring); returns (pair, trace).
+
+    step(problem, pair, residual) returns the direction and the record's
+    `solve`: (dY, dA, solve).  A NumericalFailure leaves with the partial
+    trace attached.
     """
     pair = initial_guess(problem)
     trace = ConvergenceTrace()
-    alpha_prev = 0.0
+    alpha = 0.0
     err_prev = None
     stagnant = 0
 
@@ -407,13 +437,11 @@ def linearized_minimize(problem, opts=MinimizeOptions()):
             report = residual_and_error(problem, pair)
             err = report.norm
             if not np.isfinite(err):
-                raise NumericalFailure("linearized minimize produced a non-finite error")
+                raise NumericalFailure("minimization produced a non-finite error")
 
-            split = split_spaces(problem, pair)
-            system = build_normal_system(problem, pair, split, report.residual)
-            da, diag = solve_for_da(system, n_local=problem.n_local)
+            dy, da, solve = step(problem, pair, report.residual)
             trace.iterations.append(
-                IterationRecord(iteration=k, error=err, alpha=alpha_prev, solve=diag))
+                IterationRecord(iteration=k, error=err, alpha=alpha, solve=solve))
 
             if err < ABS_TOL:
                 trace.stop_reason = "abs_tol"
@@ -428,16 +456,56 @@ def linearized_minimize(problem, opts=MinimizeOptions()):
                 trace.stop_reason = "max_iter"
                 break
 
-            dy = compute_dy(problem, pair, da, split, report.residual)
-            alpha_prev, _ = line_search(problem, pair, dy, da)
-            if alpha_prev == 0.0:  # the next state would be this one
+            alpha, _ = line_search(problem, pair, dy, da)
+            if alpha == 0.0:  # the next state would be this one
                 trace.stop_reason = "no_descent"
                 break
-            pair.y_rows += alpha_prev * dy
-            pair.a_tilde += alpha_prev * da
+            pair.y_rows += alpha * dy
+            pair.a_tilde += alpha * da
     except NumericalFailure as exc:
         trace.stop_reason = "failed"
         exc.trace = trace
         raise
 
+    return pair, trace
+
+
+class _LinearizedStep:
+    """Split, normal system, dA solve, dY; one instance per minimization.
+
+    It holds the last split and system (with its eigenpairs) and replaces
+    each only once the next is built: freed early, glibc hands their
+    n_pattern^2 blocks back to the OS and the next step faults them in
+    again, 8-10% slower on the supernode sweep.
+    """
+
+    def __call__(self, problem, pair, residual):
+        self.split = split_spaces(problem, pair)
+        self.system = build_normal_system(problem, pair, self.split, residual)
+        da, solve = solve_for_da(self.system, problem.n_local)
+        return compute_dy(problem, pair, da, self.split, residual), da, solve
+
+
+def _gradient_step(problem, pair, residual):
+    """The negative gradient in the joint (Y, A~) variables."""
+    grad_y, grad_a = objective_gradient(problem, pair, residual)
+    return -grad_y, -grad_a, None
+
+
+def linearized_minimize(problem, opts=MinimizeOptions()):
+    """Minimize the error norm by linearized steps (module docstring).
+
+    Returns (pair, trace, diagnostics).  The trace has one IterationRecord
+    per visited state, including the last one, whose `solve` is that
+    state's SolveDiagnostics; diagnostics lists those same objects.
+    """
+    pair, trace = _descend(problem, _LinearizedStep(), opts)
     return pair, trace, [rec.solve for rec in trace.iterations]
+
+
+def steepest_descent(problem, opts=STEEPEST_DESCENT_OPTIONS):
+    """Minimize the error norm along the negative gradient; returns (pair, trace).
+
+    Each record's `solve` is None.
+    """
+    return _descend(problem, _gradient_step, opts)

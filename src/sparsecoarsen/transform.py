@@ -1,4 +1,4 @@
-"""Transformation pairs, the Frobenius error norm, and steepest descent.
+"""Transformation pairs, the Frobenius error norm, and its gradient.
 
 A pair (Y, A~) transforms the local operator as A_LL ~= Y^T A~ Y, where Y is
 the inverse transformation restricted to the region: its boundary rows are
@@ -12,7 +12,7 @@ which is invariant under the gauge (Y, A~) -> (D^-1 Y, D A~ D) for diagonal
 D supported on the interior.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,39 +55,6 @@ class ErrorReport:
     norm: float
 
 
-@dataclass
-class IterationRecord:
-    iteration: int
-    error: float
-    alpha: float  # step length that led to this state; 0.0 at the start
-    solve: "SolveDiagnostics | None" = None  # linearized: this state's dA solve
-
-
-# Why a minimization ended: the error reached zero, it stagnated, the line
-# search found no descent, the iteration cap was hit, or a NumericalFailure
-# was raised with the trace attached (linearized.py states each rule).
-STOP_REASONS = ("abs_tol", "stagnated", "no_descent", "max_iter", "failed")
-
-
-@dataclass
-class ConvergenceTrace:
-    iterations: list = field(default_factory=list)
-    stop_reason: str | None = None  # one of STOP_REASONS once the run ends
-
-    @property
-    def converged(self):
-        """True when the run ended on its own stop rule, not on the cap or a failure."""
-        return self.stop_reason in ("abs_tol", "stagnated", "no_descent")
-
-    @property
-    def final_error(self):
-        return self.iterations[-1].error
-
-    @property
-    def n_steps(self):
-        return len(self.iterations) - 1
-
-
 def initial_guess(problem):
     """Y = identity, A~ = the local operator masked to the target pattern."""
     n_l, n_i = problem.n_local, problem.n_interior
@@ -105,19 +72,19 @@ def residual_and_error(problem, pair):
     return ErrorReport(residual=residual, norm=float(np.linalg.norm(residual)))
 
 
-def objective_gradient(problem, pair):
+def objective_gradient(problem, pair, residual):
     """Gradient of the squared error norm in the free variables.
 
+    `residual` is R = A_LL - Y^T A~ Y at `pair` (residual_and_error).
     Returns (grad_y, grad_a).  grad_y is (n_interior, n_local).  grad_a is a
     pattern-masked symmetric matrix holding the derivative with respect to
     each free value: a symmetric off-diagonal pair (i, j) is one variable, so
     positions (i, j) and (j, i) both carry d/da_ij.
     """
     y = pair.full_y()
-    r = residual_and_error(problem, pair).residual
-    grad_y = -4.0 * (pair.a_tilde @ y @ r)[: problem.n_interior]
+    grad_y = -4.0 * (pair.a_tilde @ y @ residual)[: problem.n_interior]
 
-    p = y @ r @ y.T
+    p = y @ residual @ y.T
     p = 0.5 * (p + p.T)
     mask = problem.target_pattern.mask()
     grad_a = np.where(mask, -4.0 * p, 0.0)
@@ -152,35 +119,3 @@ def condition_of_y(pair):
     if s[-1] <= 0.0 or not np.all(np.isfinite(s)):
         raise NumericalFailure("row-normalized Y is singular")
     return float(s[0] / s[-1])
-
-
-def steepest_descent(problem, max_iter=1000, tol=1e-12):
-    """Minimize the error norm by gradient descent with exact line search.
-
-    Follows the negative gradient in the joint (Y, A~) variables; the step
-    length reuses the exact degree-6 polynomial line search.  Stops when the
-    relative error change drops below tol (stop_reason "stagnated") or after
-    max_iter steps ("max_iter").  Returns (pair, trace).
-    """
-    from .linearized import line_search  # deferred: linearized imports this module
-
-    pair = initial_guess(problem)
-    err = residual_and_error(problem, pair).norm
-    trace = ConvergenceTrace()
-    trace.iterations.append(IterationRecord(iteration=0, error=err, alpha=0.0))
-
-    for k in range(1, max_iter + 1):
-        grad_y, grad_a = objective_gradient(problem, pair)
-        alpha, new_err = line_search(problem, pair, -grad_y, -grad_a)
-        if not np.isfinite(new_err):
-            trace.stop_reason = "failed"
-            raise NumericalFailure("steepest descent produced a non-finite error", trace)
-        pair.y_rows += alpha * -grad_y
-        pair.a_tilde += alpha * -grad_a
-        trace.iterations.append(IterationRecord(iteration=k, error=new_err, alpha=alpha))
-        if abs(err - new_err) < tol * max(err, 1e-300):
-            trace.stop_reason = "stagnated"
-            return pair, trace
-        err = new_err
-    trace.stop_reason = "max_iter"
-    return pair, trace

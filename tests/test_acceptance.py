@@ -24,17 +24,16 @@ from sparsecoarsen.linearized import (
     build_normal_system,
     linearized_minimize,
     split_spaces,
+    steepest_descent,
 )
 from sparsecoarsen.transform import (
     condition_of_y,
     initial_guess,
-    objective_gradient,
     residual_and_error,
-    steepest_descent,
 )
 
 from test_linearized import gap_null_count, materialized_system
-from test_transform import random_state
+from test_transform import gradient, random_state
 
 _CACHE = {}
 
@@ -65,7 +64,8 @@ def verdict(num, label, ok, detail):
 class TestAcceptance:
     def test_criterion_01_three_methods_agree_at_m1(self):
         problem = extract_local_scalar(1, 0.0)
-        _, sd_trace = steepest_descent(problem, max_iter=3000, tol=1e-14)
+        _, sd_trace = steepest_descent(
+            problem, MinimizeOptions(max_iter=3000, rel_tol=1e-14))
         _, lin_trace, _ = linearized_minimize(problem)
 
         # derivative-free oracle over the 10 free variables
@@ -111,7 +111,7 @@ class TestAcceptance:
             for pair in states:
                 split = split_spaces(problem, pair)
                 system = build_normal_system(problem, pair, split)
-                u, s, _ = system.eig()
+                u, s, _ = system.eig
                 null = gap_null_count(s)
                 ok = ok and null == problem.n_interior
                 if null:
@@ -226,7 +226,7 @@ class TestAcceptance:
                 rng = np.random.default_rng(1000 * m + int(2 * lam))
                 for state in range(20):
                     pair = random_state(problem, seed=state + 31 * m)
-                    grad_y, grad_a = objective_gradient(problem, pair)
+                    grad_y, grad_a = gradient(problem, pair)
                     floor = 1e-7 * max(np.abs(grad_y).max(),
                                        np.abs(grad_a).max(), 1.0)
 

@@ -368,6 +368,32 @@ class TestDeterminism:
                 assert (dirs[0] / name).read_bytes() == \
                     (other / name).read_bytes(), (other.name, name)
 
+    # m=6 hits the known null-dimension miscount for m >= 6; this test
+    # checks byte identity across caller thread counts only.
+    @pytest.mark.filterwarnings(
+        "ignore:detected null dimension:RuntimeWarning")
+    @pytest.mark.parametrize("argv", [
+        ["svd-spectrum", "--m", "5,6"],
+        ["lin-convergence", "--m", "5,6"],
+        ["spatial-decay", "--m", "5,6"],
+        ["global-verify", "--lambda", "0", "--m", "6"],
+    ])
+    def test_every_command_independent_of_caller_blas_threads(
+            self, tmp_path, argv):
+        # Run on the caller's thread count, each of these differs between
+        # one and two threads on a machine with two or more cores.
+        dirs = []
+        for threads in (1, 2):
+            dirs.append(tmp_path / f"threads{threads}")
+            with caller_blas_threads(threads):
+                assert main(argv + ["--format", "csv+svg",
+                                    "--out", str(dirs[-1])]) == 0
+        names = sorted(p.name for p in dirs[0].iterdir())
+        assert sorted(p.name for p in dirs[1].iterdir()) == names
+        for name in names:
+            assert (dirs[0] / name).read_bytes() == \
+                (dirs[1] / name).read_bytes(), name
+
     def test_blas_sidecar(self, tmp_path):
         assert main(["lambda-sweep", "--lambda", "4", "--m", "1",
                      "--out", str(tmp_path)]) == 0

@@ -25,9 +25,10 @@ from sparsecoarsen.linearized import (
     rotated_block_norms,
     solve_for_da,
     split_spaces,
+    steepest_descent,
     summarize_spectrum,
 )
-from sparsecoarsen import linearized
+from sparsecoarsen import linearized, transform
 from sparsecoarsen.errors import NumericalFailure
 from sparsecoarsen.transform import initial_guess, residual_and_error
 
@@ -147,6 +148,21 @@ KNOWN_MISCOUNT = pytest.mark.filterwarnings(
     "ignore:detected null dimension:RuntimeWarning")
 
 
+def diagonal_problem(a00):
+    """A 2-node diagonal operator on a diagonal pattern: the initial guess is exact."""
+    return LocalProblem(
+        a_ll=np.diag([a00, 3.0]),
+        interior=(0,),
+        boundary=(1,),
+        decoupled=0,
+        target_pattern=SparsityPattern(dim=2,
+                                       entries=frozenset({(0, 0), (1, 1)})),
+        coords=np.array([[0, 0], [1, 0]]),
+        lam=0.0,
+        supernode_dims=(1, 1),
+    )
+
+
 def case_problem(kind, m, dims, lam=0.0):
     if kind == "scalar":
         return extract_local_scalar(m, lam)
@@ -198,18 +214,6 @@ class TestByteIdentity:
             da, _ = solve_for_da(own, n_local=problem.n_local)
         assert np.array_equal(compute_dy(problem, pair, da, split),
                               compute_dy(problem, pair, da, split, r))
-
-    def test_one_residual_per_outer_step(self, monkeypatch):
-        calls = []
-        original = linearized.residual_and_error
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(linearized, "residual_and_error", counted)
-        _, trace, _ = linearized_minimize(extract_local_scalar(3, 0.0))
-        assert len(calls) == len(trace.iterations)
 
 
 def two_step_line_search(problem, pair, dy, da):
@@ -423,6 +427,19 @@ class TestSolveForDa:
         with pytest.warns(RuntimeWarning, match="detected null dimension"):
             solve_for_da(wrong, n_local=problem.n_local)
 
+    def test_replaced_matrix_is_solved_afresh(self):
+        # eigenpairs asked for once must not outlive a replaced matrix
+        problem = extract_local_scalar(2, 0.0)
+        pair = initial_guess(problem)
+        system = build_normal_system(problem, pair,
+                                     split_spaces(problem, pair))
+        system.eig  # computed once and kept with this system
+        zero = dataclasses.replace(system, matrix=np.zeros_like(system.matrix))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            _, diag = solve_for_da(zero, problem.n_local)
+        assert diag.null_dim == len(system.rhs)
+
     def test_everything_truncated_gives_zero(self):
         problem = extract_local_scalar(1, 0.0)
         pair = random_state(problem, seed=1)
@@ -572,38 +589,15 @@ class TestLinearizedMinimize:
         assert trace.n_steps == 2
 
     def test_abs_tol_stops_early(self):
-        # a diagonal operator on a diagonal pattern: the initial guess is exact
-        problem = LocalProblem(
-            a_ll=np.diag([4.0, 3.0]),
-            interior=(0,),
-            boundary=(1,),
-            decoupled=0,
-            target_pattern=SparsityPattern(dim=2,
-                                           entries=frozenset({(0, 0), (1, 1)})),
-            coords=np.array([[0, 0], [1, 0]]),
-            lam=0.0,
-            supernode_dims=(1, 1),
-        )
-        _, trace, _ = linearized_minimize(problem)
+        _, trace, _ = linearized_minimize(diagonal_problem(4.0))
         assert trace.final_error == 0.0 < linearized.ABS_TOL
         assert trace.stop_reason == "abs_tol"
         assert trace.converged
         assert trace.n_steps == 0
 
     def test_non_finite_operator_fails_with_trace(self):
-        problem = LocalProblem(
-            a_ll=np.diag([math.nan, 3.0]),
-            interior=(0,),
-            boundary=(1,),
-            decoupled=0,
-            target_pattern=SparsityPattern(dim=2,
-                                           entries=frozenset({(0, 0), (1, 1)})),
-            coords=np.array([[0, 0], [1, 0]]),
-            lam=0.0,
-            supernode_dims=(1, 1),
-        )
         with pytest.raises(NumericalFailure) as caught:
-            linearized_minimize(problem)
+            linearized_minimize(diagonal_problem(math.nan))
         trace = caught.value.trace
         assert trace.stop_reason == "failed"
         assert not trace.converged
@@ -623,3 +617,41 @@ class TestLinearizedMinimize:
         b = [(rec.error, rec.alpha) for rec in long.iterations]
         assert len(a) <= len(b)
         assert b[: len(a)] == a
+
+
+class TestSharedLoop:
+    """steepest_descent runs the linearized loop: its stop rules and records."""
+
+    def test_steepest_descent_stops_at_abs_tol(self):
+        _, trace = steepest_descent(diagonal_problem(4.0))
+        assert trace.stop_reason == "abs_tol"
+        assert trace.n_steps == 0
+
+    def test_steepest_descent_stops_at_no_descent(self):
+        # lam = 4, m = 1: A~ starts at zero, and so does the gradient
+        _, trace = steepest_descent(extract_local_scalar(1, 4.0))
+        assert trace.stop_reason == "no_descent"
+        assert trace.n_steps == 0
+        assert trace.final_error == math.sqrt(8.0)
+
+    def test_steepest_descent_records_have_no_solve(self):
+        _, trace = steepest_descent(extract_local_scalar(1, 0.0),
+                                    MinimizeOptions(max_iter=5))
+        assert [rec.solve for rec in trace.iterations] == [None] * 6
+
+    @pytest.mark.parametrize("minimize", [linearized_minimize, steepest_descent],
+                             ids=["linearized", "steepest"])
+    def test_one_residual_per_state(self, monkeypatch, minimize):
+        calls = []
+        for module in (linearized, transform):
+            original = module.residual_and_error
+
+            def counted(*args, original=original):
+                calls.append(1)
+                return original(*args)
+
+            monkeypatch.setattr(module, "residual_and_error", counted)
+        trace = minimize(extract_local_scalar(3, 0.0),
+                         MinimizeOptions(max_iter=30))[1]
+        assert trace.n_steps > 3
+        assert len(calls) == len(trace.iterations)

@@ -5,16 +5,19 @@ import pytest
 
 from sparsecoarsen.errors import NumericalFailure
 from sparsecoarsen.lattice import extract_local_scalar, extract_local_supernode
-from sparsecoarsen.transform import (
+from sparsecoarsen.linearized import (
     STOP_REASONS,
     ConvergenceTrace,
+    MinimizeOptions,
+    steepest_descent,
+)
+from sparsecoarsen.transform import (
     TransformPair,
     condition_of_y,
     initial_guess,
     interior_scaling,
     objective_gradient,
     residual_and_error,
-    steepest_descent,
 )
 
 
@@ -27,6 +30,11 @@ def random_state(problem, seed, scale=0.1):
     bump = 0.5 * (bump + bump.T)
     pair.a_tilde += np.where(problem.target_pattern.mask(), bump, 0.0)
     return pair
+
+
+def gradient(problem, pair):
+    return objective_gradient(problem, pair,
+                              residual_and_error(problem, pair).residual)
 
 
 def squared_error(problem, pair):
@@ -82,14 +90,14 @@ class TestGradient:
         # small enough to check by hand: grad_y row is -4 * (A~ R)[0]
         problem = extract_local_scalar(1, 0.0)
         pair = initial_guess(problem)
-        grad_y, grad_a = objective_gradient(problem, pair)
+        grad_y, grad_a = gradient(problem, pair)
         assert grad_y.tolist() == [[0.0, 16.0, 16.0, 16.0, 16.0]]
         assert np.all(grad_a == 0.0)
 
     def test_gradient_masked_to_pattern(self):
         problem = extract_local_scalar(2, 3.5)
         pair = random_state(problem, seed=11)
-        _, grad_a = objective_gradient(problem, pair)
+        _, grad_a = gradient(problem, pair)
         assert np.all(grad_a[~problem.target_pattern.mask()] == 0.0)
         assert np.array_equal(grad_a, grad_a.T)
 
@@ -97,7 +105,7 @@ class TestGradient:
     def test_matches_central_differences(self, m, lam):
         problem = extract_local_scalar(m, lam)
         pair = random_state(problem, seed=100 * m + 1)
-        grad_y, grad_a = objective_gradient(problem, pair)
+        grad_y, grad_a = gradient(problem, pair)
         h = 1e-6
         floor = 1e-7 * max(np.abs(grad_y).max(), np.abs(grad_a).max(), 1.0)
 
@@ -181,7 +189,8 @@ class TestConditionOfY:
 class TestSteepestDescent:
     def test_m1_reaches_known_minimum(self):
         problem = extract_local_scalar(1, 0.0)
-        pair, trace = steepest_descent(problem, max_iter=2000, tol=1e-14)
+        pair, trace = steepest_descent(
+            problem, MinimizeOptions(max_iter=2000, rel_tol=1e-14))
         assert trace.stop_reason == "stagnated"
         assert trace.converged
         assert trace.final_error == pytest.approx(0.74382120488419345,
@@ -189,14 +198,16 @@ class TestSteepestDescent:
 
     def test_errors_never_increase(self):
         problem = extract_local_scalar(2, 0.0)
-        _, trace = steepest_descent(problem, max_iter=300, tol=1e-12)
+        _, trace = steepest_descent(
+            problem, MinimizeOptions(max_iter=300, rel_tol=1e-12))
         errs = [rec.error for rec in trace.iterations]
         assert errs[0] == math.sqrt(8.0)
         assert all(b <= a for a, b in zip(errs, errs[1:]))
 
     def test_pattern_and_boundary_preserved(self):
         problem = extract_local_scalar(2, 3.5)
-        pair, _ = steepest_descent(problem, max_iter=50, tol=1e-12)
+        pair, _ = steepest_descent(
+            problem, MinimizeOptions(max_iter=50, rel_tol=1e-12))
         assert np.all(pair.a_tilde[~problem.target_pattern.mask()] == 0.0)
         assert np.array_equal(pair.a_tilde, pair.a_tilde.T)
         y = pair.full_y()
@@ -206,7 +217,8 @@ class TestSteepestDescent:
 
     def test_trace_bookkeeping(self):
         problem = extract_local_scalar(1, 0.0)
-        _, trace = steepest_descent(problem, max_iter=40, tol=1e-12)
+        _, trace = steepest_descent(
+            problem, MinimizeOptions(max_iter=40, rel_tol=1e-12))
         assert [rec.iteration for rec in trace.iterations] == \
             list(range(len(trace.iterations)))
         assert trace.n_steps == len(trace.iterations) - 1
@@ -214,14 +226,16 @@ class TestSteepestDescent:
 
     def test_cap_reported_as_max_iter(self):
         problem = extract_local_scalar(2, 0.0)
-        _, trace = steepest_descent(problem, max_iter=3, tol=1e-12)
+        _, trace = steepest_descent(
+            problem, MinimizeOptions(max_iter=3, rel_tol=1e-12))
         assert trace.stop_reason == "max_iter"
         assert not trace.converged
         assert trace.n_steps == 3
 
     def test_supernode_problem_supported(self):
         problem = extract_local_supernode(1, 2, 1, 0.0)
-        pair, trace = steepest_descent(problem, max_iter=200, tol=1e-10)
+        pair, trace = steepest_descent(
+            problem, MinimizeOptions(max_iter=200, rel_tol=1e-10))
         assert trace.final_error < math.sqrt(8.0)
         assert np.all(pair.a_tilde[~problem.target_pattern.mask()] == 0.0)
 
