@@ -13,6 +13,7 @@ import numpy as np
 
 from .blas import single_thread
 from .errors import NumericalFailure
+# extract_local_scalar is unused here, but perfbench/tracing.py wraps this name.
 from .lattice import StencilSpec, build_helmholtz, extract_local_scalar, extract_local_supernode
 from .linearized import (
     MinimizeOptions,
@@ -129,7 +130,7 @@ def global_verify(spec, center, problem, pair):
         raise ValueError("local region does not fit inside the grid at this center")
     gidx = ys * w + xs
 
-    a = build_helmholtz(spec).toarray()
+    a = build_helmholtz(spec)
     y_full = pair.full_y()
     try:
         x_local = np.linalg.inv(y_full)
@@ -204,13 +205,6 @@ def fit_decay_rate(ms, errors, stagnation_rel=0.1):
     return float(-coef[0]), r2, len(keep)
 
 
-def problem_for(m, lam, p=1, q=1):
-    """The local problem at decay length m and shift lam: scalar, or p x q supernodes."""
-    if (p, q) == (1, 1):
-        return extract_local_scalar(m, lam)
-    return extract_local_supernode(m, p, q, lam)
-
-
 def _sweep_point(args):
     # A point is a small dense problem: BLAS threads only spin on it, and
     # their count moves the last digits, so each point runs on one thread.
@@ -218,7 +212,7 @@ def _sweep_point(args):
     # not inherit it (spawn, forkserver) and library callers of run_sweep.
     with single_thread():
         lam, m, p, q, opts = args
-        problem = problem_for(m, lam, p, q)
+        problem = extract_local_supernode(m, p, q, lam)
         point = dict(lam=lam, m=m, p=p, q=q, n_local=problem.n_local,
                      n_pattern=problem.target_pattern.n_entries)
         try:

@@ -27,13 +27,13 @@ from . import plots
 from .analysis import (
     default_verify_grid,
     global_verify,
-    problem_for,
     run_sweep,
     spatial_decay,
     spectrum_at,
 )
 from .blas import single_thread, single_thread_config
 from .errors import NumericalFailure
+from .lattice import extract_local_supernode
 from .linearized import (STEEPEST_DESCENT_OPTIONS, MinimizeOptions,
                          linearized_minimize, steepest_descent)
 from .transform import initial_guess
@@ -255,7 +255,7 @@ def _per_m(settings, solve):
     results = []
     for m in settings.ms:
         try:
-            problem = problem_for(m, lam, settings.p, settings.q)
+            problem = extract_local_supernode(m, settings.p, settings.q, lam)
             results.append((m, problem, solve(problem)))
         except NumericalFailure as exc:
             return lam, results, f"m={m}: {exc}"
@@ -410,7 +410,7 @@ def cmd_global_verify(settings, outdir):
     rows, failure, violations = [], None, []
     for lam, m in itertools.product(settings.lambdas, settings.ms):
         try:
-            problem = problem_for(m, lam, settings.p, settings.q)
+            problem = extract_local_supernode(m, settings.p, settings.q, lam)
             pair, _, _ = linearized_minimize(problem, _options(settings))
             spec, center = default_verify_grid(problem)
             report = global_verify(spec, center, problem, pair)

@@ -1,12 +1,15 @@
 """Lattice operators, sparsity patterns, and local problem extraction.
 
-The model operator is the five-point stencil on a 2D grid: diagonal value
-lambda - 4 and unit couplings to the four axis neighbors, truncated at the
-grid edges.  Decoupling a node is a local operation, so local problems are
-built intrinsically: the nodes within m hops of the decoupled node, an
-interior/boundary split, and the target sparsity pattern the transformation
-must preserve.  Supernode variants merge p x q rectangles of nodes and treat
-sparsity at supernode granularity.
+The model operator is the five-point stencil: diagonal value lambda - 4 and
+unit couplings to the four axis neighbors, truncated where a neighbor is
+missing.  One constructor builds it as a dense numpy array on any set of
+integer nodes: the local region of a problem, or the explicit row-major grid
+(build_helmholtz) that is only needed to check an embedding.  Decoupling a
+node is a local operation, so local problems are built intrinsically: the
+nodes within m hops of the decoupled node, an interior/boundary split, and
+the target sparsity pattern the transformation must preserve.  Supernode
+variants merge p x q rectangles of nodes and treat sparsity at supernode
+granularity.
 """
 
 from dataclasses import dataclass
@@ -132,32 +135,32 @@ class LocalProblem:
         return len(self.boundary)
 
 
+def _stencil(coords, lam):
+    """Dense five-point operator on the given integer nodes, in their order.
+
+    lam - 4 on the diagonal and 1.0 between axis neighbors; a neighbor
+    outside the node set is dropped.  Float64 and C-ordered: a Fortran-ordered
+    copy rounds products such as x.T @ a @ x differently.
+    """
+    index = {c: k for k, c in enumerate(coords)}
+    a = np.zeros((len(index), len(index)))
+    np.fill_diagonal(a, lam - 4.0)
+    for (x, y), k in index.items():
+        for nb in ((x + 1, y), (x, y + 1)):
+            j = index.get(nb)
+            if j is not None:
+                a[k, j] = a[j, k] = 1.0
+    return a
+
+
 def build_helmholtz(spec):
-    """Assemble the stencil matrix for a width x height grid, row-major order.
+    """Dense stencil matrix of a width x height grid, nodes in row-major order.
 
     Couplings to off-grid neighbors are simply dropped (Dirichlet truncation);
     the diagonal stays lam - 4 everywhere.
     """
-    import scipy.sparse as sp  # deferred: the only user; sweeps never need it
-
-    w, h = spec.width, spec.height
-    n = w * h
-    rows, cols, vals = [], [], []
-    for y in range(h):
-        for x in range(w):
-            k = y * w + x
-            rows.append(k)
-            cols.append(k)
-            vals.append(spec.lam - 4.0)
-            if x + 1 < w:
-                rows += [k, k + 1]
-                cols += [k + 1, k]
-                vals += [1.0, 1.0]
-            if y + 1 < h:
-                rows += [k, k + w]
-                cols += [k + w, k]
-                vals += [1.0, 1.0]
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    return _stencil([(x, y) for y in range(spec.height) for x in range(spec.width)],
+                    spec.lam)
 
 
 def checkerboard_diagonal(width, height):
@@ -200,10 +203,11 @@ def decoupled_pattern(base, c):
 
 
 def _supernode_region(m, p, q):
-    """The m-hop supernode diamond: supernode coords, members, node split.
+    """The m-hop supernode diamond: supernode coords, members, region order.
 
-    Returns (supernode coords, {coord: member nodes}, interior nodes,
-    boundary nodes, adjacency as unordered supernode id pairs).
+    Returns (supernode coords, {coord: member nodes}, region order (interior
+    nodes sorted, then boundary nodes sorted), {node: index in that order},
+    interior count, adjacency as unordered supernode id pairs).
     """
     if m < 1 or p < 1 or q < 1:
         raise ValueError("m, p, q must all be >= 1")
@@ -214,6 +218,8 @@ def _supernode_region(m, p, q):
     }
     interior = [c for s in _diamond(m - 1) for c in members[s]]
     boundary = [c for s in scoords if abs(s[0]) + abs(s[1]) == m for c in members[s]]
+    order = sorted(interior, key=_sort_key) + sorted(boundary, key=_sort_key)
+    index = {coord: k for k, coord in enumerate(order)}
     sid_of = {s: k for k, s in enumerate(scoords)}
     adjacency = set()
     for (sx, sy) in scoords:
@@ -221,7 +227,7 @@ def _supernode_region(m, p, q):
             if nb in sid_of:
                 a, b = sid_of[(sx, sy)], sid_of[nb]
                 adjacency.add((min(a, b), max(a, b)))
-    return scoords, members, interior, boundary, frozenset(adjacency)
+    return scoords, members, order, index, len(interior), frozenset(adjacency)
 
 
 def supernode_layout(m, p, q):
@@ -232,10 +238,7 @@ def supernode_layout(m, p, q):
     over supernode ids; for the five-point stencil it is exactly the 2D grid
     adjacency of supernode coordinates.
     """
-    scoords, members, interior, boundary, adjacency = _supernode_region(m, p, q)
-    order = sorted(interior, key=_sort_key) + sorted(boundary, key=_sort_key)
-    index = {coord: k for k, coord in enumerate(order)}
-
+    scoords, members, _, index, _, adjacency = _supernode_region(m, p, q)
     node_ids = tuple(tuple(index[c] for c in members[s]) for s in scoords)
     owner = {}
     for sid, ids in enumerate(node_ids):
@@ -260,19 +263,8 @@ def extract_local_supernode(m, p, q, lam):
     stencil coupling simply start at zero.  The decoupled node is the
     lowest-indexed member of the central supernode (its origin corner).
     """
-    scoords, members, interior, boundary, adjacency = _supernode_region(m, p, q)
-    order = sorted(interior, key=_sort_key) + sorted(boundary, key=_sort_key)
-    index = {coord: k for k, coord in enumerate(order)}
+    scoords, members, order, index, n_interior, adjacency = _supernode_region(m, p, q)
     n = len(order)
-
-    a_ll = np.zeros((n, n))
-    np.fill_diagonal(a_ll, lam - 4.0)
-    for (x, y) in order:
-        for (nx, ny) in ((x + 1, y), (x, y + 1)):
-            if (nx, ny) in index:
-                a_ll[index[(x, y)], index[(nx, ny)]] = 1.0
-                a_ll[index[(nx, ny)], index[(x, y)]] = 1.0
-
     pairs = [(k, k) for k in range(n)]
     for nodes in members.values():
         pairs += [(index[u], index[v]) for a, u in enumerate(nodes) for v in nodes[a + 1:]]
@@ -282,9 +274,9 @@ def extract_local_supernode(m, p, q, lam):
     base = SparsityPattern.from_pairs(n, pairs)
     c = index[(0, 0)]
     return LocalProblem(
-        a_ll=a_ll,
-        interior=tuple(range(len(interior))),
-        boundary=tuple(range(len(interior), n)),
+        a_ll=_stencil(order, lam),
+        interior=tuple(range(n_interior)),
+        boundary=tuple(range(n_interior, n)),
         decoupled=c,
         target_pattern=decoupled_pattern(base, c),
         coords=np.array(order, dtype=int),

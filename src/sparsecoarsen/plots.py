@@ -14,15 +14,16 @@ _PALETTE = [
 
 _W, _H = 720, 460
 _ML, _MR, _MT, _MB = 70, 160, 40, 50
+_N_X_TICKS = 6
 
 
-def _nice_x_ticks(lo, hi, n=6):
+def _nice_x_ticks(lo, hi):
     if hi <= lo:
         return [lo]
     span = hi - lo
-    step = 10 ** math.floor(math.log10(span / max(n - 1, 1)))
+    step = 10 ** math.floor(math.log10(span / (_N_X_TICKS - 1)))
     for mult in (1, 2, 5, 10):
-        if span / (step * mult) <= n - 1:
+        if span / (step * mult) <= _N_X_TICKS - 1:
             step *= mult
             break
     first = math.ceil(lo / step) * step
@@ -34,20 +35,17 @@ def _nice_x_ticks(lo, hi, n=6):
     return ticks or [lo]
 
 
-def write_line_chart(path, series, title, xlabel, ylabel, log_y=True):
-    """Write a polyline chart; series is a list of (label, xs, ys).
+def write_line_chart(path, series, title, xlabel, ylabel):
+    """Write a log-y polyline chart; series is a list of (label, xs, ys).
 
-    Non-positive y values are skipped in log mode.  Output is deterministic
-    for identical input.
+    Non-finite points and non-positive y values are skipped.  Output is
+    deterministic for identical input.
     """
     pts = []
     for _, xs, ys in series:
         for x, y in zip(xs, ys):
-            if not (math.isfinite(x) and math.isfinite(y)):
-                continue
-            if log_y and y <= 0.0:
-                continue
-            pts.append((x, y))
+            if math.isfinite(x) and math.isfinite(y) and y > 0.0:
+                pts.append((x, y))
     if not pts:
         pts = [(0.0, 1.0), (1.0, 1.0)]
 
@@ -55,16 +53,10 @@ def write_line_chart(path, series, title, xlabel, ylabel, log_y=True):
     x_hi = max(p[0] for p in pts)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
-    if log_y:
-        y_lo = math.floor(math.log10(min(p[1] for p in pts)))
-        y_hi = math.ceil(math.log10(max(p[1] for p in pts)))
-        if y_hi == y_lo:
-            y_hi = y_lo + 1
-    else:
-        y_lo = min(p[1] for p in pts)
-        y_hi = max(p[1] for p in pts)
-        if y_hi == y_lo:
-            y_hi = y_lo + 1.0
+    y_lo = math.floor(math.log10(min(p[1] for p in pts)))
+    y_hi = math.ceil(math.log10(max(p[1] for p in pts)))
+    if y_hi == y_lo:
+        y_hi = y_lo + 1
 
     plot_w = _W - _ML - _MR
     plot_h = _H - _MT - _MB
@@ -73,8 +65,7 @@ def write_line_chart(path, series, title, xlabel, ylabel, log_y=True):
         return _ML + plot_w * (x - x_lo) / (x_hi - x_lo)
 
     def sy(y):
-        v = math.log10(y) if log_y else y
-        return _MT + plot_h * (1.0 - (v - y_lo) / (y_hi - y_lo))
+        return _MT + plot_h * (1.0 - (math.log10(y) - y_lo) / (y_hi - y_lo))
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
@@ -93,24 +84,14 @@ def write_line_chart(path, series, title, xlabel, ylabel, log_y=True):
         label = f"{t:g}"
         out.append(f'<text x="{px:.1f}" y="{_MT + plot_h + 18}" '
                    f'text-anchor="middle">{label}</text>')
-    if log_y:
-        decades = range(int(y_lo), int(y_hi) + 1)
-        for d in decades:
-            py = sy(10.0 ** d)
-            out.append(f'<line x1="{_ML - 5}" y1="{py:.1f}" x2="{_ML}" '
-                       f'y2="{py:.1f}" stroke="#333"/>')
-            out.append(f'<line x1="{_ML}" y1="{py:.1f}" x2="{_ML + plot_w}" '
-                       f'y2="{py:.1f}" stroke="#eee"/>')
-            out.append(f'<text x="{_ML - 8}" y="{py + 4:.1f}" '
-                       f'text-anchor="end">1e{d}</text>')
-    else:
-        for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-            v = y_lo + frac * (y_hi - y_lo)
-            py = sy(v)
-            out.append(f'<line x1="{_ML - 5}" y1="{py:.1f}" x2="{_ML}" '
-                       f'y2="{py:.1f}" stroke="#333"/>')
-            out.append(f'<text x="{_ML - 8}" y="{py + 4:.1f}" '
-                       f'text-anchor="end">{v:.3g}</text>')
+    for d in range(y_lo, y_hi + 1):
+        py = sy(10.0 ** d)
+        out.append(f'<line x1="{_ML - 5}" y1="{py:.1f}" x2="{_ML}" '
+                   f'y2="{py:.1f}" stroke="#333"/>')
+        out.append(f'<line x1="{_ML}" y1="{py:.1f}" x2="{_ML + plot_w}" '
+                   f'y2="{py:.1f}" stroke="#eee"/>')
+        out.append(f'<text x="{_ML - 8}" y="{py + 4:.1f}" '
+                   f'text-anchor="end">1e{d}</text>')
 
     out.append(f'<text x="{_ML + plot_w / 2:.1f}" y="{_H - 10}" '
                f'text-anchor="middle">{xlabel}</text>')
@@ -122,7 +103,7 @@ def write_line_chart(path, series, title, xlabel, ylabel, log_y=True):
         coords = [
             f"{sx(x):.2f},{sy(y):.2f}"
             for x, y in zip(xs, ys)
-            if math.isfinite(x) and math.isfinite(y) and (not log_y or y > 0.0)
+            if math.isfinite(x) and math.isfinite(y) and y > 0.0
         ]
         if coords:
             out.append(f'<polyline points="{" ".join(coords)}" fill="none" '

@@ -120,7 +120,7 @@ class TestGlobalVerify:
         # perturbation should shrink with m at the same pace as the local
         # error.  Embedding rebuilt here from scratch, densely.
         spec = StencilSpec(lam=0.0, width=11, height=11)
-        a = build_helmholtz(spec).toarray()
+        a = build_helmholtz(spec)
         a_inv = np.linalg.inv(a)
         deviations, locals_ = {}, {}
         for m in (2, 4):

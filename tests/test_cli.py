@@ -2,6 +2,10 @@ import contextlib
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,7 @@ import sparsecoarsen.blas as blas
 import sparsecoarsen.cli as cli
 from sparsecoarsen.cli import ConfigError, main, read_config, write_csv
 from sparsecoarsen.errors import NumericalFailure
+from sparsecoarsen.lattice import extract_local_scalar
 from sparsecoarsen.linearized import MinimizeOptions, linearized_minimize
 
 
@@ -230,7 +235,7 @@ class TestSchemas:
                                                    rel=1e-12)
         # alpha and the condition estimate are written bit for bit from the
         # trace records, never through a None-to-NaN stand-in
-        _, trace, _ = linearized_minimize(analysis.problem_for(1, 0.0))
+        _, trace, _ = linearized_minimize(extract_local_scalar(1, 0.0))
         assert [(r[3], r[4]) for r in rows[1:]] == [
             (format(rec.alpha, ".17g"),
              format(rec.solve.cond_eq7_estimate, ".17g"))
@@ -421,3 +426,27 @@ class TestDeterminism:
                      "--out", str(tmp_path), "--format", "csv+svg"]) == 0
         svg = (tmp_path / "sd_convergence.svg").read_text()
         assert svg.startswith("<svg ") and "polyline" in svg
+
+
+NO_SCIPY_SCRIPT = """
+import sys
+from sparsecoarsen.cli import main
+for argv in (["global-verify", "--lambda", "0", "--m", "2"],
+             ["lambda-sweep", "--lambda", "0", "--m", "1,2"],
+             ["svd-spectrum", "--m", "2"]):
+    assert main(argv + ["--out", sys.argv[1]]) == 0, argv
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+class TestNumpyOnly:
+    def test_commands_load_no_scipy(self, tmp_path):
+        # numpy is the only runtime dependency: a fresh process runs these
+        # commands, the explicit-grid check included, without loading scipy.
+        env = dict(os.environ)
+        src = str(Path(cli.__file__).parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
