@@ -11,9 +11,12 @@ import sys
 import time
 from pathlib import Path
 
-from sparsecoarsen.cli import main
+ROOT = Path(__file__).resolve().parent.parent
+# This checkout's package first, so the script runs without an install.
+sys.path.insert(0, str(ROOT / "src"))
+from sparsecoarsen.cli import main  # noqa: E402
 
-OUT = Path(__file__).resolve().parent.parent / "out" / "figures"
+OUT = ROOT / "out" / "figures"
 
 RUNS = [
     ("sd_convergence", ["sd-convergence", "--m", "1,2,3,4"]),

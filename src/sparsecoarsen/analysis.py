@@ -75,6 +75,7 @@ class SweepRecord:
     stop_reason: str  # the trace's stop_reason (linearized.STOP_REASONS)
 
 
+@single_thread()
 def spectrum_at(problem, pair):
     """Full spectrum report of the dA normal system at the given state."""
     system = build_normal_system(problem, pair, split_spaces(problem, pair))
@@ -113,6 +114,7 @@ def spatial_decay(problem, pair):
     ]
 
 
+@single_thread()
 def global_verify(spec, center, problem, pair):
     """Embed X = Y^-1 at `center` of an explicit grid and verify locality.
 
@@ -153,8 +155,6 @@ def global_verify(spec, center, problem, pair):
     col[c_glob] = 0.0
 
     outside = b - a
-    outside_local = outside.copy()
-    outside_local[np.ix_(gidx, gidx)] = 0.0
     ext = np.setdiff1d(np.arange(n), gidx)
     return GlobalVerifyReport(
         local_error=float(np.linalg.norm(local)),
@@ -206,51 +206,47 @@ def fit_decay_rate(ms, errors, stagnation_rel=0.1):
 
 
 def _sweep_point(args):
-    # A point is a small dense problem: BLAS threads only spin on it, and
-    # their count moves the last digits, so each point runs on one thread.
-    # cli.main pins its process too; this pin covers pool workers that do
-    # not inherit it (spawn, forkserver) and library callers of run_sweep.
-    with single_thread():
-        lam, m, p, q, opts = args
-        problem = extract_local_supernode(m, p, q, lam)
-        point = dict(lam=lam, m=m, p=p, q=q, n_local=problem.n_local,
-                     n_pattern=problem.target_pattern.n_entries)
-        try:
-            pair, trace, _ = linearized_minimize(problem, opts)
-            final = trace.iterations[-1]
-            return SweepRecord(
-                **point,
-                error=final.error,
-                iterations=trace.n_steps,
-                cond_y=condition_of_y(pair),
-                cond_eq7_estimate=final.solve.cond_eq7_estimate,
-                null_dim=final.solve.null_dim,
-                status="ok" if trace.converged else "max_iter",
-                stop_reason=trace.stop_reason,
-            )
-        except NumericalFailure as exc:
-            return SweepRecord(
-                **point,
-                error=math.nan,
-                iterations=0,
-                cond_y=math.nan,
-                cond_eq7_estimate=math.nan,
-                null_dim=-1,
-                status=f"failed: {exc}",
-                stop_reason="failed",
-            )
+    lam, m, p, q, opts = args
+    problem = extract_local_supernode(m, p, q, lam)
+    point = dict(lam=lam, m=m, p=p, q=q, n_local=problem.n_local,
+                 n_pattern=problem.target_pattern.n_entries)
+    try:
+        pair, trace, _ = linearized_minimize(problem, opts)
+        final = trace.iterations[-1]
+        return SweepRecord(
+            **point,
+            error=final.error,
+            iterations=trace.n_steps,
+            cond_y=condition_of_y(pair),
+            cond_eq7_estimate=final.solve.cond_eq7_estimate,
+            null_dim=final.solve.null_dim,
+            status="ok" if trace.converged else "max_iter",
+            stop_reason=trace.stop_reason,
+        )
+    except NumericalFailure as exc:
+        return SweepRecord(
+            **point,
+            error=math.nan,
+            iterations=0,
+            cond_y=math.nan,
+            cond_eq7_estimate=math.nan,
+            null_dim=-1,
+            status=f"failed: {exc}",
+            stop_reason="failed",
+        )
 
 
 def run_sweep(lambdas, ms, p=1, q=1, opts=MinimizeOptions(), jobs=1):
     """Minimize over the (lambda, m) grid; rows sorted by (lambda, m).
 
     Points are independent, so jobs > 1 distributes them over at most one
-    process per point.  Each point runs on one BLAS thread (blas.single_thread)
-    and the caller's thread count is restored after it, so on a given machine
-    the records are identical and identically ordered whatever jobs or the
-    caller's BLAS thread count is; where no OpenBLAS thread control is found,
-    that holds only at a fixed BLAS thread count.  Numerical failures become
-    explicit failure records, never invented values.
+    process per point.  A point's solve and condition number each run on one
+    BLAS thread and give the caller's count back (blas), in the caller's
+    process and in pool workers alike, so on a given machine the records are
+    identical and identically ordered whatever jobs or the caller's BLAS
+    thread count is; where no OpenBLAS thread control is found, that holds
+    only at a fixed BLAS thread count.  Numerical failures become explicit
+    failure records, never invented values.
     """
     points = [(lam, m, p, q, opts) for lam in sorted(lambdas) for m in sorted(ms)]
     # The pool starts all of its workers on the first submit.

@@ -1,7 +1,12 @@
 """One BLAS thread for a block of small dense work, through OpenBLAS's own calls.
 
-A sweep point is a small dense problem that gains nothing from BLAS threads,
-so sweeps run their points side by side instead, each on one thread.  This
+Every solve, check and spectrum of the package (linearized._descend behind
+both minimizers, analysis.global_verify, analysis.spectrum_at and
+transform.condition_of_y) runs inside single_thread() and gives the caller's
+count back, so its bits do not depend on the caller's thread count, whether
+it is called from the CLI, a sweep worker or a library caller.  The problems
+are small and dense: a second thread buys little and spins for the rest of
+the run.  Sweeps run their points side by side instead (--jobs).  This
 module finds the OpenBLAS that numpy loaded and its thread-count functions,
 with ctypes and no dependency.  Where none is found, nothing is pinned.
 """

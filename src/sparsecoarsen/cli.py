@@ -2,10 +2,10 @@
 
 Each subcommand minimizes local decoupling problems over a (lambda, m) grid
 and writes one CSV with a fixed schema into --out.  Floats are written with
-17 significant digits.  Every subcommand runs on one BLAS thread
-(blas.single_thread), so on a given machine its outputs depend on neither
---jobs nor the BLAS thread count (OPENBLAS_NUM_THREADS); where no OpenBLAS
-thread control is found, that holds only at a fixed thread count.
+17 significant digits.  Every solve, check and spectrum runs on one BLAS
+thread (blas), so on a given machine the outputs depend on neither --jobs
+nor the BLAS thread count (OPENBLAS_NUM_THREADS); where no OpenBLAS thread
+control is found, that holds only at a fixed thread count.
 lambda_sweep_blas.json records the BLAS library and the thread count per
 sweep point.
 
@@ -31,7 +31,7 @@ from .analysis import (
     spatial_decay,
     spectrum_at,
 )
-from .blas import single_thread, single_thread_config
+from .blas import single_thread_config
 from .errors import NumericalFailure
 from .lattice import extract_local_supernode
 from .linearized import (STEEPEST_DESCENT_OPTIONS, MinimizeOptions,
@@ -474,8 +474,7 @@ def main(argv=None):
         settings = resolve_settings(args)
         outdir = Path(settings.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        with single_thread():
-            return _HANDLERS[settings.command](settings, outdir)
+        return _HANDLERS[settings.command](settings, outdir)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

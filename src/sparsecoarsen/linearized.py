@@ -65,6 +65,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .blas import single_thread
 from .errors import NumericalFailure
 from .transform import initial_guess, objective_gradient, residual_and_error
 
@@ -419,6 +420,7 @@ class ConvergenceTrace:
         return len(self.iterations) - 1
 
 
+@single_thread()
 def _descend(problem, step, opts):
     """The loop of both minimizers (module docstring); returns (pair, trace).
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blas import single_thread
 from .errors import NumericalFailure
 
 
@@ -109,6 +110,7 @@ def interior_scaling(pair, d):
     )
 
 
+@single_thread()
 def condition_of_y(pair):
     """2-norm condition number of Y after fixing the gauge by row normalization."""
     norms = np.linalg.norm(pair.y_rows, axis=1)

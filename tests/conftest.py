@@ -1,3 +1,5 @@
+import contextlib
+
 import pytest
 
 from sparsecoarsen import blas
@@ -11,3 +13,37 @@ def one_blas_thread():
     # this one.
     with blas.single_thread():
         yield
+
+
+@contextlib.contextmanager
+def _at_blas_threads(threads):
+    control = blas.find_openblas()
+    if control is None:
+        yield
+        return
+    before = control.get_threads()
+    control.set_threads(threads)
+    try:
+        yield
+    finally:
+        control.set_threads(before)
+
+
+@pytest.fixture
+def caller_blas_threads():
+    """caller_blas_threads(n) runs its block at this OpenBLAS thread count, where it can be set."""
+    return _at_blas_threads
+
+
+@pytest.fixture
+def openblas():
+    """numpy's OpenBLAS thread control, at 2 threads for the test's duration."""
+    control = blas.find_openblas()
+    if control is None:
+        pytest.skip("no OpenBLAS thread control in this process")
+    before = control.get_threads()
+    control.set_threads(2)  # a caller count the pin must override and restore
+    try:
+        yield control
+    finally:
+        control.set_threads(before)

@@ -5,6 +5,7 @@ import pytest
 
 import sparsecoarsen.analysis as analysis
 import sparsecoarsen.blas as blas
+import sparsecoarsen.linearized as linearized
 from sparsecoarsen.analysis import (
     default_verify_grid,
     fit_decay_rate,
@@ -15,8 +16,10 @@ from sparsecoarsen.analysis import (
 )
 from sparsecoarsen.errors import NumericalFailure
 from sparsecoarsen.lattice import StencilSpec, build_helmholtz, extract_local_scalar
-from sparsecoarsen.linearized import MinimizeOptions, linearized_minimize
+from sparsecoarsen.linearized import MinimizeOptions, linearized_minimize, split_spaces
 from sparsecoarsen.transform import initial_guess, residual_and_error
+
+from test_transform import random_state
 
 
 class TestSpectrum:
@@ -85,6 +88,18 @@ class TestGlobalVerify:
         assert report.coupling_block_max <= 1e-13 * scale
         assert report.external_block_max <= 1e-13 * scale
         assert report.max_decoupled_offdiag <= report.local_error
+
+    def test_independent_of_caller_blas_threads(self, caller_blas_threads):
+        # The grid is 19 x 19: run on the caller's thread count, the report
+        # differs between one and two threads on two or more cores.
+        problem = extract_local_scalar(7, 0.0)
+        pair = random_state(problem, seed=7)
+        spec, center = default_verify_grid(problem)
+        reports = []
+        for threads in (1, 2):
+            with caller_blas_threads(threads):
+                reports.append(global_verify(spec, center, problem, pair))
+        assert reports[0] == reports[1]
 
     def test_objective_error_reported(self):
         problem = extract_local_scalar(2, 3.5)
@@ -238,43 +253,31 @@ class TestRunSweep:
         assert started == ([] if workers is None else [workers])
 
 
-@pytest.fixture
-def openblas():
-    """numpy's OpenBLAS thread control, at 2 threads for the test's duration."""
-    control = blas.find_openblas()
-    if control is None:
-        pytest.skip("no OpenBLAS thread control in this process")
-    before = control.get_threads()
-    control.set_threads(2)  # a caller count the pin must override and restore
-    try:
-        yield control
-    finally:
-        control.set_threads(before)
-
-
 class TestSingleBlasThread:
     def test_every_point_on_one_thread_and_caller_count_restored(
             self, monkeypatch, openblas):
-        seen = []
+        # The pin is inside the solve, so the count is read there.
+        seen = {}
 
-        def recording(problem, opts):
-            seen.append(openblas.get_threads())
-            return linearized_minimize(problem, opts)
+        def recording(problem, pair):
+            seen.setdefault((problem.lam, problem.n_local), set()).add(
+                openblas.get_threads())
+            return split_spaces(problem, pair)
 
-        monkeypatch.setattr(analysis, "linearized_minimize", recording)
+        monkeypatch.setattr(linearized, "split_spaces", recording)
         before = openblas.get_threads()
         records = run_sweep([0.0, 1.0], [1, 2],
                             opts=MinimizeOptions(max_iter=5))
         assert len(records) == 4
-        assert seen == [1, 1, 1, 1]
+        assert list(seen.values()) == [{1}, {1}, {1}, {1}]
         assert openblas.get_threads() == before
 
     def test_caller_count_restored_when_sweep_raises(self, monkeypatch,
                                                      openblas):
-        def broken(problem, opts):
+        def broken(problem, pair):
             raise ValueError("not a numerical failure")
 
-        monkeypatch.setattr(analysis, "linearized_minimize", broken)
+        monkeypatch.setattr(linearized, "split_spaces", broken)
         before = openblas.get_threads()
         with pytest.raises(ValueError):
             run_sweep([0.0], [1])

@@ -1,4 +1,3 @@
-import contextlib
 import csv
 import json
 import math
@@ -16,21 +15,6 @@ from sparsecoarsen.cli import ConfigError, main, read_config, write_csv
 from sparsecoarsen.errors import NumericalFailure
 from sparsecoarsen.lattice import extract_local_scalar
 from sparsecoarsen.linearized import MinimizeOptions, linearized_minimize
-
-
-@contextlib.contextmanager
-def caller_blas_threads(threads):
-    """Run the block at this OpenBLAS thread count, where it can be set."""
-    control = blas.find_openblas()
-    if control is None:
-        yield
-        return
-    before = control.get_threads()
-    control.set_threads(threads)
-    try:
-        yield
-    finally:
-        control.set_threads(before)
 
 
 def read_rows(path):
@@ -355,7 +339,7 @@ class TestDeterminism:
     @pytest.mark.filterwarnings(
         "ignore:detected null dimension:RuntimeWarning")
     def test_lambda_sweep_directory_independent_of_jobs_and_blas_threads(
-            self, tmp_path):
+            self, tmp_path, caller_blas_threads):
         # Run on the caller's BLAS thread count, the m=7 rows differ between
         # one and two threads on a machine with two or more cores.
         args = ["lambda-sweep", "--lambda", "0", "--m", "6,7"]
@@ -378,13 +362,14 @@ class TestDeterminism:
     @pytest.mark.filterwarnings(
         "ignore:detected null dimension:RuntimeWarning")
     @pytest.mark.parametrize("argv", [
+        ["sd-convergence", "--m", "7", "--max-iter", "30"],
         ["svd-spectrum", "--m", "5,6"],
         ["lin-convergence", "--m", "5,6"],
         ["spatial-decay", "--m", "5,6"],
         ["global-verify", "--lambda", "0", "--m", "6"],
     ])
     def test_every_command_independent_of_caller_blas_threads(
-            self, tmp_path, argv):
+            self, tmp_path, caller_blas_threads, argv):
         # Run on the caller's thread count, each of these differs between
         # one and two threads on a machine with two or more cores.
         dirs = []
@@ -450,3 +435,26 @@ class TestNumpyOnly:
                               env=env, capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
         assert done.stdout == "[]\n"
+
+
+IMPORT_SCRIPT = """
+import runpy, sys
+runpy.run_path(sys.argv[1])  # not as __main__: the imports, not the run
+import sparsecoarsen
+print(sparsecoarsen.__file__)
+"""
+
+
+class TestScripts:
+    def test_run_all_figures_imports_from_checkout_without_install(self):
+        # The script puts the checkout's src/ first, as perfbench/run.py
+        # does, so it needs neither an install nor PYTHONPATH.
+        package = Path(cli.__file__).resolve().parent
+        root = package.parents[1]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        done = subprocess.run(
+            [sys.executable, "-c", IMPORT_SCRIPT,
+             str(root / "scripts" / "run_all_figures.py")],
+            cwd=root, env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert Path(done.stdout.strip()).resolve() == package / "__init__.py"

@@ -655,3 +655,41 @@ class TestSharedLoop:
                          MinimizeOptions(max_iter=30))[1]
         assert trace.n_steps > 3
         assert len(calls) == len(trace.iterations)
+
+
+class TestOneBlasThread:
+    """Every minimization runs on one BLAS thread, whatever the caller's count."""
+
+    @pytest.mark.parametrize("kind,m,dims", [
+        ("scalar", 5, None),
+        pytest.param("supernode", 3, (2, 1), marks=KNOWN_MISCOUNT),
+    ])
+    def test_trace_independent_of_caller_blas_threads(
+            self, caller_blas_threads, kind, m, dims):
+        # Run on the caller's thread count, both traces differ between one
+        # and two threads on two or more cores.
+        problem = case_problem(kind, m, dims)
+        runs = []
+        for threads in (1, 2):
+            with caller_blas_threads(threads):
+                pair, trace, _ = linearized_minimize(problem)
+            runs.append(([(rec.error, rec.alpha, trace.stop_reason)
+                          for rec in trace.iterations],
+                         pair.y_rows.tobytes(), pair.a_tilde.tobytes()))
+        assert runs[0] == runs[1]
+
+    def test_caller_count_restored_after_return_and_failure(
+            self, monkeypatch, openblas):
+        seen = []
+
+        def recording(problem, pair):
+            seen.append(openblas.get_threads())
+            return residual_and_error(problem, pair)
+
+        monkeypatch.setattr(linearized, "residual_and_error", recording)
+        linearized_minimize(extract_local_scalar(1, 0.0))
+        assert openblas.get_threads() == 2
+        with pytest.raises(NumericalFailure):
+            linearized_minimize(diagonal_problem(math.nan))
+        assert openblas.get_threads() == 2
+        assert len(seen) > 1 and set(seen) == {1}

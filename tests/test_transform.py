@@ -185,6 +185,20 @@ class TestConditionOfY:
         with pytest.raises(NumericalFailure):
             condition_of_y(pair)
 
+    def test_svd_on_one_blas_thread(self, monkeypatch, openblas):
+        seen = []
+        svd = np.linalg.svd
+
+        def recording(*args, **kwargs):
+            seen.append(openblas.get_threads())
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        problem = extract_local_scalar(2, 0.0)
+        condition_of_y(random_state(problem, seed=23))
+        assert seen == [1]
+        assert openblas.get_threads() == 2
+
 
 class TestSteepestDescent:
     def test_m1_reaches_known_minimum(self):
