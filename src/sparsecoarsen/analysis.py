@@ -78,7 +78,8 @@ class SweepRecord:
 @single_thread()
 def spectrum_at(problem, pair):
     """Full spectrum report of the dA normal system at the given state."""
-    system = build_normal_system(problem, pair, split_spaces(problem, pair))
+    report = residual_and_error(problem, pair)
+    system = build_normal_system(problem, report, split_spaces(problem, report))
     _, s, _ = system.eig
     null_dim, gap, cond, cond_eq7 = summarize_spectrum(s)
     return SpectrumReport(

@@ -72,9 +72,9 @@ class SparsityPattern:
     def mask(self):
         """Dense boolean admissibility mask, symmetric."""
         out = np.zeros((self.dim, self.dim), dtype=bool)
-        for i, j in self.entries:
-            out[i, j] = True
-            out[j, i] = True
+        rows, cols = self.index_arrays
+        out[rows, cols] = True
+        out[cols, rows] = True
         return out
 
     @property

@@ -1,10 +1,11 @@
 """The minimization loop, and the linearized and steepest-descent steps it takes.
 
-Both minimizers run one loop (_descend): from the initial guess, each state's
-residual R is computed once and a step turns it into a direction (dY, dA);
-the state is recorded, the stop rules are applied, and an exact line search
-along the direction gives the next state.  steepest_descent steps along the
-negative gradient; linearized_minimize steps as follows.
+Both minimizers run one loop (_descend): from the initial guess, each state
+is evaluated once (residual_and_error) and a step turns that into a
+direction (dY, dA); the state is recorded, the stop rules are applied, and
+an exact line search along the direction gives the next state.
+steepest_descent steps along the negative gradient; linearized_minimize
+steps as follows.
 
 Linearizing A_LL - (Y+dY)^T (A~+dA) (Y+dY) around the current pair gives the
 residual
@@ -51,11 +52,13 @@ The stop rules read the errors but never enter the arithmetic of a step, so
 tightening rel_tol only extends a trace: the default trace is a prefix of the
 trace at any smaller rel_tol.
 
-The linearized step hands the loop's residual to the assembly and to dY.
-Its results are bit-for-bit those of the direct formulas, which the tests
-keep as a reference: near a stop, a change in the last bit can decide
-whether a minimization stops or runs on.  Its phases are called by their
-module names at call time, so a tracer that replaces one sees every call.
+Every phase reads the state's one evaluation, its ErrorReport: the split
+takes K = (A~ Y)[:n_I], the assembly and dY take Y and R, the gradient takes
+R, and the line search takes g(0) = sum(R**2).  The results are bit-for-bit
+those of the direct formulas, which the tests keep as a reference: near a
+stop, a change in the last bit can decide whether a minimization stops or
+runs on.  The phases are called by their module names at call time, so a
+tracer that replaces one sees every call.
 """
 
 import math
@@ -155,10 +158,9 @@ class SolveDiagnostics:
     rhs_norm: float
 
 
-def split_spaces(problem, pair):
-    """SVD split of K = P_I A~ Y into span (q) and null space (q_null)."""
-    k = (pair.a_tilde @ pair.full_y())[: problem.n_interior]
-    u, s, vt = np.linalg.svd(k, full_matrices=True)
+def split_spaces(problem, report):
+    """SVD split of the report's K = P_I A~ Y into span (q) and null space (q_null)."""
+    u, s, vt = np.linalg.svd(report.ay[: problem.n_interior], full_matrices=True)
     rank = 0
     if s.size and s[0] > 0.0:
         rank = int(np.sum(s > RANK_TOL * s[0]))
@@ -170,7 +172,7 @@ def split_spaces(problem, pair):
     )
 
 
-def build_normal_system(problem, pair, split, residual=None):
+def build_normal_system(problem, report, split):
     """Assemble the dA normal equations from G and M without forming the operator.
 
     With G = Y Qn Qn^T Y^T and M = Y Qn (Qn^T R Qn) Qn^T Y^T, the entries are
@@ -178,19 +180,17 @@ def build_normal_system(problem, pair, split, residual=None):
         N_kl  = Tr(B_k G B_l G),  rhs_k = Tr(B_k M)
 
     over the symmetrized pattern basis B_k, i.e. O(n_pattern^2) work given G.
-    `residual` is R at `pair` when the caller already has it.
+    Y and R are read from the state's report.
 
     G is symmetrized first, so G_ji = G_ij^T exactly and N comes out exactly
     symmetric: each entry and its mirror are the same two products, summed.
     """
     if problem.target_pattern.n_entries == 0:
         raise ValueError("target pattern has no free positions")
-    y = pair.full_y()
-    z = y @ split.q_null
+    z = report.y @ split.q_null
     g = z @ z.T
     g = 0.5 * (g + g.T)
-    r = residual_and_error(problem, pair).residual if residual is None else residual
-    t = split.q_null.T @ r @ split.q_null
+    t = split.q_null.T @ report.residual @ split.q_null
     m = z @ t @ z.T
     m = 0.5 * (m + m.T)
 
@@ -267,17 +267,12 @@ def solve_for_da(system, n_local):
     return da, diagnostics
 
 
-def compute_dy(problem, pair, da, split, residual=None):
-    """dY = 1/2 (K^+)^T (R - Y^T dA Y)(I + Qn Qn^T); zero when K has rank 0.
-
-    `residual` is R at `pair` when the caller already has it.
-    """
-    n_i, n_l = problem.n_interior, problem.n_local
+def compute_dy(problem, report, da, split):
+    """dY = 1/2 (K^+)^T (R - Y^T dA Y)(I + Qn Qn^T) at the report's Y, R; zero at rank 0."""
     if split.rank == 0:
-        return np.zeros((n_i, n_l))
-    y = pair.full_y()
-    r = residual_and_error(problem, pair).residual if residual is None else residual
-    w = r - y.T @ da @ y
+        return np.zeros((problem.n_interior, problem.n_local))
+    y = report.y
+    w = report.residual - y.T @ da @ y
     w = 0.5 * (w + w.T)
     pinv_t = (split.u / split.sigma[None, :]) @ split.q.T
     w2 = w + (w @ split.q_null) @ split.q_null.T
@@ -314,16 +309,15 @@ def rotated_block_norms(problem, pair, split, dy, da):
     )
 
 
-def line_objective(problem, pair, dy, da):
+def line_objective(problem, pair, report, dy, da):
     """Squared error norm along the step, g(alpha), a degree-6 polynomial.
 
-    Returns g as a function of alpha; the full Y is built once for all calls.
+    Returns g as a function of alpha, starting from the report's Y.
     """
     n_i = problem.n_interior
-    y0 = pair.full_y()
 
     def g(alpha):
-        y = y0.copy()
+        y = report.y.copy()
         y[:n_i] += alpha * dy
         at = pair.a_tilde + alpha * da
         s = y.T @ (at @ y)
@@ -333,33 +327,33 @@ def line_objective(problem, pair, dy, da):
     return g
 
 
-def fit_line_polynomial(g):
-    """Exact degree-6 fit of g via 7 evaluations; returns (coeffs, scale, g(0)).
+def fit_line_polynomial(g, g0):
+    """Exact degree-6 fit of g from g0 = g(0) and 6 evaluations; returns (coeffs, scale).
 
     g is a line_objective.  coeffs are highest-degree-first for the scaled
     variable alpha/scale.  The abscissae shrink when evaluations overflow
-    (trust scaling); the first abscissa is 0 at every scale, so g(0) is
-    evaluated once.
+    (trust scaling); the first abscissa is 0 at every scale, where g0 stands in.
     """
-    g0 = g(0.0)
     scale = 1.0
     for _ in range(60):
         vals = np.array([g0] + [g(scale * t) for t in LINE_SEARCH_ABSCISSAE[1:]])
         if np.all(np.isfinite(vals)):
-            return np.linalg.solve(_LINE_SEARCH_VANDER, vals), scale, g0
+            return np.linalg.solve(_LINE_SEARCH_VANDER, vals), scale
         scale *= 0.25
     raise NumericalFailure("line search could not evaluate the objective finitely")
 
 
-def line_search(problem, pair, dy, da):
+def line_search(problem, pair, report, dy, da):
     """Exact line search on the degree-6 polynomial g; returns (alpha, error).
 
-    Candidates are the real critical points in (0, ALPHA_MAX]; the best one
-    that improves on g(0) wins, otherwise alpha = 0.  The returned error is
-    the (non-squared) norm at the chosen alpha, never above the current one.
+    g(0) is sum(R**2) of the report, as g forms it.  Candidates are the real
+    critical points in (0, ALPHA_MAX]; the best one that improves on g(0)
+    wins, otherwise alpha = 0.  The returned error is the (non-squared) norm
+    at the chosen alpha, never above the current one.
     """
-    g_of = line_objective(problem, pair, dy, da)
-    coeffs, scale, g0 = fit_line_polynomial(g_of)
+    g_of = line_objective(problem, pair, report, dy, da)
+    g0 = float(np.sum(report.residual**2))
+    coeffs, scale = fit_line_polynomial(g_of, g0)
 
     deriv = np.polyder(coeffs)
     if np.any(deriv != 0.0):
@@ -424,7 +418,7 @@ class ConvergenceTrace:
 def _descend(problem, step, opts):
     """The loop of both minimizers (module docstring); returns (pair, trace).
 
-    step(problem, pair, residual) returns the direction and the record's
+    step(problem, pair, report) returns the direction and the record's
     `solve`: (dY, dA, solve).  A NumericalFailure leaves with the partial
     trace attached.
     """
@@ -441,7 +435,7 @@ def _descend(problem, step, opts):
             if not np.isfinite(err):
                 raise NumericalFailure("minimization produced a non-finite error")
 
-            dy, da, solve = step(problem, pair, report.residual)
+            dy, da, solve = step(problem, pair, report)
             trace.iterations.append(
                 IterationRecord(iteration=k, error=err, alpha=alpha, solve=solve))
 
@@ -458,7 +452,7 @@ def _descend(problem, step, opts):
                 trace.stop_reason = "max_iter"
                 break
 
-            alpha, _ = line_search(problem, pair, dy, da)
+            alpha, _ = line_search(problem, pair, report, dy, da)
             if alpha == 0.0:  # the next state would be this one
                 trace.stop_reason = "no_descent"
                 break
@@ -475,22 +469,22 @@ def _descend(problem, step, opts):
 class _LinearizedStep:
     """Split, normal system, dA solve, dY; one instance per minimization.
 
-    It holds the last split and system (with its eigenpairs) and replaces
-    each only once the next is built: freed early, glibc hands their
-    n_pattern^2 blocks back to the OS and the next step faults them in
-    again, 8-10% slower on the supernode sweep.
+    It holds the last split and system (with its eigenpairs) until the next
+    are built.  Dropped on return, their n_pattern^2 blocks go back to the OS
+    and fault in again: on 2 cores a supernode sweep took 800k minor faults,
+    not 186k, 2.0 s system time, not 0.5, and 11-31% more CPU per point.
     """
 
-    def __call__(self, problem, pair, residual):
-        self.split = split_spaces(problem, pair)
-        self.system = build_normal_system(problem, pair, self.split, residual)
+    def __call__(self, problem, pair, report):
+        self.split = split_spaces(problem, report)
+        self.system = build_normal_system(problem, report, self.split)
         da, solve = solve_for_da(self.system, problem.n_local)
-        return compute_dy(problem, pair, da, self.split, residual), da, solve
+        return compute_dy(problem, report, da, self.split), da, solve
 
 
-def _gradient_step(problem, pair, residual):
+def _gradient_step(problem, pair, report):
     """The negative gradient in the joint (Y, A~) variables."""
-    grad_y, grad_a = objective_gradient(problem, pair, residual)
+    grad_y, grad_a = objective_gradient(problem, pair, report.residual)
     return -grad_y, -grad_a, None
 
 

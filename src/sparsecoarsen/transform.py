@@ -52,8 +52,12 @@ class TransformPair:
 
 @dataclass
 class ErrorReport:
+    """One evaluation of a state, and the products it was formed from."""
+
     residual: np.ndarray  # A_LL - Y^T A~ Y, exactly symmetric
     norm: float
+    y: np.ndarray  # the full Y (TransformPair.full_y)
+    ay: np.ndarray  # A~ Y; its interior rows are K = P_I A~ Y
 
 
 def initial_guess(problem):
@@ -65,12 +69,13 @@ def initial_guess(problem):
 
 
 def residual_and_error(problem, pair):
-    """Residual A_LL - Y^T A~ Y (symmetrized exactly) and its Frobenius norm."""
+    """Residual A_LL - Y^T A~ Y (symmetrized exactly), its Frobenius norm, Y and A~ Y."""
     y = pair.full_y()
-    s = y.T @ (pair.a_tilde @ y)
+    ay = pair.a_tilde @ y
+    s = y.T @ ay
     s = 0.5 * (s + s.T)
     residual = problem.a_ll - s
-    return ErrorReport(residual=residual, norm=float(np.linalg.norm(residual)))
+    return ErrorReport(residual=residual, norm=float(np.linalg.norm(residual)), y=y, ay=ay)
 
 
 def objective_gradient(problem, pair, residual):

@@ -21,9 +21,7 @@ from sparsecoarsen.analysis import (
 from sparsecoarsen.lattice import extract_local_scalar, extract_local_supernode
 from sparsecoarsen.linearized import (
     MinimizeOptions,
-    build_normal_system,
     linearized_minimize,
-    split_spaces,
     steepest_descent,
 )
 from sparsecoarsen.transform import (
@@ -32,7 +30,7 @@ from sparsecoarsen.transform import (
     residual_and_error,
 )
 
-from test_linearized import gap_null_count, materialized_system
+from test_linearized import gap_null_count, linearized_phases, materialized_system
 from test_transform import gradient, random_state
 
 _CACHE = {}
@@ -109,8 +107,7 @@ class TestAcceptance:
             problem, _, _, _ = converged(0.0, m)
             states = [initial_guess(problem), converged(0.0, m, max_iter=1)[1]]
             for pair in states:
-                split = split_spaces(problem, pair)
-                system = build_normal_system(problem, pair, split)
+                system = linearized_phases(problem, pair)[2]
                 u, s, _ = system.eig
                 null = gap_null_count(s)
                 ok = ok and null == problem.n_interior
@@ -276,8 +273,7 @@ class TestAcceptance:
                       random_state(problem, seed=1),
                       random_state(problem, seed=2)]
             for pair in states:
-                split = split_spaces(problem, pair)
-                system = build_normal_system(problem, pair, split)
+                _, split, system = linearized_phases(problem, pair)
                 ref_matrix, ref_rhs = materialized_system(problem, pair, split)
                 scale = np.abs(ref_matrix).max()
                 dev = np.abs(system.matrix - ref_matrix).max() / scale

@@ -259,10 +259,10 @@ class TestSingleBlasThread:
         # The pin is inside the solve, so the count is read there.
         seen = {}
 
-        def recording(problem, pair):
+        def recording(problem, report):
             seen.setdefault((problem.lam, problem.n_local), set()).add(
                 openblas.get_threads())
-            return split_spaces(problem, pair)
+            return split_spaces(problem, report)
 
         monkeypatch.setattr(linearized, "split_spaces", recording)
         before = openblas.get_threads()
@@ -274,7 +274,7 @@ class TestSingleBlasThread:
 
     def test_caller_count_restored_when_sweep_raises(self, monkeypatch,
                                                      openblas):
-        def broken(problem, pair):
+        def broken(problem, report):
             raise ValueError("not a numerical failure")
 
         monkeypatch.setattr(linearized, "split_spaces", broken)

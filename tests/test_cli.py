@@ -17,9 +17,19 @@ from sparsecoarsen.lattice import extract_local_scalar
 from sparsecoarsen.linearized import MinimizeOptions, linearized_minimize
 
 
+FIGURES = Path(__file__).resolve().parents[1] / "out" / "figures"
+
+
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def rows_at(path, ms):
+    """The header and the rows of a CSV whose m column is one of ms."""
+    header, *rows = read_rows(path)
+    col = header.index("m")
+    return [header] + [row for row in rows if int(row[col]) in ms]
 
 
 class TestCsvWriting:
@@ -411,6 +421,27 @@ class TestDeterminism:
                      "--out", str(tmp_path), "--format", "csv+svg"]) == 0
         svg = (tmp_path / "sd_convergence.svg").read_text()
         assert svg.startswith("<svg ") and "polyline" in svg
+
+
+class TestCommittedFigures:
+    # The lambda = 4 rows meet the known null-dimension miscount.
+    @pytest.mark.filterwarnings(
+        "ignore:detected null dimension:RuntimeWarning")
+    def test_small_m_rows_regenerate_byte_for_byte(self, tmp_path):
+        # The bits hold only on the BLAS build that wrote the figures.
+        sidecar = json.loads(
+            (FIGURES / "lambda_sweep" / "lambda_sweep_blas.json").read_text())
+        control = blas.find_openblas()
+        if control is None or control.config != sidecar["library"]:
+            pytest.skip("the committed figures come from another BLAS build")
+        assert main(["lambda-sweep", "--m", "1,2,3",
+                     "--out", str(tmp_path)]) == 0
+        assert main(["svd-spectrum", "--m", "1,2,3,4",
+                     "--out", str(tmp_path)]) == 0
+        for run, name, ms in (("lambda_sweep", "lambda_sweep.csv", (1, 2, 3)),
+                              ("lambda_sweep", "lambda_sweep_symmetry.csv", (1, 2, 3)),
+                              ("svd_spectrum", "svd_spectrum.csv", (1, 2, 3, 4))):
+            assert read_rows(tmp_path / name) == rows_at(FIGURES / run / name, ms), name
 
 
 NO_SCIPY_SCRIPT = """

@@ -102,6 +102,15 @@ class TestSparsityPattern:
         assert mask[0, 0] and mask[1, 2] and mask[2, 1]
         assert mask.sum() == 3
 
+    @pytest.mark.parametrize("problem", [extract_local_scalar(4, 0.0),
+                                         extract_local_supernode(2, 2, 1, 0.0)],
+                             ids=["scalar", "supernode"])
+    def test_mask_is_membership(self, problem):
+        pat = problem.target_pattern
+        n = pat.dim
+        expected = np.array([[(i, j) in pat for j in range(n)] for i in range(n)])
+        assert np.array_equal(pat.mask(), expected)
+
 
 class TestDecoupledPattern:
     def test_removes_row_and_column(self):

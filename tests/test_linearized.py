@@ -169,6 +169,17 @@ def case_problem(kind, m, dims, lam=0.0):
     return extract_local_supernode(m, *dims, lam)
 
 
+def case_state(problem, state, m):
+    return initial_guess(problem) if state == "initial" else random_state(problem, seed=10 + m)
+
+
+def linearized_phases(problem, pair):
+    """(report, split, system) at one state, formed as the linearized step forms them."""
+    report = residual_and_error(problem, pair)
+    split = split_spaces(problem, report)
+    return report, split, build_normal_system(problem, report, split)
+
+
 class TestByteIdentity:
     """The step's shortcuts reproduce the direct formulas bit for bit.
 
@@ -180,10 +191,8 @@ class TestByteIdentity:
     @pytest.mark.parametrize("state", ["initial", "random"])
     def test_assembly_and_solve_match_direct_formulas(self, kind, m, dims, state):
         problem = case_problem(kind, m, dims)
-        pair = (initial_guess(problem) if state == "initial"
-                else random_state(problem, seed=10 + m))
-        split = split_spaces(problem, pair)
-        system = build_normal_system(problem, pair, split)
+        pair = case_state(problem, state, m)
+        _, split, system = linearized_phases(problem, pair)
         matrix, rhs = direct_normal_system(problem, pair, split)
         assert np.array_equal(system.matrix, matrix)
         assert np.array_equal(system.rhs, rhs)
@@ -200,25 +209,26 @@ class TestByteIdentity:
                               np.array(ref_fields, dtype=float), equal_nan=True)
 
     @pytest.mark.parametrize("kind,m,dims", BYTE_IDENTITY_CASES)
-    def test_passed_residual_changes_nothing(self, kind, m, dims):
-        problem = case_problem(kind, m, dims, lam=3.5)
-        pair = random_state(problem, seed=20 + m)
-        split = split_spaces(problem, pair)
-        r = residual_and_error(problem, pair).residual
-        own = build_normal_system(problem, pair, split)
-        passed = build_normal_system(problem, pair, split, r)
-        assert np.array_equal(own.matrix, passed.matrix)
-        assert np.array_equal(own.rhs, passed.rhs)
+    @pytest.mark.parametrize("state", ["initial", "random"])
+    def test_report_holds_what_the_phases_formed(self, kind, m, dims, state):
+        # The phases read Y, K and g(0) from the one report of a state.
+        problem = case_problem(kind, m, dims)
+        pair = case_state(problem, state, m)
+        report, split, system = linearized_phases(problem, pair)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            da, _ = solve_for_da(own, n_local=problem.n_local)
-        assert np.array_equal(compute_dy(problem, pair, da, split),
-                              compute_dy(problem, pair, da, split, r))
+            da, _ = solve_for_da(system, n_local=problem.n_local)
+        dy = compute_dy(problem, report, da, split)
+        assert np.array_equal(report.y, pair.full_y())
+        assert np.array_equal(report.ay[: problem.n_interior],
+                              (pair.a_tilde @ pair.full_y())[: problem.n_interior])
+        g0 = line_objective(problem, pair, report, dy, da)(0.0)
+        assert float(np.sum(report.residual**2)) == g0
 
 
 def two_step_line_search(problem, pair, dy, da):
-    """The line search with g(0) evaluated again after the 7-point fit."""
-    g_of = line_objective(problem, pair, dy, da)
+    """The line search with g(0) evaluated at alpha = 0, twice."""
+    g_of = line_objective(problem, pair, residual_and_error(problem, pair), dy, da)
     vals = np.array([g_of(t) for t in LINE_SEARCH_ABSCISSAE])
     coeffs = np.linalg.solve(np.vander(LINE_SEARCH_ABSCISSAE, 7), vals)
     g0 = g_of(0.0)
@@ -237,19 +247,17 @@ def two_step_line_search(problem, pair, dy, da):
     return best_alpha, float(np.sqrt(best_g))
 
 
-class TestLineSearchReusesG0:
+class TestLineSearchReadsG0:
     @pytest.mark.parametrize("kind,m,dims", BYTE_IDENTITY_CASES)
     @pytest.mark.parametrize("state", ["initial", "random"])
-    def test_g0_once_and_same_bits(self, monkeypatch, kind, m, dims, state):
+    def test_g0_from_report_and_same_bits(self, monkeypatch, kind, m, dims, state):
         problem = case_problem(kind, m, dims)
-        pair = (initial_guess(problem) if state == "initial"
-                else random_state(problem, seed=10 + m))
-        split = split_spaces(problem, pair)
-        system = build_normal_system(problem, pair, split)
+        pair = case_state(problem, state, m)
+        report, split, system = linearized_phases(problem, pair)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             da, _ = solve_for_da(system, n_local=problem.n_local)
-        dy = compute_dy(problem, pair, da, split)
+        dy = compute_dy(problem, report, da, split)
         expected = two_step_line_search(problem, pair, dy, da)
 
         at_zero = []
@@ -265,15 +273,15 @@ class TestLineSearchReusesG0:
             return wrapped
 
         monkeypatch.setattr(linearized, "line_objective", counted)
-        got = line_search(problem, pair, dy, da)
-        assert sum(at_zero) == 1
+        got = line_search(problem, pair, report, dy, da)
+        assert at_zero and not any(at_zero)
         assert got == expected  # alpha and error, bit for bit
 
 
 class TestSplitSpaces:
     def test_orthonormal_and_complete(self):
         problem = extract_local_scalar(2, 0.0)
-        split = split_spaces(problem, initial_guess(problem))
+        split = linearized_phases(problem, initial_guess(problem))[1]
         n = problem.n_local
         q, qn = split.q, split.q_null
         assert q.shape[1] + qn.shape[1] == n
@@ -284,7 +292,7 @@ class TestSplitSpaces:
     def test_rank_equals_interior_at_start(self):
         for m in (1, 2, 3):
             problem = extract_local_scalar(m, 0.0)
-            split = split_spaces(problem, initial_guess(problem))
+            split = linearized_phases(problem, initial_guess(problem))[1]
             assert split.rank == problem.n_interior
 
     def test_zero_operator_has_rank_zero(self):
@@ -292,7 +300,7 @@ class TestSplitSpaces:
         problem = extract_local_scalar(1, 4.0)
         pair = initial_guess(problem)
         assert np.all(pair.a_tilde == 0.0)
-        split = split_spaces(problem, pair)
+        split = linearized_phases(problem, pair)[1]
         assert split.rank == 0
         assert split.q_null.shape == (5, 5)
 
@@ -302,8 +310,7 @@ class TestNormalSystem:
     def test_matches_materialized_operator(self, m, lam):
         problem = extract_local_scalar(m, lam)
         for pair in (initial_guess(problem), random_state(problem, seed=m)):
-            split = split_spaces(problem, pair)
-            system = build_normal_system(problem, pair, split)
+            _, split, system = linearized_phases(problem, pair)
             ref_matrix, ref_rhs = materialized_system(problem, pair, split)
             scale = np.abs(ref_matrix).max()
             np.testing.assert_allclose(system.matrix, ref_matrix,
@@ -314,8 +321,7 @@ class TestNormalSystem:
     def test_matches_materialized_operator_supernode(self):
         problem = extract_local_supernode(1, 2, 1, 0.0)
         pair = random_state(problem, seed=4)
-        split = split_spaces(problem, pair)
-        system = build_normal_system(problem, pair, split)
+        _, split, system = linearized_phases(problem, pair)
         ref_matrix, ref_rhs = materialized_system(problem, pair, split)
         scale = np.abs(ref_matrix).max()
         np.testing.assert_allclose(system.matrix, ref_matrix,
@@ -329,15 +335,13 @@ class TestNormalSystem:
         for m in (1, 2, 3):
             problem = extract_local_scalar(m, 0.0)
             pair = initial_guess(problem)
-            system = build_normal_system(problem, pair,
-                                         split_spaces(problem, pair))
+            system = linearized_phases(problem, pair)[2]
             assert np.all(system.rhs == 0.0)
 
     def test_gauge_directions_are_null(self):
         problem = extract_local_scalar(2, 0.0)
         pair = random_state(problem, seed=2)
-        split = split_spaces(problem, pair)
-        system = build_normal_system(problem, pair, split)
+        system = linearized_phases(problem, pair)[2]
         scale = np.linalg.norm(system.matrix)
         rng = np.random.default_rng(8)
         for _ in range(5):
@@ -366,7 +370,7 @@ class TestNormalSystem:
         )
         pair = initial_guess(problem)
         with pytest.raises(ValueError):
-            build_normal_system(problem, pair, split_spaces(problem, pair))
+            linearized_phases(problem, pair)
 
 
 class TestNullCount:
@@ -399,8 +403,7 @@ class TestSolveForDa:
     def test_detects_gauge_null_space(self):
         problem = extract_local_scalar(2, 0.0)
         pair = initial_guess(problem)
-        system = build_normal_system(problem, pair,
-                                     split_spaces(problem, pair))
+        system = linearized_phases(problem, pair)[2]
         da, diag = solve_for_da(system, n_local=problem.n_local)
         assert diag.null_dim == problem.n_interior
         assert diag.cond_eq7_estimate == \
@@ -410,8 +413,7 @@ class TestSolveForDa:
     def test_da_symmetric_and_patterned(self):
         problem = extract_local_scalar(2, 3.5)
         pair = random_state(problem, seed=6)
-        system = build_normal_system(problem, pair,
-                                     split_spaces(problem, pair))
+        system = linearized_phases(problem, pair)[2]
         da, _ = solve_for_da(system, n_local=problem.n_local)
         assert np.array_equal(da, da.T)
         assert np.all(da[~problem.target_pattern.mask()] == 0.0)
@@ -419,8 +421,7 @@ class TestSolveForDa:
     def test_warns_on_miscounted_null(self):
         problem = extract_local_scalar(2, 0.0)
         pair = initial_guess(problem)
-        system = build_normal_system(problem, pair,
-                                     split_spaces(problem, pair))
+        system = linearized_phases(problem, pair)[2]
         assert system.expected_null == problem.n_interior
         wrong = dataclasses.replace(system,
                                     expected_null=problem.n_interior + 1)
@@ -431,8 +432,7 @@ class TestSolveForDa:
         # eigenpairs asked for once must not outlive a replaced matrix
         problem = extract_local_scalar(2, 0.0)
         pair = initial_guess(problem)
-        system = build_normal_system(problem, pair,
-                                     split_spaces(problem, pair))
+        system = linearized_phases(problem, pair)[2]
         system.eig  # computed once and kept with this system
         zero = dataclasses.replace(system, matrix=np.zeros_like(system.matrix))
         with warnings.catch_warnings():
@@ -443,8 +443,7 @@ class TestSolveForDa:
     def test_everything_truncated_gives_zero(self):
         problem = extract_local_scalar(1, 0.0)
         pair = random_state(problem, seed=1)
-        system = build_normal_system(problem, pair,
-                                     split_spaces(problem, pair))
+        system = linearized_phases(problem, pair)[2]
         zero = dataclasses.replace(system, matrix=np.zeros_like(system.matrix))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
@@ -461,11 +460,10 @@ class TestComputeDy:
         for m, lam in ((1, 0.0), (2, 0.0), (2, 3.5)):
             problem = extract_local_scalar(m, lam)
             pair = random_state(problem, seed=m + 40)
-            split = split_spaces(problem, pair)
-            system = build_normal_system(problem, pair, split)
+            report, split, system = linearized_phases(problem, pair)
             da, _ = solve_for_da(system, n_local=problem.n_local)
-            dy = compute_dy(problem, pair, da, split)
-            r_norm = residual_and_error(problem, pair).norm
+            dy = compute_dy(problem, report, da, split)
+            r_norm = report.norm
             span_span, span_null, _ = rotated_block_norms(problem, pair,
                                                           split, dy, da)
             assert math.sqrt(span_span) <= 1e-10 * r_norm
@@ -474,7 +472,7 @@ class TestComputeDy:
     def test_block_norms_sum_to_residual(self):
         problem = extract_local_scalar(2, 0.0)
         pair = random_state(problem, seed=12)
-        split = split_spaces(problem, pair)
+        split = linearized_phases(problem, pair)[1]
         rng = np.random.default_rng(0)
         dy = 0.1 * rng.standard_normal((problem.n_interior, problem.n_local))
         da = np.where(problem.target_pattern.mask(),
@@ -487,8 +485,8 @@ class TestComputeDy:
     def test_rank_zero_returns_zero_step(self):
         problem = extract_local_scalar(1, 4.0)
         pair = initial_guess(problem)
-        split = split_spaces(problem, pair)
-        dy = compute_dy(problem, pair, np.zeros((5, 5)), split)
+        report, split, _ = linearized_phases(problem, pair)
+        dy = compute_dy(problem, report, np.zeros((5, 5)), split)
         assert np.all(dy == 0.0)
 
 
@@ -500,13 +498,11 @@ class TestLineSearch:
     def test_polynomial_reproduces_g(self):
         problem = extract_local_scalar(2, 0.0)
         pair = random_state(problem, seed=3)
-        split = split_spaces(problem, pair)
-        system = build_normal_system(problem, pair, split)
+        report, split, system = linearized_phases(problem, pair)
         da, _ = solve_for_da(system, n_local=problem.n_local)
-        dy = compute_dy(problem, pair, da, split)
-        g = line_objective(problem, pair, dy, da)
-        coeffs, scale, g0 = fit_line_polynomial(g)
-        assert g0 == g(0.0)
+        dy = compute_dy(problem, report, da, split)
+        g = line_objective(problem, pair, report, dy, da)
+        coeffs, scale = fit_line_polynomial(g, g(0.0))
         rng = np.random.default_rng(19)
         for alpha in rng.uniform(-2.0, 2.0, size=20):
             direct = g(alpha)
@@ -517,20 +513,20 @@ class TestLineSearch:
     def test_step_improves_error(self):
         problem = extract_local_scalar(2, 0.0)
         pair = initial_guess(problem)
-        split = split_spaces(problem, pair)
-        system = build_normal_system(problem, pair, split)
+        report, split, system = linearized_phases(problem, pair)
         da, _ = solve_for_da(system, n_local=problem.n_local)
-        dy = compute_dy(problem, pair, da, split)
-        alpha, err = line_search(problem, pair, dy, da)
+        dy = compute_dy(problem, report, da, split)
+        alpha, err = line_search(problem, pair, report, dy, da)
         assert 0.0 < alpha <= 4.0
-        assert err < residual_and_error(problem, pair).norm
+        assert err < report.norm
 
     def test_zero_direction_keeps_current_point(self):
         problem = extract_local_scalar(1, 0.0)
         pair = initial_guess(problem)
         zero_dy = np.zeros((problem.n_interior, problem.n_local))
         zero_da = np.zeros((problem.n_local,) * 2)
-        alpha, err = line_search(problem, pair, zero_dy, zero_da)
+        report = residual_and_error(problem, pair)
+        alpha, err = line_search(problem, pair, report, zero_dy, zero_da)
         assert alpha == 0.0
         assert err == pytest.approx(math.sqrt(8.0), rel=1e-12)
 
@@ -651,10 +647,25 @@ class TestSharedLoop:
                 return original(*args)
 
             monkeypatch.setattr(module, "residual_and_error", counted)
+        alphas = []
+        line_objective = linearized.line_objective
+
+        def recorded(*args):
+            g = line_objective(*args)
+
+            def wrapped(alpha):
+                alphas.append(alpha)
+                return g(alpha)
+
+            return wrapped
+
+        monkeypatch.setattr(linearized, "line_objective", recorded)
         trace = minimize(extract_local_scalar(3, 0.0),
                          MinimizeOptions(max_iter=30))[1]
         assert trace.n_steps > 3
         assert len(calls) == len(trace.iterations)
+        # g(0) is read from the report, never evaluated again
+        assert alphas and 0.0 not in alphas
 
 
 class TestOneBlasThread:
