@@ -6,7 +6,6 @@ of minimizations and tabulates the results for the experiment harness.
 """
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,7 +122,8 @@ def global_verify(spec, center, problem, pair):
     X^T A X minus (A with its local block replaced by A~) is supported on the
     local block and its norm equals the locally computed error
     || X_L^T A_LL X_L - A~ ||_F.  Also reports the largest off-diagonal
-    magnitude left in the decoupled row/column.
+    magnitude left in the decoupled row/column.  The grid is dense: a call
+    holds about four (w h)^2 float64 arrays, A, X, X^T A and X^T A X.
     """
     cx, cy = center
     w, h = spec.width, spec.height
@@ -144,25 +144,31 @@ def global_verify(spec, center, problem, pair):
     x = np.eye(n)
     x[np.ix_(gidx, gidx)] = x_local
     b = x.T @ a @ x
-    a_coarse = a.copy()
-    a_coarse[np.ix_(gidx, gidx)] = pair.a_tilde
-
-    diff = b - a_coarse
-    local = x_local.T @ problem.a_ll @ x_local - pair.a_tilde
+    del x
     c_glob = gidx[problem.decoupled]
-    row = np.abs(b[c_glob]).copy()
-    col = np.abs(b[:, c_glob]).copy()
+    row = np.abs(b[c_glob])
+    col = np.abs(b[:, c_glob])
     row[c_glob] = 0.0
     col[c_glob] = 0.0
+    b_ll = b[np.ix_(gidx, gidx)]
 
-    outside = b - a
+    # B - A, formed in B's memory, holds what X changed: outside the local
+    # block it must vanish; the local block is then compared with A~.
+    diff = b
+    diff -= a
+    del a
     ext = np.setdiff1d(np.arange(n), gidx)
+    coupling_max = float(np.abs(diff[np.ix_(gidx, ext)]).max())
+    external_max = float(np.abs(diff[np.ix_(ext, ext)]).max())
+    diff[np.ix_(gidx, gidx)] = b_ll - pair.a_tilde
+
+    local = x_local.T @ problem.a_ll @ x_local - pair.a_tilde
     return GlobalVerifyReport(
         local_error=float(np.linalg.norm(local)),
         global_error=float(np.linalg.norm(diff)),
         max_decoupled_offdiag=float(max(row.max(), col.max())),
-        coupling_block_max=float(np.abs(outside[np.ix_(gidx, ext)]).max()),
-        external_block_max=float(np.abs(outside[np.ix_(ext, ext)]).max()),
+        coupling_block_max=coupling_max,
+        external_block_max=external_max,
         objective_error=residual_and_error(problem, pair).norm,
     )
 
@@ -253,6 +259,9 @@ def run_sweep(lambdas, ms, p=1, q=1, opts=MinimizeOptions(), jobs=1):
     # The pool starts all of its workers on the first submit.
     workers = min(jobs, len(points))
     if workers > 1:
+        # Imported here: a serial run never loads the multiprocessing stack.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_sweep_point, points))
     return [_sweep_point(pt) for pt in points]

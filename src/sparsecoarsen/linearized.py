@@ -89,6 +89,9 @@ PATIENCE = 3
 # Longest line-search step: far beyond the full step alpha = 1 the
 # linearization the step came from says nothing.
 ALPHA_MAX = 4.0
+# Rows of the normal matrix assembled at a time: the block temporaries stay
+# small against the n_pattern^2 matrix.
+ASSEMBLY_ROWS = 64
 
 
 @dataclass
@@ -196,18 +199,29 @@ def build_normal_system(problem, report, split):
 
     i_idx, j_idx = problem.target_pattern.index_arrays
     delta = np.where(i_idx == j_idx, 2.0, 1.0)  # diagonal positions count once
+    row_scale = 2.0 / delta
+    col_scale = 1.0 / delta
 
-    # Columns first, then whole rows: G is symmetric, so the column
-    # gathers are the rows G_i, G_j transposed, and every P x P gather
-    # copies contiguous rows.
+    # Columns first, then rows, one block of rows at a time into N itself:
+    # G is symmetric, so the column gathers are the rows G_i, G_j
+    # transposed, and every gather copies contiguous rows.  The weights
+    # 2 / (delta_k delta_l) are powers of two, applied rows first, so the
+    # bytes are those of one multiplication by their product.
     g_ti = g.take(i_idx, axis=1)
     g_tj = g.take(j_idx, axis=1)
-    matrix = g_ti.take(i_idx, axis=0)  # G_ii
-    matrix *= g_tj.take(j_idx, axis=0)  # G_jj
-    gij = g_tj.take(i_idx, axis=0)
-    matrix += gij * gij.T
-    matrix *= np.outer(2.0 / delta, 1.0 / delta)  # 2 / (delta_k delta_l), exactly
-    rhs = (2.0 / delta) * m[i_idx, j_idx]
+    n_pattern = len(i_idx)
+    matrix = np.empty((n_pattern, n_pattern))
+    for start in range(0, n_pattern, ASSEMBLY_ROWS):
+        rows = slice(start, start + ASSEMBLY_ROWS)
+        block = matrix[rows]
+        g_ti.take(i_idx[rows], axis=0, out=block)  # G_ii
+        block *= g_tj.take(j_idx[rows], axis=0)  # G_jj
+        cross = g_tj.take(i_idx[rows], axis=0)  # G_ij
+        cross *= g_ti.take(j_idx[rows], axis=0)  # G_ji, which is G_ij^T
+        block += cross
+        block *= row_scale[rows, None]
+        block *= col_scale
+    rhs = row_scale * m[i_idx, j_idx]
 
     return NormalSystem(
         matrix=matrix,
@@ -470,9 +484,13 @@ class _LinearizedStep:
     """Split, normal system, dA solve, dY; one instance per minimization.
 
     It holds the last split and system (with its eigenpairs) until the next
-    are built.  Dropped on return, their n_pattern^2 blocks go back to the OS
-    and fault in again: on 2 cores a supernode sweep took 800k minor faults,
-    not 186k, 2.0 s system time, not 0.5, and 11-31% more CPU per point.
+    are built.  Dropped sooner, their n_pattern^2 blocks go back to the OS and
+    fault in again.  A second pass of the supernode grid (lambda-sweep --p 2
+    --q 1 --m 1,2,3,4, one job, 2 cores, three runs each): held, 198k minor
+    faults and 0.3 s system time; dropped on return, 944k faults, 1.3-1.6 s
+    and 14% more wall time in the median; a persistent n_pattern^2 array for
+    N with the system dropped, 580k faults, 0.7-0.9 s and 10% more, because
+    eigh's vectors are new every step.
     """
 
     def __call__(self, problem, pair, report):

@@ -1,4 +1,6 @@
+import concurrent.futures
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +17,12 @@ from sparsecoarsen.analysis import (
     spectrum_at,
 )
 from sparsecoarsen.errors import NumericalFailure
-from sparsecoarsen.lattice import StencilSpec, build_helmholtz, extract_local_scalar
+from sparsecoarsen.lattice import (
+    StencilSpec,
+    build_helmholtz,
+    extract_local_scalar,
+    extract_local_supernode,
+)
 from sparsecoarsen.linearized import MinimizeOptions, linearized_minimize, split_spaces
 from sparsecoarsen.transform import initial_guess, residual_and_error
 
@@ -76,6 +83,48 @@ class TestSpatialDecay:
         assert far_a < near_a / 10.0
 
 
+def seven_array_verify(spec, center, problem, pair):
+    """The check with a_coarse, diff and outside as separate grid-sized arrays.
+
+    The reference global_verify must reproduce bit for bit: the same
+    elementwise subtractions, each into an array of its own.
+    """
+    cx, cy = center
+    w = spec.width
+    gidx = (problem.coords[:, 1] + cy) * w + problem.coords[:, 0] + cx
+    a = build_helmholtz(spec)
+    x_local = np.linalg.inv(pair.full_y())
+    n = w * spec.height
+    x = np.eye(n)
+    x[np.ix_(gidx, gidx)] = x_local
+    b = x.T @ a @ x
+    a_coarse = a.copy()
+    a_coarse[np.ix_(gidx, gidx)] = pair.a_tilde
+    diff = b - a_coarse
+    local = x_local.T @ problem.a_ll @ x_local - pair.a_tilde
+    c_glob = gidx[problem.decoupled]
+    row = np.abs(b[c_glob]).copy()
+    col = np.abs(b[:, c_glob]).copy()
+    row[c_glob] = 0.0
+    col[c_glob] = 0.0
+    outside = b - a
+    ext = np.setdiff1d(np.arange(n), gidx)
+    return analysis.GlobalVerifyReport(
+        local_error=float(np.linalg.norm(local)),
+        global_error=float(np.linalg.norm(diff)),
+        max_decoupled_offdiag=float(max(row.max(), col.max())),
+        coupling_block_max=float(np.abs(outside[np.ix_(gidx, ext)]).max()),
+        external_block_max=float(np.abs(outside[np.ix_(ext, ext)]).max()),
+        objective_error=residual_and_error(problem, pair).norm,
+    )
+
+
+GLOBAL_VERIFY_CASES = (
+    [(m, lam, (1, 1)) for m in range(2, 9) for lam in (0.0, 3.5)]
+    + [(m, 0.0, (2, 1)) for m in (2, 3)]
+)
+
+
 class TestGlobalVerify:
     def test_identity_between_local_and_global(self):
         problem = extract_local_scalar(2, 0.0)
@@ -88,6 +137,30 @@ class TestGlobalVerify:
         assert report.coupling_block_max <= 1e-13 * scale
         assert report.external_block_max <= 1e-13 * scale
         assert report.max_decoupled_offdiag <= report.local_error
+
+    @pytest.mark.parametrize("m,lam,dims", GLOBAL_VERIFY_CASES)
+    def test_report_matches_seven_array_check(self, m, lam, dims):
+        problem = extract_local_supernode(m, *dims, lam)
+        pair = random_state(problem, seed=m)
+        spec, center = default_verify_grid(problem)
+        with blas.single_thread():
+            expected = seven_array_verify(spec, center, problem, pair)
+        assert global_verify(spec, center, problem, pair) == expected
+
+    @pytest.mark.parametrize("m", [6, 8])
+    def test_holds_about_four_grid_arrays(self, m):
+        # X, A, X^T A and B while B is formed; B - A is formed in B.
+        problem = extract_local_scalar(m, 0.0)
+        pair = random_state(problem, seed=m)
+        spec, center = default_verify_grid(problem)
+        grid_array = 8 * (spec.width * spec.height) ** 2
+        tracemalloc.start()
+        try:
+            global_verify(spec, center, problem, pair)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * grid_array
 
     def test_independent_of_caller_blas_threads(self, caller_blas_threads):
         # The grid is 19 x 19: run on the caller's thread count, the report
@@ -246,7 +319,7 @@ class TestRunSweep:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(analysis, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         records = run_sweep([0.0], list(range(1, n_points + 1)),
                             opts=MinimizeOptions(max_iter=5), jobs=jobs)
         assert len(records) == n_points

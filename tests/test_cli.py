@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import json
 import math
@@ -307,7 +308,7 @@ class TestSchemas:
                 raise NumericalFailure("synthetic breakdown")
             return real(problem, opts)
 
-        monkeypatch.setattr(analysis, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(analysis, "linearized_minimize", flaky)
         code = main(["lambda-sweep", "--lambda", "5,0", "--m", "1",
                      "--jobs", "2", "--out", str(tmp_path)])
@@ -446,12 +447,16 @@ class TestCommittedFigures:
 
 NO_SCIPY_SCRIPT = """
 import sys
+import sparsecoarsen
 from sparsecoarsen.cli import main
 for argv in (["global-verify", "--lambda", "0", "--m", "2"],
              ["lambda-sweep", "--lambda", "0", "--m", "1,2"],
              ["svd-spectrum", "--m", "2"]):
     assert main(argv + ["--out", sys.argv[1]]) == 0, argv
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+print(sorted(name for name in sys.modules
+             if name.split(".")[0] == "multiprocessing"
+             or name == "concurrent.futures.process"))
 """
 
 
@@ -459,13 +464,14 @@ class TestNumpyOnly:
     def test_commands_load_no_scipy(self, tmp_path):
         # numpy is the only runtime dependency: a fresh process runs these
         # commands, the explicit-grid check included, without loading scipy.
+        # At one job they solve in-process, so no process pool is loaded.
         env = dict(os.environ)
         src = str(Path(cli.__file__).parents[1])
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         done = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path)],
                               env=env, capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
-        assert done.stdout == "[]\n"
+        assert done.stdout == "[]\n[]\n"
 
 
 IMPORT_SCRIPT = """

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -106,6 +107,30 @@ def direct_normal_system(problem, pair, split):
     gji = g[np.ix_(j_idx, i_idx)]
     matrix = 2.0 / np.outer(delta, delta) * (gii * gjj + gij * gji)
     matrix = 0.5 * (matrix + matrix.T)
+    rhs = (2.0 / delta) * m[i_idx, j_idx]
+    return matrix, rhs
+
+
+def outer_weighted_normal_system(problem, report, split):
+    """The whole-matrix assembly: P x P gathers, then one np.outer weighting.
+
+    The row-blocked assembly must reproduce it bit for bit.
+    """
+    z = report.y @ split.q_null
+    g = z @ z.T
+    g = 0.5 * (g + g.T)
+    t = split.q_null.T @ report.residual @ split.q_null
+    m = z @ t @ z.T
+    m = 0.5 * (m + m.T)
+    i_idx, j_idx = problem.target_pattern.index_arrays
+    delta = np.where(i_idx == j_idx, 2.0, 1.0)
+    g_ti = g.take(i_idx, axis=1)
+    g_tj = g.take(j_idx, axis=1)
+    matrix = g_ti.take(i_idx, axis=0)
+    matrix *= g_tj.take(j_idx, axis=0)
+    gij = g_tj.take(i_idx, axis=0)
+    matrix += gij * gij.T
+    matrix *= np.outer(2.0 / delta, 1.0 / delta)
     rhs = (2.0 / delta) * m[i_idx, j_idx]
     return matrix, rhs
 
@@ -371,6 +396,41 @@ class TestNormalSystem:
         pair = initial_guess(problem)
         with pytest.raises(ValueError):
             linearized_phases(problem, pair)
+
+
+ASSEMBLY_CASES = (
+    [("scalar", m, None) for m in range(1, 9)]
+    + [("supernode", m, (2, 1)) for m in (1, 2, 3, 4)]
+    + [("supernode", 2, (1, 2)), ("supernode", 2, (2, 2))]
+)
+
+
+class TestBlockedAssembly:
+    @pytest.mark.parametrize("kind,m,dims", ASSEMBLY_CASES)
+    @pytest.mark.parametrize("state", ["initial", "random"])
+    def test_matches_outer_weighted_assembly(self, kind, m, dims, state):
+        problem = case_problem(kind, m, dims)
+        pair = case_state(problem, state, m)
+        report, split, system = linearized_phases(problem, pair)
+        matrix, rhs = outer_weighted_normal_system(problem, report, split)
+        assert np.array_equal(system.matrix, matrix)
+        assert np.array_equal(system.rhs, rhs)
+
+    @pytest.mark.parametrize("kind,m,dims", [("supernode", 4, (2, 1)),
+                                             ("scalar", 8, None)])
+    def test_holds_under_three_pattern_squared_arrays(self, kind, m, dims):
+        problem = case_problem(kind, m, dims)
+        pair = random_state(problem, seed=m)
+        report = residual_and_error(problem, pair)
+        split = split_spaces(problem, report)
+        n_pattern = problem.target_pattern.n_entries
+        tracemalloc.start()
+        try:
+            build_normal_system(problem, report, split)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 8 * n_pattern**2
 
 
 class TestNullCount:
