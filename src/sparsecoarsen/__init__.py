@@ -2,7 +2,6 @@
 
 from .analysis import (
     GlobalVerifyReport,
-    SpectrumReport,
     SweepRecord,
     default_verify_grid,
     fit_decay_rate,
@@ -45,7 +44,6 @@ __all__ = [
     "MinimizeOptions",
     "NumericalFailure",
     "SparsityPattern",
-    "SpectrumReport",
     "StencilSpec",
     "SupernodeLayout",
     "SweepRecord",

@@ -3,6 +3,8 @@
 Everything here is read-only with respect to the minimization: it builds
 normal systems, embeds transformations into explicit grids, or runs batches
 of minimizations and tabulates the results for the experiment harness.
+A spectrum is read as the minimization reads it: spectrum_at returns the
+normal system's own SolveDiagnostics next to its singular values.
 """
 
 import math
@@ -19,24 +21,8 @@ from .linearized import (
     build_normal_system,
     linearized_minimize,
     split_spaces,
-    summarize_spectrum,
 )
 from .transform import condition_of_y, interior_scaling, residual_and_error
-
-
-@dataclass
-class SpectrumReport:
-    """Normal-system SVD summary at one state."""
-
-    sigma: np.ndarray  # descending
-    null_dim: int
-    gap_ratio: float
-    cond_retained: float
-    cond_eq7_estimate: float
-
-    @property
-    def retained(self):
-        return len(self.sigma) - self.null_dim
 
 
 @dataclass
@@ -76,18 +62,15 @@ class SweepRecord:
 
 @single_thread()
 def spectrum_at(problem, pair):
-    """Full spectrum report of the dA normal system at the given state."""
+    """(sigma, diagnostics) of the dA normal system at the given state.
+
+    sigma is the descending spectrum (NormalSystem.eig) and diagnostics the
+    system's SolveDiagnostics (NormalSystem.diagnostics): the record a
+    linearized step at this state puts in its trace.
+    """
     report = residual_and_error(problem, pair)
     system = build_normal_system(problem, report, split_spaces(problem, report))
-    _, s, _ = system.eig
-    null_dim, gap, cond, cond_eq7 = summarize_spectrum(s)
-    return SpectrumReport(
-        sigma=s,
-        null_dim=null_dim,
-        gap_ratio=gap,
-        cond_retained=cond,
-        cond_eq7_estimate=cond_eq7,
-    )
+    return system.eig[1], system.diagnostics
 
 
 def spatial_decay(problem, pair):

@@ -43,34 +43,22 @@ class ConfigError(ValueError):
     """Invalid command line arguments or config file contents."""
 
 
-def _reject_repeats(key, text, vals):
-    # A repeated value would be solved and written twice.
-    for i, v in enumerate(vals):
-        if v in vals[:i]:
-            raise ConfigError(f"{key} value {v:g} is repeated in {text!r}")
-    return vals
+def _list_parser(convert, valid, requirement):
+    """A parser(key, text) of comma-separated values, each convert(token) and valid."""
+    def parse(key, text):
+        try:
+            vals = tuple(convert(t.strip()) for t in str(text).split(","))
+        except ValueError as exc:
+            raise ConfigError(f"bad {key} list {text!r}") from exc
+        if not all(valid(v) for v in vals):
+            raise ConfigError(f"{key} values must be {requirement}, got {text!r}")
+        # A repeated value would be solved and written twice.
+        for i, v in enumerate(vals):
+            if v in vals[:i]:
+                raise ConfigError(f"{key} value {v:g} is repeated in {text!r}")
+        return vals
 
-
-def _parse_lambdas(key, text):
-    toks = [t.strip() for t in str(text).split(",")]
-    try:
-        vals = tuple(float(t) for t in toks)
-    except ValueError as exc:
-        raise ConfigError(f"bad {key} list {text!r}") from exc
-    if not vals or any(not math.isfinite(v) for v in vals):
-        raise ConfigError(f"{key} values must be finite, got {text!r}")
-    return _reject_repeats(key, text, vals)
-
-
-def _parse_ms(key, text):
-    toks = [t.strip() for t in str(text).split(",")]
-    try:
-        vals = tuple(int(t) for t in toks)
-    except ValueError as exc:
-        raise ConfigError(f"bad {key} list {text!r}") from exc
-    if not vals or any(v < 1 for v in vals):
-        raise ConfigError(f"{key} values must be integers >= 1, got {text!r}")
-    return _reject_repeats(key, text, vals)
+    return parse
 
 
 def _parse_int(key, text):
@@ -107,9 +95,10 @@ def _parse_format(key, text):
 # The settable keys, as --flags and as config file keys:
 # key -> (Settings field, parser(key, text), metavar, help).
 _FLAGS = {
-    "lambda": ("lambdas", _parse_lambdas, "L[,L...]",
-               "stencil diagonal shift value(s)"),
-    "m": ("ms", _parse_ms, "M[,M...]", "local region radius value(s)"),
+    "lambda": ("lambdas", _list_parser(float, math.isfinite, "finite"),
+               "L[,L...]", "stencil diagonal shift value(s)"),
+    "m": ("ms", _list_parser(int, lambda v: v >= 1, "integers >= 1"),
+          "M[,M...]", "local region radius value(s)"),
     "p": ("p", _parse_int, "P", "supernode width (default 1)"),
     "q": ("q", _parse_int, "Q", "supernode height (default 1)"),
     "max-iter": ("max_iter", _parse_int, "MAX_ITER",
@@ -288,9 +277,9 @@ def cmd_svd_spectrum(settings, outdir):
     lam, results, failure = _per_m(
         settings, lambda problem: spectrum_at(problem, initial_guess(problem)))
     rows, series = [], []
-    for m, _, report in results:
-        top = report.sigma[0] if report.sigma[0] > 0 else 1.0
-        normalized = report.sigma / top
+    for m, _, (sigma, _) in results:
+        top = sigma[0] if sigma[0] > 0 else 1.0
+        normalized = sigma / top
         rows.extend((m, k + 1, normalized[k]) for k in range(len(normalized)))
         series.append((f"m={m}", list(range(1, len(normalized) + 1)),
                        normalized.tolist()))

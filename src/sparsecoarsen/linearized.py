@@ -25,9 +25,15 @@ zeroes the two blocks that involve dY, leaving only the projected problem
 which is a linear least squares in the free values of dA.  Its normal
 equations have closed-form entries in G = Y Q_null Q_null^T Y^T and are
 solved through their symmetric eigendecomposition (eigh), dropping the
-eigenvalues with |w| < NULL_REL_TOL * max |w|: the system is singular by
-construction, because interior diagonal gauge directions dA = D A~ + A~ D
-lie in its null space.  The line search then guards the nonlinear terms.
+eigenvalues whose |w| is below the fraction NULL_REL_TOL of the largest:
+the system is singular by construction, because interior diagonal gauge
+directions dA = D A~ + A~ D lie in its null space.  The line search then
+guards the nonlinear terms.
+
+A NormalSystem keeps its eigenpairs (eig) and what the null cut makes of
+them (diagnostics, one SolveDiagnostics).  That one object is what
+solve_for_da returns, what the trace records as a state's `solve`, and what
+analysis.spectrum_at reports.
 
 The solver's rules are fixed module constants, not options: NULL_REL_TOL
 (the null cut), RANK_TOL (the rank of K), ABS_TOL and PATIENCE (the stop
@@ -53,12 +59,13 @@ tightening rel_tol only extends a trace: the default trace is a prefix of the
 trace at any smaller rel_tol.
 
 Every phase reads the state's one evaluation, its ErrorReport: the split
-takes K = (A~ Y)[:n_I], the assembly and dY take Y and R, the gradient takes
-R, and the line search takes g(0) = sum(R**2).  The results are bit-for-bit
-those of the direct formulas, which the tests keep as a reference: near a
-stop, a change in the last bit can decide whether a minimization stops or
-runs on.  The phases are called by their module names at call time, so a
-tracer that replaces one sees every call.
+takes K = (A~ Y)[:n_I], the assembly and dY take Y and R, the gradient and
+linearized_residual take Y, A~ Y and R, and the line search takes
+g(0) = sum(R**2).  The results are bit-for-bit those of the direct
+formulas, which the tests keep as a reference: near a stop, a change in the
+last bit can decide whether a minimization stops or runs on.  The phases
+are called by their module names at call time, so a tracer that replaces
+one sees every call.
 """
 
 import math
@@ -108,6 +115,22 @@ class SubspaceSplit:
         return self.q.shape[1]
 
 
+@dataclass
+class SolveDiagnostics:
+    """The null cut's reading of a normal system's spectrum (NormalSystem.diagnostics).
+
+    Every field is a Python scalar, so a record outlives none of the
+    system's arrays.
+    """
+
+    null_dim: int
+    gap_ratio: float
+    cond_retained: float
+    cond_eq7_estimate: float
+    rhs_null_component: float
+    rhs_norm: float
+
+
 @dataclass(frozen=True)
 class NormalSystem:
     """Normal equations of the projected dA least-squares problem."""
@@ -134,31 +157,32 @@ class NormalSystem:
         order = np.argsort(s)[::-1]
         return v.take(order, axis=1), s[order], np.copysign(1.0, w)[order]
 
+    @cached_property
+    def diagnostics(self):
+        """The SolveDiagnostics of this system: where the null cut falls in eig.
 
-def summarize_spectrum(s):
-    """(null_dim, gap_ratio, cond_retained, cond_eq7_estimate) of a descending spectrum.
-
-    Values below NULL_REL_TOL * s[0] are null, and all are when s[0] <= 0.
-    The condition numbers are NaN when everything is null.
-    """
-    n = len(s)
-    null_dim = n if n == 0 or s[0] <= 0.0 else int(np.sum(s < NULL_REL_TOL * s[0]))
-    retained = n - null_dim
-    if retained == 0:
-        return null_dim, (1.0 if null_dim else 0.0), math.nan, math.nan
-    cond = float(s[0] / s[retained - 1])
-    gap = float(s[retained] / s[retained - 1]) if null_dim else 0.0
-    return null_dim, gap, cond, math.sqrt(cond)
-
-
-@dataclass
-class SolveDiagnostics:
-    null_dim: int
-    gap_ratio: float
-    cond_retained: float
-    cond_eq7_estimate: float
-    rhs_null_component: float
-    rhs_norm: float
+        Singular values below the fraction NULL_REL_TOL of s[0] are null,
+        and all are when s[0] <= 0.  The condition numbers are NaN when
+        everything is null.  rhs_null_component is the norm of the rhs in
+        the null directions.
+        """
+        u, s, _ = self.eig
+        n = len(s)
+        null_dim = n if n == 0 or s[0] <= 0.0 else int(np.sum(s < NULL_REL_TOL * s[0]))
+        retained = n - null_dim
+        rhs_norm = float(np.linalg.norm(self.rhs))
+        if retained == 0:
+            return SolveDiagnostics(null_dim, 1.0 if null_dim else 0.0,
+                                    math.nan, math.nan, rhs_norm, rhs_norm)
+        cond = float(s[0] / s[retained - 1])
+        return SolveDiagnostics(
+            null_dim=null_dim,
+            gap_ratio=float(s[retained] / s[retained - 1]) if null_dim else 0.0,
+            cond_retained=cond,
+            cond_eq7_estimate=math.sqrt(cond),
+            rhs_null_component=float(np.linalg.norm(u[:, retained:].T @ self.rhs)),
+            rhs_norm=rhs_norm,
+        )
 
 
 def split_spaces(problem, report):
@@ -242,43 +266,25 @@ def _embed_da(values, basis, n):
 def solve_for_da(system, n_local):
     """Solve the normal equations on their non-null eigenpairs; returns (dA, diagnostics).
 
-    The null directions (summarize_spectrum) are always dropped from the
-    solution.  A warning is emitted when the detected null dimension
-    disagrees with the gauge count n_interior (only meaningful when A~ had
-    full rank).
+    diagnostics is system.diagnostics, whose null directions are dropped
+    from the solution.  A warning is emitted when the detected null
+    dimension disagrees with the gauge count n_interior (only meaningful
+    when A~ had full rank).
     """
     u, s, sign = system.eig
-    n = len(s)
-    null_dim, gap_ratio, cond_retained, cond_eq7 = summarize_spectrum(s)
-    retained = n - null_dim
-
-    if system.expected_null is not None and null_dim != system.expected_null:
+    diagnostics = system.diagnostics
+    if system.expected_null is not None and diagnostics.null_dim != system.expected_null:
         warnings.warn(
-            f"detected null dimension {null_dim} != interior count "
+            f"detected null dimension {diagnostics.null_dim} != interior count "
             f"{system.expected_null} for a full-rank A~",
             RuntimeWarning,
             stacklevel=2,
         )
 
-    rhs_norm = float(np.linalg.norm(system.rhs))
-    if retained == 0:
-        coeffs = np.zeros(n)
-        rhs_null = rhs_norm
-    else:
-        proj = u[:, :retained].T @ system.rhs
-        coeffs = u[:, :retained] @ (proj / s[:retained] * sign[:retained])
-        rhs_null = float(np.linalg.norm(u[:, retained:].T @ system.rhs))
-
-    da = _embed_da(coeffs, system.basis, n_local)
-    diagnostics = SolveDiagnostics(
-        null_dim=null_dim,
-        gap_ratio=gap_ratio,
-        cond_retained=cond_retained,
-        cond_eq7_estimate=cond_eq7,
-        rhs_null_component=rhs_null,
-        rhs_norm=rhs_norm,
-    )
-    return da, diagnostics
+    retained = len(s) - diagnostics.null_dim
+    proj = u[:, :retained].T @ system.rhs
+    coeffs = u[:, :retained] @ (proj / s[:retained] * sign[:retained])
+    return _embed_da(coeffs, system.basis, n_local), diagnostics
 
 
 def compute_dy(problem, report, da, split):
@@ -293,34 +299,11 @@ def compute_dy(problem, report, da, split):
     return 0.5 * pinv_t @ w2
 
 
-def _linearized_residual_matrix(problem, pair, dy, da):
-    """L = R - Y^T dA Y - K^T dY - dY^T K at the given step."""
-    y = pair.full_y()
-    r = residual_and_error(problem, pair).residual
-    k = (pair.a_tilde @ y)[: problem.n_interior]
-    return r - y.T @ da @ y - k.T @ dy - dy.T @ k
-
-
-def linearized_residual(problem, pair, dy, da):
-    """|| R - Y^T dA Y - K^T dY - dY^T K ||_F at the given step."""
-    return float(np.linalg.norm(_linearized_residual_matrix(problem, pair, dy, da)))
-
-
-def rotated_block_norms(problem, pair, split, dy, da):
-    """Squared Frobenius norms of the three rotated blocks of the linearized residual.
-
-    Returns (span/span, 2 * span/null, null/null); their sum equals the
-    squared full linearized residual.
-    """
-    l = _linearized_residual_matrix(problem, pair, dy, da)
-    qq = split.q.T @ l @ split.q
-    qn = split.q.T @ l @ split.q_null
-    nn = split.q_null.T @ l @ split.q_null
-    return (
-        float(np.sum(qq**2)),
-        2.0 * float(np.sum(qn**2)),
-        float(np.sum(nn**2)),
-    )
+def linearized_residual(problem, report, dy, da):
+    """|| R - Y^T dA Y - K^T dY - dY^T K ||_F at the report's state, K = (A~ Y)[:n_I]."""
+    y = report.y
+    k = report.ay[: problem.n_interior]
+    return float(np.linalg.norm(report.residual - y.T @ da @ y - k.T @ dy - dy.T @ k))
 
 
 def line_objective(problem, pair, report, dy, da):
@@ -502,7 +485,7 @@ class _LinearizedStep:
 
 def _gradient_step(problem, pair, report):
     """The negative gradient in the joint (Y, A~) variables."""
-    grad_y, grad_a = objective_gradient(problem, pair, report.residual)
+    grad_y, grad_a = objective_gradient(problem, report)
     return -grad_y, -grad_a, None
 
 

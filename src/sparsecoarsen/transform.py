@@ -78,17 +78,18 @@ def residual_and_error(problem, pair):
     return ErrorReport(residual=residual, norm=float(np.linalg.norm(residual)), y=y, ay=ay)
 
 
-def objective_gradient(problem, pair, residual):
-    """Gradient of the squared error norm in the free variables.
+def objective_gradient(problem, report):
+    """Gradient of the squared error norm in the free variables at a report's state.
 
-    `residual` is R = A_LL - Y^T A~ Y at `pair` (residual_and_error).
-    Returns (grad_y, grad_a).  grad_y is (n_interior, n_local).  grad_a is a
-    pattern-masked symmetric matrix holding the derivative with respect to
-    each free value: a symmetric off-diagonal pair (i, j) is one variable, so
-    positions (i, j) and (j, i) both carry d/da_ij.
+    `report` is the state's residual_and_error; the gradient reads its Y,
+    A~ Y and residual R = A_LL - Y^T A~ Y.  Returns (grad_y, grad_a).
+    grad_y is (n_interior, n_local).  grad_a is a pattern-masked symmetric
+    matrix holding the derivative with respect to each free value: a
+    symmetric off-diagonal pair (i, j) is one variable, so positions (i, j)
+    and (j, i) both carry d/da_ij.
     """
-    y = pair.full_y()
-    grad_y = -4.0 * (pair.a_tilde @ y @ residual)[: problem.n_interior]
+    y, residual = report.y, report.residual
+    grad_y = -4.0 * (report.ay @ residual)[: problem.n_interior]
 
     p = y @ residual @ y.T
     p = 0.5 * (p + p.T)

@@ -32,23 +32,34 @@ from test_transform import random_state
 class TestSpectrum:
     def test_counts_cover_whole_spectrum(self):
         problem = extract_local_scalar(2, 0.0)
-        report = spectrum_at(problem, initial_guess(problem))
-        assert len(report.sigma) == problem.target_pattern.n_entries
-        assert report.null_dim + report.retained == len(report.sigma)
-        assert np.all(np.diff(report.sigma) <= 0)
+        sigma, diag = spectrum_at(problem, initial_guess(problem))
+        assert len(sigma) == problem.target_pattern.n_entries
+        assert np.all(np.diff(sigma) <= 0)
+        retained = len(sigma) - diag.null_dim
+        assert np.all(sigma[:retained] >= linearized.NULL_REL_TOL * sigma[0])
+        assert np.all(sigma[retained:] < linearized.NULL_REL_TOL * sigma[0])
 
     def test_gauge_null_dimension_detected(self):
         for m in (2, 3):
             problem = extract_local_scalar(m, 0.0)
-            report = spectrum_at(problem, initial_guess(problem))
-            assert report.null_dim == problem.n_interior
+            _, diag = spectrum_at(problem, initial_guess(problem))
+            assert diag.null_dim == problem.n_interior
 
     def test_condition_estimate_is_square_root(self):
         problem = extract_local_scalar(2, 0.0)
-        report = spectrum_at(problem, initial_guess(problem))
-        assert report.cond_eq7_estimate == \
-            pytest.approx(math.sqrt(report.cond_retained))
-        assert report.gap_ratio < 1e-10
+        _, diag = spectrum_at(problem, initial_guess(problem))
+        assert diag.cond_eq7_estimate == \
+            pytest.approx(math.sqrt(diag.cond_retained))
+        assert diag.gap_ratio < 1e-10
+
+    @pytest.mark.parametrize("lam", [0.0, 3.5])
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_matches_first_record_of_a_minimization(self, m, lam):
+        # the spectrum is read as the minimization reads it at its first state
+        problem = extract_local_scalar(m, lam)
+        _, diag = spectrum_at(problem, initial_guess(problem))
+        _, trace, _ = linearized_minimize(problem, MinimizeOptions(max_iter=0))
+        assert diag == trace.iterations[0].solve
 
 
 class TestSpatialDecay:

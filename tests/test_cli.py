@@ -449,10 +449,13 @@ NO_SCIPY_SCRIPT = """
 import sys
 import sparsecoarsen
 from sparsecoarsen.cli import main
-for argv in (["global-verify", "--lambda", "0", "--m", "2"],
+for argv in (["sd-convergence", "--m", "1,2"],
+             ["svd-spectrum", "--m", "1,2"],
+             ["lin-convergence", "--m", "1,2"],
+             ["spatial-decay", "--m", "1,2"],
              ["lambda-sweep", "--lambda", "0", "--m", "1,2"],
-             ["svd-spectrum", "--m", "2"]):
-    assert main(argv + ["--out", sys.argv[1]]) == 0, argv
+             ["global-verify", "--lambda", "0", "--m", "2"]):
+    assert main(argv + ["--format", "csv+svg", "--out", sys.argv[1]]) == 0, argv
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 print(sorted(name for name in sys.modules
              if name.split(".")[0] == "multiprocessing"
@@ -462,7 +465,7 @@ print(sorted(name for name in sys.modules
 
 class TestNumpyOnly:
     def test_commands_load_no_scipy(self, tmp_path):
-        # numpy is the only runtime dependency: a fresh process runs these
+        # numpy is the only runtime dependency: a fresh process runs all six
         # commands, the explicit-grid check included, without loading scipy.
         # At one job they solve in-process, so no process pool is loaded.
         env = dict(os.environ)

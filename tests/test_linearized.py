@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sparsecoarsen.lattice import (
     LocalProblem,
@@ -16,6 +17,7 @@ from sparsecoarsen.linearized import (
     LINE_SEARCH_ABSCISSAE,
     NULL_REL_TOL,
     MinimizeOptions,
+    NormalSystem,
     build_normal_system,
     compute_dy,
     fit_line_polynomial,
@@ -23,11 +25,9 @@ from sparsecoarsen.linearized import (
     line_search,
     linearized_minimize,
     linearized_residual,
-    rotated_block_norms,
     solve_for_da,
     split_spaces,
     steepest_descent,
-    summarize_spectrum,
 )
 from sparsecoarsen import linearized, transform
 from sparsecoarsen.errors import NumericalFailure
@@ -160,6 +160,27 @@ def direct_solve(matrix, rhs, positions, n_local):
         da[j, i] = v
     fields = (null_dim, gap, cond, float(np.sqrt(cond)), rhs_null, rhs_norm)
     return da, fields
+
+
+def rotated_block_norms(problem, pair, split, dy, da):
+    """Squared Frobenius norms of the three rotated blocks of the linearized residual.
+
+    L = R - Y^T dA Y - K^T dY - dY^T K is formed from the pair directly.
+    Returns (span/span, 2 * span/null, null/null); their sum equals the
+    squared full linearized residual.
+    """
+    y = pair.full_y()
+    k = (pair.a_tilde @ y)[: problem.n_interior]
+    r = residual_and_error(problem, pair).residual
+    l = r - y.T @ da @ y - k.T @ dy - dy.T @ k
+    qq = split.q.T @ l @ split.q
+    qn = split.q.T @ l @ split.q_null
+    nn = split.q_null.T @ l @ split.q_null
+    return (
+        float(np.sum(qq**2)),
+        2.0 * float(np.sum(qn**2)),
+        float(np.sum(nn**2)),
+    )
 
 
 BYTE_IDENTITY_CASES = (
@@ -433,16 +454,64 @@ class TestBlockedAssembly:
         assert peak <= 3 * 8 * n_pattern**2
 
 
+def diagonal_system(s, rhs=None):
+    """A NormalSystem whose matrix is diag(s), with a zero rhs by default."""
+    s = np.asarray(s, dtype=float)
+    n = len(s)
+    return NormalSystem(matrix=np.diag(s),
+                        rhs=np.zeros(n) if rhs is None else np.asarray(rhs, dtype=float),
+                        basis=(np.arange(n), np.arange(n)), expected_null=None)
+
+
+# Spectra over many decades, with exact zeros and either sign.
+SPECTRA = st.lists(
+    st.tuples(st.one_of(st.just(0.0), st.floats(-30.0, 3.0).map(lambda e: 10.0**e)),
+              st.sampled_from([1.0, -1.0])).map(lambda vs: vs[0] * vs[1]),
+    min_size=1, max_size=12)
+
+
 class TestNullCount:
     def test_threshold_counts_below_relative_cut(self):
-        s = np.array([1.0, 1e-3, 1e-9, 1e-14, 1e-16])
-        assert summarize_spectrum(s)[0] == 3
+        s = [1.0, 1e-3, 1e-9, 1e-14, 1e-16]
+        assert diagonal_system(s).diagnostics.null_dim == 3
         # the cut is strict: a value exactly at NULL_REL_TOL * s[0] is kept
-        assert summarize_spectrum(np.array([2.0, 2.0 * NULL_REL_TOL]))[0] == 0
+        assert diagonal_system([2.0, 2.0 * NULL_REL_TOL]).diagnostics.null_dim == 0
 
     def test_zero_and_empty_spectra(self):
-        assert summarize_spectrum(np.zeros(3))[:2] == (3, 1.0)
-        assert summarize_spectrum(np.zeros(0))[:2] == (0, 0.0)
+        zero = diagonal_system(np.zeros(3)).diagnostics
+        assert (zero.null_dim, zero.gap_ratio) == (3, 1.0)
+        assert math.isnan(zero.cond_retained) and math.isnan(zero.cond_eq7_estimate)
+        empty = diagonal_system(np.zeros(0)).diagnostics
+        assert (empty.null_dim, empty.gap_ratio) == (0, 0.0)
+
+    def test_rhs_norms_split_at_the_cut(self):
+        # diag(s) has unit eigenvectors, so the null component is rhs[2:]
+        diag = diagonal_system([1.0, 0.5, 1e-12, 0.0], rhs=[3.0, 0.0, 4.0, 12.0]).diagnostics
+        assert diag.null_dim == 2
+        assert diag.rhs_norm == 13.0
+        assert diag.rhs_null_component == pytest.approx(math.sqrt(160.0), rel=1e-15)
+
+    @settings(max_examples=200, deadline=None)
+    @given(SPECTRA)
+    def test_cut_reads_the_returned_spectrum(self, values):
+        system = diagonal_system(values)
+        s = system.eig[1]
+        diag = system.diagnostics
+        n = len(values)
+        retained = int(np.sum(s >= NULL_REL_TOL * s[0])) if s[0] > 0.0 else 0
+        assert diag.null_dim + retained == n
+        if retained:
+            assert diag.cond_retained == s[0] / s[retained - 1]
+            assert diag.cond_eq7_estimate**2 == pytest.approx(diag.cond_retained,
+                                                              rel=1e-15)
+        else:
+            assert math.isnan(diag.cond_retained)
+        if diag.null_dim and retained:
+            assert diag.gap_ratio < 1.0
+        elif diag.null_dim:
+            assert diag.gap_ratio == 1.0  # everything is null
+        else:
+            assert diag.gap_ratio == 0.0
 
     def test_gap_picks_largest_lower_half_drop(self):
         s = np.array([1.0, 0.5, 0.2, 0.1, 1e-12, 3e-13])
@@ -494,11 +563,18 @@ class TestSolveForDa:
         pair = initial_guess(problem)
         system = linearized_phases(problem, pair)[2]
         system.eig  # computed once and kept with this system
+        assert system.diagnostics.null_dim == problem.n_interior
         zero = dataclasses.replace(system, matrix=np.zeros_like(system.matrix))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             _, diag = solve_for_da(zero, problem.n_local)
         assert diag.null_dim == len(system.rhs)
+
+    def test_returns_the_systems_diagnostics(self):
+        problem = extract_local_scalar(2, 0.0)
+        system = linearized_phases(problem, random_state(problem, seed=5))[2]
+        _, diag = solve_for_da(system, n_local=problem.n_local)
+        assert diag is system.diagnostics
 
     def test_everything_truncated_gives_zero(self):
         problem = extract_local_scalar(1, 0.0)
@@ -538,7 +614,7 @@ class TestComputeDy:
         da = np.where(problem.target_pattern.mask(),
                       rng.standard_normal((problem.n_local,) * 2), 0.0)
         da = 0.5 * (da + da.T)
-        total = linearized_residual(problem, pair, dy, da)
+        total = linearized_residual(problem, residual_and_error(problem, pair), dy, da)
         blocks = rotated_block_norms(problem, pair, split, dy, da)
         assert math.sqrt(sum(blocks)) == pytest.approx(total, rel=1e-10)
 
@@ -625,6 +701,18 @@ class TestLinearizedMinimize:
             assert rec.solve is diag
             assert rec.solve.null_dim == problem.n_interior
             assert rec.solve.cond_eq7_estimate > 0.0
+
+    @pytest.mark.parametrize("kind,m,dims", [
+        ("scalar", 3, None),
+        pytest.param("supernode", 2, (2, 1), marks=KNOWN_MISCOUNT),
+    ])
+    def test_solve_records_hold_python_scalars(self, kind, m, dims):
+        # a trace keeps no array of a step's system alive
+        _, trace, _ = linearized_minimize(case_problem(kind, m, dims))
+        zero = diagonal_system(np.zeros(2)).diagnostics  # the all-null path
+        for diag in [rec.solve for rec in trace.iterations] + [zero]:
+            assert [type(v) for v in dataclasses.astuple(diag)] == \
+                [int, float, float, float, float, float]
 
     def test_stuck_problem_stops_at_no_descent(self):
         # nothing to optimize at lam=4, m=1: the masked A~ is the zero matrix,

@@ -33,8 +33,7 @@ def random_state(problem, seed, scale=0.1):
 
 
 def gradient(problem, pair):
-    return objective_gradient(problem, pair,
-                              residual_and_error(problem, pair).residual)
+    return objective_gradient(problem, residual_and_error(problem, pair))
 
 
 def squared_error(problem, pair):
