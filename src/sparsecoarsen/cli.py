@@ -138,6 +138,10 @@ _DEFAULTS = {
     "global-verify": {"lambda": (0.0, 3.5), "m": (2, 4)},
 }
 
+# The commands that write one series per m, at a single lambda (_per_m).
+_PER_M_COMMANDS = ("sd-convergence", "svd-spectrum", "lin-convergence",
+                   "spatial-decay")
+
 _HELP = {
     "sd-convergence": "error vs iteration for the steepest descent baseline",
     "svd-spectrum": "normalized singular values of the dA normal system",
@@ -197,6 +201,9 @@ def resolve_settings(args):
         raw = getattr(args, field)
         if raw is not None:
             merged[key] = _parse(key, raw)
+    if args.command in _PER_M_COMMANDS and len(merged["lambda"]) != 1:
+        raise ConfigError(f"{args.command} writes per-m series for a single "
+                          f"lambda; got {len(merged['lambda'])} values")
     return Settings(command=args.command,
                     **{field: merged[key] for key, (field, *_) in _FLAGS.items()})
 
@@ -218,14 +225,17 @@ def write_csv(path, header, rows):
 def _finalize(settings, outdir, stem, header, rows, failure, chart=None):
     """Write the CSV, the chart under csv+svg, and a .FAILED marker on failure.
 
-    chart is (series, title, xlabel, ylabel) for plots.write_line_chart.
+    chart is (series, title, xlabel, ylabel) for plots.write_line_chart.  On
+    success a marker left by an earlier failed run is removed.
     """
     write_csv(outdir / f"{stem}.csv", header, rows)
     if chart is not None and settings.fmt == "csv+svg":
         plots.write_line_chart(outdir / f"{stem}.svg", *chart)
+    marker = outdir / f"{stem}.FAILED"
     if failure is not None:
-        (outdir / f"{stem}.FAILED").write_text(f"{failure}\n")
+        marker.write_text(f"{failure}\n")
         return 3
+    marker.unlink(missing_ok=True)
     return 0
 
 
@@ -235,12 +245,7 @@ def _per_m(settings, solve):
     Stops at the first NumericalFailure.  Returns (lam, [(m, problem,
     result)] for the m values that succeeded, failure text or None).
     """
-    if len(settings.lambdas) != 1:
-        raise ConfigError(
-            f"{settings.command} writes per-m series for a single lambda; "
-            f"got {len(settings.lambdas)} values"
-        )
-    lam = settings.lambdas[0]
+    (lam,) = settings.lambdas
     results = []
     for m in settings.ms:
         try:

@@ -5,11 +5,13 @@ unit couplings to the four axis neighbors, truncated where a neighbor is
 missing.  One constructor builds it as a dense numpy array on any set of
 integer nodes: the local region of a problem, or the explicit row-major grid
 (build_helmholtz) that is only needed to check an embedding.  Decoupling a
-node is a local operation, so local problems are built intrinsically: the
-nodes within m hops of the decoupled node, an interior/boundary split, and
-the target sparsity pattern the transformation must preserve.  Supernode
-variants merge p x q rectangles of nodes and treat sparsity at supernode
-granularity.
+node is a local operation, so local problems are built intrinsically.
+supernode_layout is the one place that derives a region: the p x q
+supernodes within m hops of the decoupled node's supernode (a scalar region
+is the 1 x 1 case), their interior/boundary split, the region's node order
+and the supernode adjacency.  extract_local_supernode builds the local
+operator and the target sparsity pattern the transformation must preserve
+from that layout, treating sparsity at supernode granularity.
 """
 
 from dataclasses import dataclass
@@ -84,22 +86,21 @@ class SparsityPattern:
 
 @dataclass(frozen=True)
 class SupernodeLayout:
-    """Partition of a local region's nodes into p x q supernodes.
+    """The m-hop supernode diamond of a local region, built by supernode_layout.
 
-    node_ids maps supernode id -> tuple of member node indices; adjacency
-    holds unordered supernode id pairs whose members share a stencil coupling.
+    order lists the region's node coordinates, the n_interior interior nodes
+    first; node_ids maps supernode id -> tuple of member node indices in that
+    order; adjacency holds unordered supernode id pairs whose members share a
+    stencil coupling.
     """
 
     p: int
     q: int
     supernode_coords: tuple
     node_ids: tuple
-    supernode_of_node: dict
     adjacency: frozenset
-
-    @property
-    def n_supernodes(self):
-        return len(self.supernode_coords)
+    order: tuple
+    n_interior: int
 
 
 @dataclass(frozen=True)
@@ -202,12 +203,15 @@ def decoupled_pattern(base, c):
     return SparsityPattern(dim=base.dim, entries=frozenset(kept))
 
 
-def _supernode_region(m, p, q):
-    """The m-hop supernode diamond: supernode coords, members, region order.
+def supernode_layout(m, p, q):
+    """The m-hop supernode diamond and its partition into p x q supernodes.
 
-    Returns (supernode coords, {coord: member nodes}, region order (interior
-    nodes sorted, then boundary nodes sorted), {node: index in that order},
-    interior count, adjacency as unordered supernode id pairs).
+    Supernode (X, Y) covers nodes [X*p, X*p + p) x [Y*q, Y*q + q).  The
+    supernodes within m - 1 hops are interior; those at exactly m hops form
+    the boundary.  The region order lists the interior nodes sorted by hop
+    count, then the boundary nodes likewise, and node ids index that order.
+    Adjacency is over supernode ids; for the five-point stencil it is exactly
+    the 2D grid adjacency of supernode coordinates.
     """
     if m < 1 or p < 1 or q < 1:
         raise ValueError("m, p, q must all be >= 1")
@@ -216,7 +220,7 @@ def _supernode_region(m, p, q):
         (sx, sy): [(sx * p + a, sy * q + b) for b in range(q) for a in range(p)]
         for (sx, sy) in scoords
     }
-    interior = [c for s in _diamond(m - 1) for c in members[s]]
+    interior = [c for s in scoords if abs(s[0]) + abs(s[1]) < m for c in members[s]]
     boundary = [c for s in scoords if abs(s[0]) + abs(s[1]) == m for c in members[s]]
     order = sorted(interior, key=_sort_key) + sorted(boundary, key=_sort_key)
     index = {coord: k for k, coord in enumerate(order)}
@@ -227,30 +231,14 @@ def _supernode_region(m, p, q):
             if nb in sid_of:
                 a, b = sid_of[(sx, sy)], sid_of[nb]
                 adjacency.add((min(a, b), max(a, b)))
-    return scoords, members, order, index, len(interior), frozenset(adjacency)
-
-
-def supernode_layout(m, p, q):
-    """Supernode partition of the m-hop supernode diamond.
-
-    Supernode (X, Y) covers nodes [X*p, X*p + p) x [Y*q, Y*q + q).  Node ids
-    refer to the region order used by extract_local_supernode.  Adjacency is
-    over supernode ids; for the five-point stencil it is exactly the 2D grid
-    adjacency of supernode coordinates.
-    """
-    scoords, members, _, index, _, adjacency = _supernode_region(m, p, q)
-    node_ids = tuple(tuple(index[c] for c in members[s]) for s in scoords)
-    owner = {}
-    for sid, ids in enumerate(node_ids):
-        for node in ids:
-            owner[node] = sid
     return SupernodeLayout(
         p=p,
         q=q,
         supernode_coords=tuple(scoords),
-        node_ids=node_ids,
-        supernode_of_node=owner,
-        adjacency=adjacency,
+        node_ids=tuple(tuple(index[c] for c in members[s]) for s in scoords),
+        adjacency=frozenset(adjacency),
+        order=tuple(order),
+        n_interior=len(interior),
     )
 
 
@@ -260,26 +248,26 @@ def extract_local_supernode(m, p, q, lam):
     The admissible pattern treats sparsity at supernode granularity: every
     intra-supernode pair plus every pair between adjacent supernodes, so
     member nodes share all their connections.  Positions not backed by a raw
-    stencil coupling simply start at zero.  The decoupled node is the
-    lowest-indexed member of the central supernode (its origin corner).
+    stencil coupling simply start at zero.  The decoupled node is the origin
+    corner (0, 0) of the central supernode.
     """
-    scoords, members, order, index, n_interior, adjacency = _supernode_region(m, p, q)
-    n = len(order)
+    layout = supernode_layout(m, p, q)
+    n = len(layout.order)
     pairs = [(k, k) for k in range(n)]
-    for nodes in members.values():
-        pairs += [(index[u], index[v]) for a, u in enumerate(nodes) for v in nodes[a + 1:]]
-    for a, b in adjacency:
-        pairs += [(index[u], index[v])
-                  for u in members[scoords[a]] for v in members[scoords[b]]]
+    for ids in layout.node_ids:
+        pairs += [(u, v) for a, u in enumerate(ids) for v in ids[a + 1:]]
+    for a, b in layout.adjacency:
+        pairs += [(u, v) for u in layout.node_ids[a] for v in layout.node_ids[b]]
     base = SparsityPattern.from_pairs(n, pairs)
-    c = index[(0, 0)]
+    # (0, 0) is the first member of the central supernode, which is id 0.
+    c = layout.node_ids[0][0]
     return LocalProblem(
-        a_ll=_stencil(order, lam),
-        interior=tuple(range(n_interior)),
-        boundary=tuple(range(n_interior, n)),
+        a_ll=_stencil(layout.order, lam),
+        interior=tuple(range(layout.n_interior)),
+        boundary=tuple(range(layout.n_interior, n)),
         decoupled=c,
         target_pattern=decoupled_pattern(base, c),
-        coords=np.array(order, dtype=int),
+        coords=np.array(layout.order, dtype=int),
         lam=lam,
         supernode_dims=(p, q),
     )

@@ -8,8 +8,12 @@ sparsity pattern.  The quantity minimized is
 
     error(Y, A~) = || A_LL - Y^T A~ Y ||_F
 
-which is invariant under the gauge (Y, A~) -> (D^-1 Y, D A~ D) for diagonal
-D supported on the interior.
+which is invariant under the gauge (Y, A~) -> (E^-1 Y, E^T A~ E) for any
+invertible E that is the identity on the boundary and keeps A~ in the
+pattern.  interior_scaling applies the diagonal case E = D.  For supernode
+regions E may be block-diagonal over the interior supernodes, as long as the
+decoupled node's row and column of E stay diagonal so that its row of A~
+stays empty (TestGaugeFreedom.test_error_invariant_under_block_gauge).
 """
 
 from dataclasses import dataclass

@@ -103,10 +103,13 @@ class TestExitCodes:
         assert main(["--help"]) == 0
         assert "sd-convergence" in capsys.readouterr().out
 
-    def test_multiple_lambdas_rejected_for_per_m_series(self, tmp_path):
-        code = main(["lin-convergence", "--lambda", "0,1",
-                     "--out", str(tmp_path)])
+    def test_multiple_lambdas_rejected_for_per_m_series(self, tmp_path,
+                                                        capsys):
+        out = tmp_path / "o"
+        code = main(["lin-convergence", "--lambda", "0,1", "--out", str(out)])
         assert code == 2
+        assert "single lambda; got 2 values" in capsys.readouterr().err
+        assert not out.exists()  # rejected before anything is created
 
     def test_help_shows_metavars(self, capsys):
         assert main(["lambda-sweep", "--help"]) == 0
@@ -168,6 +171,20 @@ class TestExitCodes:
         assert marker.startswith(f"{failed_at}: synthetic breakdown")
         charted = command != "global-verify"
         assert (tmp_path / f"{stem}.svg").exists() == charted
+
+    def test_success_removes_stale_failure_marker(self, tmp_path,
+                                                  monkeypatch):
+        def broken(problem, *args, **kwargs):
+            raise NumericalFailure("synthetic breakdown")
+
+        argv = ["lin-convergence", "--m", "1", "--out", str(tmp_path)]
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "linearized_minimize", broken)
+            assert main(argv) == 3
+        assert (tmp_path / "lin_convergence.FAILED").exists()
+        assert main(argv) == 0
+        assert not (tmp_path / "lin_convergence.FAILED").exists()
+        assert len(read_rows(tmp_path / "lin_convergence.csv")) > 1
 
 
 class TestFlagTable:

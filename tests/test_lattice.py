@@ -287,6 +287,6 @@ class TestSupernodes:
     def test_decoupled_row_pattern(self):
         prob = extract_local_supernode(1, 2, 1, 0.0)
         c = prob.decoupled
-        assert c == 0
+        assert c == 0 and tuple(prob.coords[c]) == (0, 0)
         assert (c, c) in prob.target_pattern
         assert all((c, j) not in prob.target_pattern for j in range(1, prob.n_local))

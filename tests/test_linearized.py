@@ -666,6 +666,25 @@ class TestLineSearch:
         assert alpha == 0.0
         assert err == pytest.approx(math.sqrt(8.0), rel=1e-12)
 
+    def test_trust_scaling_shrinks_abscissae_on_overflow(self):
+        # finite only for |alpha| <= 0.3: the abscissae reach +-2 * scale,
+        # so scales 1 and 0.25 overflow and 0.0625 is the first that fits
+        coeffs = np.array([3.0, -1.0, 2.0, 0.5, -4.0, 1.0, 7.0])
+
+        def g(alpha):
+            return float(np.polyval(coeffs, alpha)) if abs(alpha) <= 0.3 \
+                else math.inf
+
+        fitted, scale = fit_line_polynomial(g, g(0.0))
+        assert scale == 0.0625
+        np.testing.assert_array_equal(
+            fitted, coeffs * scale ** np.arange(6, -1, -1))
+
+    def test_never_finite_objective_raises(self):
+        with pytest.raises(NumericalFailure,
+                           match="could not evaluate the objective finitely"):
+            fit_line_polynomial(lambda alpha: math.inf, 1.0)
+
 
 class TestLinearizedMinimize:
     def test_m1_known_minimum(self):

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from sparsecoarsen.errors import NumericalFailure
-from sparsecoarsen.lattice import extract_local_scalar, extract_local_supernode
+from sparsecoarsen.lattice import (
+    extract_local_scalar,
+    extract_local_supernode,
+    supernode_layout,
+)
 from sparsecoarsen.linearized import (
     STOP_REASONS,
     ConvergenceTrace,
@@ -145,6 +149,33 @@ class TestGaugeFreedom:
             scaled = interior_scaling(pair, d)
             err = residual_and_error(problem, scaled).norm
             assert err == pytest.approx(base, rel=1e-12)
+
+    @pytest.mark.parametrize("lam", [0.0, 2.0, 3.5])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("p,q", [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1)])
+    def test_error_invariant_under_block_gauge(self, p, q, m, lam):
+        # E is block-diagonal over the interior supernodes and the identity
+        # on the boundary.  The decoupled node's row and column stay diagonal,
+        # so E^T A~ E keeps the decoupled row empty and the pattern exact.
+        problem = extract_local_supernode(m, p, q, lam)
+        pair = random_state(problem, seed=11)
+        n_i, c = problem.n_interior, problem.decoupled
+        rng = np.random.default_rng(29)
+        e = np.eye(problem.n_local)
+        for ids in supernode_layout(m, p, q).node_ids:
+            if max(ids) < n_i:
+                e[np.ix_(ids, ids)] += 0.1 * rng.standard_normal((len(ids),) * 2)
+        kept = e[c, c]
+        e[c, :] = e[:, c] = 0.0
+        e[c, c] = kept
+        gauged = TransformPair(
+            y_rows=np.linalg.solve(e[:n_i, :n_i], pair.y_rows),
+            a_tilde=e.T @ pair.a_tilde @ e,
+        )
+        assert np.all(gauged.a_tilde[~problem.target_pattern.mask()] == 0.0)
+        base = residual_and_error(problem, pair).norm
+        err = residual_and_error(problem, gauged).norm
+        assert err == pytest.approx(base, rel=1e-12)
 
     def test_scaling_round_trip(self):
         problem = extract_local_scalar(2, 1.0)
