@@ -9,6 +9,12 @@ are small and dense: a second thread buys little and spins for the rest of
 the run.  Sweeps run their points side by side instead (--jobs).  This
 module finds the OpenBLAS that numpy loaded and its thread-count functions,
 with ctypes and no dependency.  Where none is found, nothing is pinned.
+
+It binds one LAPACK routine of that library too: find_dsyevd() is the
+symmetric eigensolver that np.linalg.eigh calls, through its LAPACKE C
+entry, so a caller can run it in place in buffers it keeps
+(linearized.EigenWorkspace) and get eigh's bits.  Where the symbol is
+absent, find_dsyevd() is None and np.linalg.eigh is the only path.
 """
 
 import ctypes
@@ -30,6 +36,11 @@ _SYMBOLS = (
 )
 
 
+# LAPACKE_dsyevd_work of numpy's scipy-openblas wheel build: 64-bit lapack_int.
+_DSYEVD = "scipy_LAPACKE_dsyevd_work64_"
+_LAPACK_INT = ctypes.c_int64
+
+
 @dataclass(frozen=True)
 class OpenBlas:
     get_threads: object  # () -> int
@@ -48,14 +59,19 @@ def _library_paths():
                       + glob.glob(os.path.join(root, ".dylibs", "*openblas*")))
 
 
+def _libraries():
+    """The OpenBLAS libraries of _library_paths that load, as ctypes handles."""
+    for path in _library_paths():
+        try:
+            yield ctypes.CDLL(path)
+        except OSError:
+            continue
+
+
 @functools.cache
 def find_openblas():
     """numpy's OpenBLAS thread control, looked up once per process, or None."""
-    for path in _library_paths():
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
+    for lib in _libraries():
         for get_name, set_name, config_name in _SYMBOLS:
             if not (hasattr(lib, get_name) and hasattr(lib, set_name)):
                 continue
@@ -69,6 +85,28 @@ def find_openblas():
                 raw = get_config()
                 config = raw.decode() if raw else None
             return OpenBlas(get_threads, set_threads, config)
+    return None
+
+
+@functools.cache
+def find_dsyevd():
+    """numpy's LAPACKE dsyevd_work, looked up once per process, or None.
+
+    Called as f(layout, jobz, uplo, n, a, lda, w, work, lwork, iwork,
+    liwork) with layout 102 (column-major), jobz and uplo as one-byte
+    strings, the sizes as ints and the arrays as data addresses; it
+    returns LAPACK's info.  lwork = liwork = -1 is the size query.
+    """
+    for lib in _libraries():
+        if hasattr(lib, _DSYEVD):
+            dsyevd = lib[_DSYEVD]
+            dsyevd.argtypes = [
+                ctypes.c_int, ctypes.c_char, ctypes.c_char, _LAPACK_INT,
+                ctypes.c_void_p, _LAPACK_INT, ctypes.c_void_p,
+                ctypes.c_void_p, _LAPACK_INT, ctypes.c_void_p, _LAPACK_INT,
+            ]
+            dsyevd.restype = _LAPACK_INT
+            return dsyevd
     return None
 
 

@@ -467,7 +467,10 @@ def main(argv=None):
     try:
         settings = resolve_settings(args)
         outdir = Path(settings.out)
-        outdir.mkdir(parents=True, exist_ok=True)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # e.g. --out names an existing file
+            raise ConfigError(f"cannot use {outdir} as the output directory: {exc}") from exc
         return _HANDLERS[settings.command](settings, outdir)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -33,7 +33,8 @@ guards the nonlinear terms.
 A NormalSystem keeps its eigenpairs (eig) and what the null cut makes of
 them (diagnostics, one SolveDiagnostics).  That one object is what
 solve_for_da returns, what the trace records as a state's `solve`, and what
-analysis.spectrum_at reports.
+analysis.spectrum_at reports.  A minimization assembles every step's system
+into one EigenWorkspace, where LAPACK's dsyevd solves it in place.
 
 The solver's rules are fixed module constants, not options: NULL_REL_TOL
 (the null cut), RANK_TOL (the rank of K), ABS_TOL and PATIENCE (the stop
@@ -75,7 +76,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .blas import single_thread
+from .blas import find_dsyevd, single_thread
 from .errors import NumericalFailure
 from .transform import initial_guess, objective_gradient, residual_and_error
 
@@ -96,9 +97,9 @@ PATIENCE = 3
 # Longest line-search step: far beyond the full step alpha = 1 the
 # linearization the step came from says nothing.
 ALPHA_MAX = 4.0
-# Rows of the normal matrix assembled at a time: the block temporaries stay
-# small against the n_pattern^2 matrix.
-ASSEMBLY_ROWS = 64
+# Rows of the normal matrix assembled, and of its eigenvectors sorted, at a
+# time: the block temporaries stay small against the n_pattern^2 matrix.
+BLOCK_ROWS = 64
 
 
 @dataclass
@@ -131,14 +132,71 @@ class SolveDiagnostics:
     rhs_norm: float
 
 
+class EigenWorkspace:
+    """The buffers of one n x n symmetric eigensolve, kept from step to step.
+
+    matrix is Fortran-ordered.  build_normal_system writes N into matrix.T
+    in C order; N is exactly symmetric, so that memory is N in either order.
+    eigh() runs numpy's own dsyevd (blas.find_dsyevd) on it in place, as
+    np.linalg.eigh calls it, so the eigenvalues land in w, the eigenvectors
+    overwrite matrix, and the bits are eigh's.  The work arrays are sized by
+    dsyevd's own query, as eigh sizes them: the blocking of the reduction
+    depends on lwork, and the bits on the blocking.  vectors receives the
+    eigenvectors sorted by NormalSystem.eig.  Where the binding is absent,
+    eigh() is np.linalg.eigh of matrix.
+    """
+
+    def __init__(self, n):
+        self.matrix = np.empty((n, n), order="F")
+        self.vectors = np.empty((n, n))
+        self._dsyevd = find_dsyevd()
+        if self._dsyevd is None:
+            return
+        self.w = np.empty(n)
+        work, iwork = np.empty(1), np.empty(1, dtype=np.int64)
+        self._run(self._args(work, -1, iwork, -1))  # the size query
+        self.work = np.empty(int(work[0]))
+        self.iwork = np.empty(int(iwork[0]), dtype=np.int64)
+        self._solve_args = self._args(self.work, len(self.work), self.iwork, len(self.iwork))
+
+    def _args(self, work, lwork, iwork, liwork):
+        n = len(self.w)
+        return (102, b"V", b"L", n, self.matrix.ctypes.data, max(n, 1), self.w.ctypes.data,
+                work.ctypes.data, lwork, iwork.ctypes.data, liwork)
+
+    def _run(self, args):
+        if self._dsyevd(*args) != 0:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    def eigh(self):
+        """(w, v) of the symmetric matrix, as np.linalg.eigh(matrix) returns them.
+
+        With the binding, w and v are this workspace's w and matrix.
+        """
+        if self._dsyevd is None:
+            return np.linalg.eigh(self.matrix)
+        self._run(self._solve_args)
+        return self.w, self.matrix
+
+
 @dataclass(frozen=True)
 class NormalSystem:
-    """Normal equations of the projected dA least-squares problem."""
+    """Normal equations of the projected dA least-squares problem.
+
+    A system assembled into a workspace (build_normal_system's `workspace`,
+    one per minimization) lends it its matrix: eig overwrites matrix with
+    the eigenvectors, and the next system assembled there overwrites eig's
+    vectors.  Read such a system's eig and diagnostics before the next
+    step.  A system with no workspace, or whose matrix is not the
+    workspace's (dataclasses.replace with a new matrix), keeps its matrix,
+    and its eig solves a copy in a workspace of its own.
+    """
 
     matrix: np.ndarray
     rhs: np.ndarray
     basis: tuple  # (rows, cols) index arrays of the free positions, rows <= cols
     expected_null: int | None  # n_interior when A~ had full rank, else None
+    workspace: EigenWorkspace | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def eig(self):
@@ -147,15 +205,25 @@ class NormalSystem:
         This is the eigh that np.linalg.svd(hermitian=True) wraps, ordered as
         it orders it, with one copy of the vectors where it makes two.  The
         copy must be C-ordered: products with a Fortran-ordered v[:, order]
-        take another BLAS path and round differently.  Computed once and kept
-        with the system, which a minimization holds until the next step's is
-        built (_LinearizedStep); dataclasses.replace makes a new system,
-        which solves afresh.
+        take another BLAS path and round differently.  It is gathered into
+        the workspace's vectors BLOCK_ROWS rows at a time with mode="clip":
+        take copies a Fortran-ordered source to C order first, and
+        mode="raise" buffers its output, so one gather of the whole matrix
+        would make another n^2 array.  Computed once and kept with the
+        system; dataclasses.replace makes a new system, which solves afresh.
         """
-        w, v = np.linalg.eigh(self.matrix)
+        workspace = self.workspace
+        if workspace is None or self.matrix.base is not workspace.matrix:  # solve a copy
+            workspace = EigenWorkspace(len(self.matrix))
+            workspace.matrix[...] = self.matrix
+        w, v = workspace.eigh()
         s = np.abs(w)
         order = np.argsort(s)[::-1]
-        return v.take(order, axis=1), s[order], np.copysign(1.0, w)[order]
+        vectors = workspace.vectors
+        for start in range(0, len(order), BLOCK_ROWS):
+            rows = slice(start, start + BLOCK_ROWS)
+            v[rows].take(order, axis=1, out=vectors[rows], mode="clip")
+        return vectors, s[order], np.copysign(1.0, w)[order]
 
     @cached_property
     def diagnostics(self):
@@ -199,7 +267,7 @@ def split_spaces(problem, report):
     )
 
 
-def build_normal_system(problem, report, split):
+def build_normal_system(problem, report, split, workspace=None):
     """Assemble the dA normal equations from G and M without forming the operator.
 
     With G = Y Qn Qn^T Y^T and M = Y Qn (Qn^T R Qn) Qn^T Y^T, the entries are
@@ -211,6 +279,8 @@ def build_normal_system(problem, report, split):
 
     G is symmetrized first, so G_ji = G_ij^T exactly and N comes out exactly
     symmetric: each entry and its mirror are the same two products, summed.
+    N is assembled into workspace.matrix when a workspace is given (an
+    EigenWorkspace of n_pattern), else into a new array.
     """
     if problem.target_pattern.n_entries == 0:
         raise ValueError("target pattern has no free positions")
@@ -234,9 +304,15 @@ def build_normal_system(problem, report, split):
     g_ti = g.take(i_idx, axis=1)
     g_tj = g.take(j_idx, axis=1)
     n_pattern = len(i_idx)
-    matrix = np.empty((n_pattern, n_pattern))
-    for start in range(0, n_pattern, ASSEMBLY_ROWS):
-        rows = slice(start, start + ASSEMBLY_ROWS)
+    if workspace is None:
+        matrix = np.empty((n_pattern, n_pattern))
+    elif workspace.matrix.shape == (n_pattern, n_pattern):
+        matrix = workspace.matrix.T  # C-ordered, so the row blocks are contiguous
+    else:
+        raise ValueError(f"workspace of shape {workspace.matrix.shape} for "
+                         f"{n_pattern} pattern entries")
+    for start in range(0, n_pattern, BLOCK_ROWS):
+        rows = slice(start, start + BLOCK_ROWS)
         block = matrix[rows]
         g_ti.take(i_idx[rows], axis=0, out=block)  # G_ii
         block *= g_tj.take(j_idx[rows], axis=0)  # G_jj
@@ -252,6 +328,7 @@ def build_normal_system(problem, report, split):
         rhs=rhs,
         basis=(i_idx, j_idx),
         expected_null=problem.n_interior if split.rank == problem.n_interior else None,
+        workspace=workspace,
     )
 
 
@@ -466,21 +543,29 @@ def _descend(problem, step, opts):
 class _LinearizedStep:
     """Split, normal system, dA solve, dY; one instance per minimization.
 
-    It holds the last split and system (with its eigenpairs) until the next
-    are built.  Dropped sooner, their n_pattern^2 blocks go back to the OS and
-    fault in again.  A second pass of the supernode grid (lambda-sweep --p 2
-    --q 1 --m 1,2,3,4, one job, 2 cores, three runs each): held, 198k minor
-    faults and 0.3 s system time; dropped on return, 944k faults, 1.3-1.6 s
-    and 14% more wall time in the median; a persistent n_pattern^2 array for
-    N with the system dropped, 580k faults, 0.7-0.9 s and 10% more, because
-    eigh's vectors are new every step.
+    Its EigenWorkspace is made on the first call, since n_pattern is fixed
+    for a problem, and every step assembles and solves its normal system
+    there; it goes with the minimization.  No split or system outlives its
+    step: with no fresh n_pattern^2 blocks, none is faulted in again.  A
+    second pass of minimizations alone, in a fresh process (2 cores, one
+    BLAS thread, three runs each), against np.linalg.eigh with the last
+    split and system held: the supernode grid (lambda-sweep --p 2 --q 1
+    --m 1,2,3,4) went from 182k minor faults and 0.36-0.43 s system time to
+    2-3 faults and 0.00 s, and the large_region points (scalar m = 8..10,
+    lambda 0 and 3.5) from 48.1k faults to 15.4k, with peak RSS 60.0 ->
+    53.9 MB.  Wall time moved less than its noise.
     """
 
+    def __init__(self):
+        self.workspace = None
+
     def __call__(self, problem, pair, report):
-        self.split = split_spaces(problem, report)
-        self.system = build_normal_system(problem, report, self.split)
-        da, solve = solve_for_da(self.system, problem.n_local)
-        return compute_dy(problem, report, da, self.split), da, solve
+        if self.workspace is None:
+            self.workspace = EigenWorkspace(problem.target_pattern.n_entries)
+        split = split_spaces(problem, report)
+        system = build_normal_system(problem, report, split, self.workspace)
+        da, solve = solve_for_da(system, problem.n_local)
+        return compute_dy(problem, report, da, split), da, solve
 
 
 def _gradient_step(problem, pair, report):

@@ -111,6 +111,16 @@ class TestExitCodes:
         assert "single lambda; got 2 values" in capsys.readouterr().err
         assert not out.exists()  # rejected before anything is created
 
+    def test_out_naming_a_file_is_usage_error(self, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        code = main(["lin-convergence", "--m", "1", "--out", str(afile)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(afile) in err
+        assert "Traceback" not in err
+        assert afile.read_text() == "kept\n"
+
     def test_help_shows_metavars(self, capsys):
         assert main(["lambda-sweep", "--help"]) == 0
         out = capsys.readouterr().out

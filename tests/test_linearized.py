@@ -590,6 +590,132 @@ class TestSolveForDa:
         assert diag.rhs_null_component == diag.rhs_norm
 
 
+def sorted_eigh(matrix):
+    """np.linalg.eigh, sorted by descending |w| as NormalSystem.eig sorts it."""
+    w, v = np.linalg.eigh(matrix)
+    s = np.abs(w)
+    order = np.argsort(s)[::-1]
+    return v.take(order, axis=1), s[order], np.copysign(1.0, w)[order]
+
+
+def workspace_system(matrix):
+    """A NormalSystem assembled into a workspace of its own, as a step's is."""
+    n = len(matrix)
+    workspace = linearized.EigenWorkspace(n)
+    workspace.matrix.T[...] = matrix
+    return NormalSystem(matrix=workspace.matrix.T, rhs=np.zeros(n),
+                        basis=(np.arange(n), np.arange(n)), expected_null=None,
+                        workspace=workspace)
+
+
+def assert_eig_equal(got, want):
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert np.array_equal(a, b)
+    assert got[0].flags.c_contiguous  # products read the vectors C-ordered
+
+
+NORMAL_SYSTEM_CASES = [("scalar", 4, None), ("scalar", 7, None), ("supernode", 4, (2, 1))]
+
+
+class TestInPlaceEigensolve:
+    """eig through the dsyevd binding gives np.linalg.eigh's bits, in place or not."""
+
+    @pytest.fixture(params=["binding", "numpy"])
+    def binding(self, request, monkeypatch):
+        if request.param == "numpy":
+            monkeypatch.setattr(linearized, "find_dsyevd", lambda: None)
+        elif linearized.find_dsyevd() is None:
+            pytest.skip("numpy's OpenBLAS exports no LAPACKE dsyevd here")
+        return request.param
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 64, 65, 200])
+    def test_random_symmetric(self, binding, n):
+        x = np.random.default_rng(n).standard_normal((n, n))
+        matrix = x + x.T
+        want = sorted_eigh(matrix)
+        alone = NormalSystem(matrix=matrix, rhs=np.zeros(n),
+                             basis=(np.arange(n), np.arange(n)), expected_null=None)
+        assert_eig_equal(alone.eig, want)
+        assert_eig_equal(workspace_system(matrix).eig, want)
+
+    @pytest.mark.parametrize("kind,m,dims", NORMAL_SYSTEM_CASES)
+    @pytest.mark.parametrize("lam", [0.0, 2.0, 4.0])
+    def test_normal_systems(self, binding, kind, m, dims, lam):
+        problem = case_problem(kind, m, dims, lam)
+        report = residual_and_error(problem, random_state(problem, seed=m))
+        split = split_spaces(problem, report)
+        alone = build_normal_system(problem, report, split)
+        workspace = linearized.EigenWorkspace(problem.target_pattern.n_entries)
+        in_place = build_normal_system(problem, report, split, workspace)
+        assert np.array_equal(in_place.matrix, alone.matrix)
+        want = sorted_eigh(alone.matrix)
+        assert_eig_equal(alone.eig, want)
+        assert_eig_equal(in_place.eig, want)
+        assert in_place.diagnostics == alone.diagnostics
+
+    def test_system_without_workspace_keeps_its_matrix(self):
+        problem = extract_local_scalar(4, 0.0)
+        report, _, system = linearized_phases(problem, random_state(problem, seed=4))
+        before = system.matrix.copy()
+        system.eig
+        assert np.array_equal(system.matrix, before)
+
+    def test_replaced_matrix_is_not_the_workspaces(self):
+        x = np.random.default_rng(3).standard_normal((7, 7))
+        system = workspace_system(x + x.T)
+        replaced = dataclasses.replace(system, matrix=np.diag(np.arange(7.0)))
+        assert_eig_equal(replaced.eig, sorted_eigh(np.diag(np.arange(7.0))))
+        assert_eig_equal(system.eig, sorted_eigh(x + x.T))
+
+    def test_workspace_system_sorts_into_the_workspace(self, binding):
+        n = 200
+        x = np.random.default_rng(1).standard_normal((n, n))
+        system = workspace_system(x + x.T)
+        tracemalloc.start()
+        try:
+            vectors = system.eig[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if binding == "binding":
+            assert peak < 8 * n * n / 2  # row blocks, not a whole copy
+        assert vectors is system.workspace.vectors
+
+    def test_wrong_workspace_size_rejected(self):
+        problem = extract_local_scalar(2, 0.0)
+        report = residual_and_error(problem, initial_guess(problem))
+        split = split_spaces(problem, report)
+        workspace = linearized.EigenWorkspace(problem.target_pattern.n_entries + 1)
+        with pytest.raises(ValueError, match="workspace"):
+            build_normal_system(problem, report, split, workspace)
+
+
+class TestOneWorkspacePerMinimization:
+    @pytest.fixture
+    def constructions(self, monkeypatch):
+        made = []
+
+        class Spy(linearized.EigenWorkspace):
+            def __init__(self, n):
+                made.append(n)
+                super().__init__(n)
+
+        monkeypatch.setattr(linearized, "EigenWorkspace", Spy)
+        return made
+
+    def test_linearized_minimize_makes_one(self, constructions):
+        problem = extract_local_scalar(4, 0.0)
+        trace = linearized_minimize(problem)[1]
+        assert trace.n_steps >= 3
+        assert constructions == [problem.target_pattern.n_entries]
+
+    def test_steepest_descent_makes_none(self, constructions):
+        trace = steepest_descent(extract_local_scalar(2, 0.0), MinimizeOptions(max_iter=5))[1]
+        assert trace.n_steps == 5
+        assert constructions == []
+
+
 class TestComputeDy:
     def test_clears_span_blocks_of_linearized_residual(self):
         # after the optimal (dA, dY), only the null/null block may remain
