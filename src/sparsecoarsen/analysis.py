@@ -106,7 +106,10 @@ def global_verify(spec, center, problem, pair):
     local block and its norm equals the locally computed error
     || X_L^T A_LL X_L - A~ ||_F.  Also reports the largest off-diagonal
     magnitude left in the decoupled row/column.  The grid is dense: a call
-    holds about four (w h)^2 float64 arrays, A, X, X^T A and X^T A X.
+    holds about three (w h)^2 float64 arrays at a time.  B = X^T A X is
+    formed left to right, as (X^T A) X, with A dropped once X^T A is
+    formed and X^T A and X dropped once B is; A is then built again for
+    B - A.
     """
     cx, cy = center
     w, h = spec.width, spec.height
@@ -126,8 +129,11 @@ def global_verify(spec, center, problem, pair):
     n = w * h
     x = np.eye(n)
     x[np.ix_(gidx, gidx)] = x_local
-    b = x.T @ a @ x
-    del x
+    xt_a = x.T @ a
+    del a
+    b = xt_a @ x
+    del xt_a, x
+    a = build_helmholtz(spec)
     c_glob = gidx[problem.decoupled]
     row = np.abs(b[c_glob])
     col = np.abs(b[:, c_glob])

@@ -34,7 +34,8 @@ A NormalSystem keeps its eigenpairs (eig) and what the null cut makes of
 them (diagnostics, one SolveDiagnostics).  That one object is what
 solve_for_da returns, what the trace records as a state's `solve`, and what
 analysis.spectrum_at reports.  A minimization assembles every step's system
-into one EigenWorkspace, where LAPACK's dsyevd solves it in place.
+into one EigenWorkspace, where LAPACK's dsyevd solves it in place; dsyevd's
+work array is the step's one n_pattern^2-sized scratch.
 
 The solver's rules are fixed module constants, not options: NULL_REL_TOL
 (the null cut), RANK_TOL (the rank of K), ABS_TOL and PATIENCE (the stop
@@ -141,23 +142,30 @@ class EigenWorkspace:
     np.linalg.eigh calls it, so the eigenvalues land in w, the eigenvectors
     overwrite matrix, and the bits are eigh's.  The work arrays are sized by
     dsyevd's own query, as eigh sizes them: the blocking of the reduction
-    depends on lwork, and the bits on the blocking.  vectors receives the
-    eigenvectors sorted by NormalSystem.eig.  Where the binding is absent,
-    eigh() is np.linalg.eigh of matrix.
+    depends on lwork, and the bits on the blocking.  Where the binding is
+    absent, eigh() is np.linalg.eigh of matrix, and work still has the size
+    LAPACK asks for at least, 1 + 6n + 2n^2.
+
+    work is the step's one n^2-sized scratch, and dsyevd needs it only
+    while it runs.  Before the solve, build_normal_system gathers G's
+    columns into it; after the solve, NormalSystem.eig sorts the
+    eigenvectors into vectors, a C-ordered n x n view of its head.  So a
+    minimization holds 3 n^2 doubles here, matrix and work, on either path.
     """
 
     def __init__(self, n):
         self.matrix = np.empty((n, n), order="F")
-        self.vectors = np.empty((n, n))
         self._dsyevd = find_dsyevd()
         if self._dsyevd is None:
-            return
-        self.w = np.empty(n)
-        work, iwork = np.empty(1), np.empty(1, dtype=np.int64)
-        self._run(self._args(work, -1, iwork, -1))  # the size query
-        self.work = np.empty(int(work[0]))
-        self.iwork = np.empty(int(iwork[0]), dtype=np.int64)
-        self._solve_args = self._args(self.work, len(self.work), self.iwork, len(self.iwork))
+            self.work = np.empty(1 + 6 * n + 2 * n * n)
+        else:
+            self.w = np.empty(n)
+            work, iwork = np.empty(1), np.empty(1, dtype=np.int64)
+            self._run(self._args(work, -1, iwork, -1))  # the size query
+            self.work = np.empty(int(work[0]))
+            self.iwork = np.empty(int(iwork[0]), dtype=np.int64)
+            self._solve_args = self._args(self.work, len(self.work), self.iwork, len(self.iwork))
+        self.vectors = self.work[: n * n].reshape(n, n)
 
     def _args(self, work, lwork, iwork, liwork):
         n = len(self.w)
@@ -185,11 +193,12 @@ class NormalSystem:
 
     A system assembled into a workspace (build_normal_system's `workspace`,
     one per minimization) lends it its matrix: eig overwrites matrix with
-    the eigenvectors, and the next system assembled there overwrites eig's
-    vectors.  Read such a system's eig and diagnostics before the next
-    step.  A system with no workspace, or whose matrix is not the
-    workspace's (dataclasses.replace with a new matrix), keeps its matrix,
-    and its eig solves a copy in a workspace of its own.
+    the eigenvectors and sorts them into the workspace's work array, and
+    the next system assembled there gathers G into that same work array.
+    Read such a system's eig and diagnostics before the next step.  A
+    system with no workspace, or whose matrix is not the workspace's
+    (dataclasses.replace with a new matrix), keeps its matrix, and its eig
+    solves a copy in a workspace of its own.
     """
 
     matrix: np.ndarray
@@ -206,11 +215,13 @@ class NormalSystem:
         it orders it, with one copy of the vectors where it makes two.  The
         copy must be C-ordered: products with a Fortran-ordered v[:, order]
         take another BLAS path and round differently.  It is gathered into
-        the workspace's vectors BLOCK_ROWS rows at a time with mode="clip":
-        take copies a Fortran-ordered source to C order first, and
-        mode="raise" buffers its output, so one gather of the whole matrix
-        would make another n^2 array.  Computed once and kept with the
-        system; dataclasses.replace makes a new system, which solves afresh.
+        the workspace's vectors, the head of its work array, which dsyevd
+        has finished with, BLOCK_ROWS rows at a time with mode="clip": take
+        copies a Fortran-ordered source to C order first, and mode="raise"
+        buffers its output, so one gather of the whole matrix would make
+        another n^2 array.  Both eigensolve paths sort into the same view.
+        Computed once and kept with the system; dataclasses.replace makes a
+        new system, which solves afresh.
         """
         workspace = self.workspace
         if workspace is None or self.matrix.base is not workspace.matrix:  # solve a copy
@@ -267,6 +278,13 @@ def split_spaces(problem, report):
     )
 
 
+def _symmetrized(x):
+    """0.5 (x + x^T), formed with one temporary: the bits of the plain expression."""
+    s = x + x.T
+    s *= 0.5
+    return s
+
+
 def build_normal_system(problem, report, split, workspace=None):
     """Assemble the dA normal equations from G and M without forming the operator.
 
@@ -279,38 +297,48 @@ def build_normal_system(problem, report, split, workspace=None):
 
     G is symmetrized first, so G_ji = G_ij^T exactly and N comes out exactly
     symmetric: each entry and its mirror are the same two products, summed.
-    N is assembled into workspace.matrix when a workspace is given (an
-    EigenWorkspace of n_pattern), else into a new array.
+    When a workspace is given (an EigenWorkspace of n_pattern), N is
+    assembled into its matrix and G's two column gathers, 2 n_local
+    n_pattern doubles, go into its work array, which the last step's
+    eigensolve has finished with; else both are new arrays.  A work array
+    too small for the gathers raises ValueError.
     """
     if problem.target_pattern.n_entries == 0:
         raise ValueError("target pattern has no free positions")
     z = report.y @ split.q_null
-    g = z @ z.T
-    g = 0.5 * (g + g.T)
+    g = _symmetrized(z @ z.T)
     t = split.q_null.T @ report.residual @ split.q_null
-    m = z @ t @ z.T
-    m = 0.5 * (m + m.T)
+    m = _symmetrized(z @ t @ z.T)
+    del z, t
 
     i_idx, j_idx = problem.target_pattern.index_arrays
     delta = np.where(i_idx == j_idx, 2.0, 1.0)  # diagonal positions count once
     row_scale = 2.0 / delta
     col_scale = 1.0 / delta
+    rhs = row_scale * m[i_idx, j_idx]
+    del m
 
+    n_pattern = len(i_idx)
+    gathers_shape = (2, len(g), n_pattern)
+    if workspace is None:
+        matrix = np.empty((n_pattern, n_pattern))
+        gathers = np.empty(gathers_shape)
+    elif workspace.matrix.shape != (n_pattern, n_pattern):
+        raise ValueError(f"workspace of shape {workspace.matrix.shape} for "
+                         f"{n_pattern} pattern entries")
+    elif math.prod(gathers_shape) > len(workspace.work):
+        raise ValueError(f"G's gathers of shape {gathers_shape} do not fit in a "
+                         f"workspace work array of {len(workspace.work)}")
+    else:
+        matrix = workspace.matrix.T  # C-ordered, so the row blocks are contiguous
+        gathers = workspace.work[: math.prod(gathers_shape)].reshape(gathers_shape)
     # Columns first, then rows, one block of rows at a time into N itself:
     # G is symmetric, so the column gathers are the rows G_i, G_j
     # transposed, and every gather copies contiguous rows.  The weights
     # 2 / (delta_k delta_l) are powers of two, applied rows first, so the
     # bytes are those of one multiplication by their product.
-    g_ti = g.take(i_idx, axis=1)
-    g_tj = g.take(j_idx, axis=1)
-    n_pattern = len(i_idx)
-    if workspace is None:
-        matrix = np.empty((n_pattern, n_pattern))
-    elif workspace.matrix.shape == (n_pattern, n_pattern):
-        matrix = workspace.matrix.T  # C-ordered, so the row blocks are contiguous
-    else:
-        raise ValueError(f"workspace of shape {workspace.matrix.shape} for "
-                         f"{n_pattern} pattern entries")
+    g_ti = g.take(i_idx, axis=1, out=gathers[0], mode="clip")
+    g_tj = g.take(j_idx, axis=1, out=gathers[1], mode="clip")
     for start in range(0, n_pattern, BLOCK_ROWS):
         rows = slice(start, start + BLOCK_ROWS)
         block = matrix[rows]
@@ -321,7 +349,6 @@ def build_normal_system(problem, report, split, workspace=None):
         block += cross
         block *= row_scale[rows, None]
         block *= col_scale
-    rhs = row_scale * m[i_idx, j_idx]
 
     return NormalSystem(
         matrix=matrix,
@@ -369,11 +396,15 @@ def compute_dy(problem, report, da, split):
     if split.rank == 0:
         return np.zeros((problem.n_interior, problem.n_local))
     y = report.y
-    w = report.residual - y.T @ da @ y
-    w = 0.5 * (w + w.T)
+    w = y.T @ da @ y
+    np.subtract(report.residual, w, out=w)
+    w = _symmetrized(w)
+    w2 = (w @ split.q_null) @ split.q_null.T
+    w2 += w
+    del w
     pinv_t = (split.u / split.sigma[None, :]) @ split.q.T
-    w2 = w + (w @ split.q_null) @ split.q_null.T
-    return 0.5 * pinv_t @ w2
+    pinv_t *= 0.5
+    return pinv_t @ w2
 
 
 def linearized_residual(problem, report, dy, da):
@@ -393,10 +424,16 @@ def line_objective(problem, pair, report, dy, da):
     def g(alpha):
         y = report.y.copy()
         y[:n_i] += alpha * dy
-        at = pair.a_tilde + alpha * da
-        s = y.T @ (at @ y)
-        s = 0.5 * (s + s.T)
-        return float(np.sum((problem.a_ll - s) ** 2))
+        at = alpha * da
+        at += pair.a_tilde
+        ay = at @ y
+        del at
+        s = y.T @ ay
+        del y, ay
+        s = _symmetrized(s)
+        np.subtract(problem.a_ll, s, out=s)
+        s *= s
+        return float(np.sum(s))
 
     return g
 
@@ -554,6 +591,17 @@ class _LinearizedStep:
     2-3 faults and 0.00 s, and the large_region points (scalar m = 8..10,
     lambda 0 and 3.5) from 48.1k faults to 15.4k, with peak RSS 60.0 ->
     53.9 MB.  Wall time moved less than its noise.
+
+    The workspace is 3 n_pattern^2 doubles, its matrix and dsyevd's work
+    array, which holds G's column gathers during the assembly and the
+    sorted eigenvectors after the solve; the rest of a step is n_local^2
+    temporaries, formed in place where that keeps the bits.  The traced
+    peak of one minimization (lambda 0, tracemalloc, in n_pattern^2
+    doubles) is 4.62 at scalar m = 8, 4.56 at m = 10 (13.9 MB) and 3.82 at
+    (2,1) m = 4, where a separate vectors array and fresh gathers read
+    6.49, 6.30 (19.2 MB) and 5.34.  With its gathers in pages already
+    faulted in, the assembly at scalar m = 10 takes 2.6 ms at best, against
+    4.2 ms with fresh gathers (2 cores, one BLAS thread).
     """
 
     def __init__(self):
