@@ -17,12 +17,17 @@ from .errors import NumericalFailure
 # extract_local_scalar is unused here, but perfbench/tracing.py wraps this name.
 from .lattice import StencilSpec, build_helmholtz, extract_local_scalar, extract_local_supernode
 from .linearized import (
+    EigenWorkspace,
     MinimizeOptions,
     build_normal_system,
     linearized_minimize,
     split_spaces,
 )
 from .transform import condition_of_y, interior_scaling, residual_and_error
+
+# fit_decay_rate skips a point whose error improves on the last kept one by
+# less than this fraction: the decay has stagnated there.
+STAGNATION_REL = 0.1
 
 
 @dataclass
@@ -66,10 +71,13 @@ def spectrum_at(problem, pair):
 
     sigma is the descending spectrum (NormalSystem.eig) and diagnostics the
     system's SolveDiagnostics (NormalSystem.diagnostics): the record a
-    linearized step at this state puts in its trace.
+    linearized step at this state puts in its trace.  The system is
+    assembled and solved in a workspace of its own, as a step's is.
     """
     report = residual_and_error(problem, pair)
-    system = build_normal_system(problem, report, split_spaces(problem, report))
+    split = split_spaces(problem, report)
+    workspace = EigenWorkspace(problem.target_pattern.n_entries)
+    system = build_normal_system(problem, report, split, workspace)
     return system.eig[1], system.diagnostics
 
 
@@ -175,11 +183,11 @@ def default_verify_grid(problem):
     return StencilSpec(lam=problem.lam, width=width, height=height), center
 
 
-def fit_decay_rate(ms, errors, stagnation_rel=0.1):
+def fit_decay_rate(ms, errors):
     """Least-squares decay rate of log(error) vs m, skipping stagnated points.
 
     A point is stagnated when the relative improvement from the previous kept
-    point falls below stagnation_rel.  Returns (rate, r_squared, n_used);
+    point falls below STAGNATION_REL.  Returns (rate, r_squared, n_used);
     rate is the negated slope, positive for decaying error.
     """
     ms = np.asarray(ms, dtype=float)
@@ -187,7 +195,7 @@ def fit_decay_rate(ms, errors, stagnation_rel=0.1):
     keep = [0]
     for i in range(1, len(errors)):
         prev = errors[keep[-1]]
-        if (prev - errors[i]) / prev >= stagnation_rel:
+        if (prev - errors[i]) / prev >= STAGNATION_REL:
             keep.append(i)
     if len(keep) < 2:
         return math.nan, math.nan, len(keep)

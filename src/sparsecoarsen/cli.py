@@ -366,10 +366,9 @@ def cmd_lambda_sweep(settings, outdir):
     by_point = {(rec.lam, rec.m): rec for rec in records + mirror_records}
     sym_rows = []
     for lam, m in itertools.product(settings.lambdas, settings.ms):
-        a = by_point.get((lam, m))
-        b = by_point.get((mirror_of[lam], m))
-        if a is None or b is None or a.status.startswith("failed") \
-                or b.status.startswith("failed"):
+        a = by_point[lam, m]
+        b = by_point[mirror_of[lam], m]
+        if a.stop_reason == "failed" or b.stop_reason == "failed":
             continue
         denom = max(abs(a.error), abs(b.error), 1e-300)
         sym_rows.append((lam, mirror_of[lam], m, a.error, b.error,
@@ -385,7 +384,7 @@ def cmd_lambda_sweep(settings, outdir):
     failure = "; ".join(
         f"lambda={rec.lam:g} m={rec.m}: {rec.status}"
         for rec in records + mirror_records
-        if rec.status.startswith("failed")) or None
+        if rec.stop_reason == "failed") or None
 
     series = []
     for m in settings.ms:

@@ -33,9 +33,10 @@ guards the nonlinear terms.
 A NormalSystem keeps its eigenpairs (eig) and what the null cut makes of
 them (diagnostics, one SolveDiagnostics).  That one object is what
 solve_for_da returns, what the trace records as a state's `solve`, and what
-analysis.spectrum_at reports.  A minimization assembles every step's system
-into one EigenWorkspace, where LAPACK's dsyevd solves it in place; dsyevd's
-work array is the step's one n_pattern^2-sized scratch.
+analysis.spectrum_at reports.  Every system is assembled into an
+EigenWorkspace, where LAPACK's dsyevd solves it in place; a minimization
+keeps one for all its steps, and dsyevd's work array is the step's one
+n_pattern^2-sized scratch.
 
 The solver's rules are fixed module constants, not options: NULL_REL_TOL
 (the null cut), RANK_TOL (the rank of K), ABS_TOL and PATIENCE (the stop
@@ -150,7 +151,8 @@ class EigenWorkspace:
     while it runs.  Before the solve, build_normal_system gathers G's
     columns into it; after the solve, NormalSystem.eig sorts the
     eigenvectors into vectors, a C-ordered n x n view of its head.  So a
-    minimization holds 3 n^2 doubles here, matrix and work, on either path.
+    workspace holds 3 n^2 doubles, matrix and work, on either path, and
+    it holds one system at a time: each assembly overwrites the last.
     """
 
     def __init__(self, n):
@@ -191,21 +193,22 @@ class EigenWorkspace:
 class NormalSystem:
     """Normal equations of the projected dA least-squares problem.
 
-    A system assembled into a workspace (build_normal_system's `workspace`,
-    one per minimization) lends it its matrix: eig overwrites matrix with
-    the eigenvectors and sorts them into the workspace's work array, and
-    the next system assembled there gathers G into that same work array.
-    Read such a system's eig and diagnostics before the next step.  A
-    system with no workspace, or whose matrix is not the workspace's
-    (dataclasses.replace with a new matrix), keeps its matrix, and its eig
-    solves a copy in a workspace of its own.
+    The system lives in its workspace, where build_normal_system assembled
+    it: matrix is the workspace's matrix, and eig solves it there in place,
+    overwriting matrix with the eigenvectors and sorting them into the
+    work array.  So matrix is valid until eig, and eig (with diagnostics,
+    read from it) is valid until the next assembly in the same workspace.
     """
 
-    matrix: np.ndarray
     rhs: np.ndarray
     basis: tuple  # (rows, cols) index arrays of the free positions, rows <= cols
     expected_null: int | None  # n_interior when A~ had full rank, else None
-    workspace: EigenWorkspace | None = field(default=None, repr=False, compare=False)
+    workspace: EigenWorkspace = field(repr=False, compare=False)
+
+    @property
+    def matrix(self):
+        """N, the C-ordered view of the workspace's matrix; valid until eig."""
+        return self.workspace.matrix.T
 
     @cached_property
     def eig(self):
@@ -220,17 +223,12 @@ class NormalSystem:
         copies a Fortran-ordered source to C order first, and mode="raise"
         buffers its output, so one gather of the whole matrix would make
         another n^2 array.  Both eigensolve paths sort into the same view.
-        Computed once and kept with the system; dataclasses.replace makes a
-        new system, which solves afresh.
+        Computed once and kept with the system.
         """
-        workspace = self.workspace
-        if workspace is None or self.matrix.base is not workspace.matrix:  # solve a copy
-            workspace = EigenWorkspace(len(self.matrix))
-            workspace.matrix[...] = self.matrix
-        w, v = workspace.eigh()
+        w, v = self.workspace.eigh()
         s = np.abs(w)
         order = np.argsort(s)[::-1]
-        vectors = workspace.vectors
+        vectors = self.workspace.vectors
         for start in range(0, len(order), BLOCK_ROWS):
             rows = slice(start, start + BLOCK_ROWS)
             v[rows].take(order, axis=1, out=vectors[rows], mode="clip")
@@ -285,7 +283,7 @@ def _symmetrized(x):
     return s
 
 
-def build_normal_system(problem, report, split, workspace=None):
+def build_normal_system(problem, report, split, workspace):
     """Assemble the dA normal equations from G and M without forming the operator.
 
     With G = Y Qn Qn^T Y^T and M = Y Qn (Qn^T R Qn) Qn^T Y^T, the entries are
@@ -297,11 +295,12 @@ def build_normal_system(problem, report, split, workspace=None):
 
     G is symmetrized first, so G_ji = G_ij^T exactly and N comes out exactly
     symmetric: each entry and its mirror are the same two products, summed.
-    When a workspace is given (an EigenWorkspace of n_pattern), N is
-    assembled into its matrix and G's two column gathers, 2 n_local
-    n_pattern doubles, go into its work array, which the last step's
-    eigensolve has finished with; else both are new arrays.  A work array
-    too small for the gathers raises ValueError.
+    N is assembled into the workspace's matrix (an EigenWorkspace of
+    n_pattern), and G's two column gathers, 2 n_local n_pattern doubles, go
+    into its work array, which the last eigensolve there has finished
+    with.  The system is valid as long as the workspace holds it
+    (NormalSystem).  A workspace of another size, or a work array too small
+    for the gathers, raises ValueError.
     """
     if problem.target_pattern.n_entries == 0:
         raise ValueError("target pattern has no free positions")
@@ -320,18 +319,14 @@ def build_normal_system(problem, report, split, workspace=None):
 
     n_pattern = len(i_idx)
     gathers_shape = (2, len(g), n_pattern)
-    if workspace is None:
-        matrix = np.empty((n_pattern, n_pattern))
-        gathers = np.empty(gathers_shape)
-    elif workspace.matrix.shape != (n_pattern, n_pattern):
+    if workspace.matrix.shape != (n_pattern, n_pattern):
         raise ValueError(f"workspace of shape {workspace.matrix.shape} for "
                          f"{n_pattern} pattern entries")
-    elif math.prod(gathers_shape) > len(workspace.work):
+    if math.prod(gathers_shape) > len(workspace.work):
         raise ValueError(f"G's gathers of shape {gathers_shape} do not fit in a "
                          f"workspace work array of {len(workspace.work)}")
-    else:
-        matrix = workspace.matrix.T  # C-ordered, so the row blocks are contiguous
-        gathers = workspace.work[: math.prod(gathers_shape)].reshape(gathers_shape)
+    matrix = workspace.matrix.T  # C-ordered, so the row blocks are contiguous
+    gathers = workspace.work[: math.prod(gathers_shape)].reshape(gathers_shape)
     # Columns first, then rows, one block of rows at a time into N itself:
     # G is symmetric, so the column gathers are the rows G_i, G_j
     # transposed, and every gather copies contiguous rows.  The weights
@@ -351,7 +346,6 @@ def build_normal_system(problem, report, split, workspace=None):
         block *= col_scale
 
     return NormalSystem(
-        matrix=matrix,
         rhs=rhs,
         basis=(i_idx, j_idx),
         expected_null=problem.n_interior if split.rank == problem.n_interior else None,
@@ -569,6 +563,7 @@ def _descend(problem, step, opts):
                 break
             pair.y_rows += alpha * dy
             pair.a_tilde += alpha * da
+            del report, dy, da  # not held while the next state is evaluated and solved
     except NumericalFailure as exc:
         trace.stop_reason = "failed"
         exc.trace = trace
@@ -583,25 +578,11 @@ class _LinearizedStep:
     Its EigenWorkspace is made on the first call, since n_pattern is fixed
     for a problem, and every step assembles and solves its normal system
     there; it goes with the minimization.  No split or system outlives its
-    step: with no fresh n_pattern^2 blocks, none is faulted in again.  A
-    second pass of minimizations alone, in a fresh process (2 cores, one
-    BLAS thread, three runs each), against np.linalg.eigh with the last
-    split and system held: the supernode grid (lambda-sweep --p 2 --q 1
-    --m 1,2,3,4) went from 182k minor faults and 0.36-0.43 s system time to
-    2-3 faults and 0.00 s, and the large_region points (scalar m = 8..10,
-    lambda 0 and 3.5) from 48.1k faults to 15.4k, with peak RSS 60.0 ->
-    53.9 MB.  Wall time moved less than its noise.
-
-    The workspace is 3 n_pattern^2 doubles, its matrix and dsyevd's work
-    array, which holds G's column gathers during the assembly and the
-    sorted eigenvectors after the solve; the rest of a step is n_local^2
-    temporaries, formed in place where that keeps the bits.  The traced
-    peak of one minimization (lambda 0, tracemalloc, in n_pattern^2
-    doubles) is 4.62 at scalar m = 8, 4.56 at m = 10 (13.9 MB) and 3.82 at
-    (2,1) m = 4, where a separate vectors array and fresh gathers read
-    6.49, 6.30 (19.2 MB) and 5.34.  With its gathers in pages already
-    faulted in, the assembly at scalar m = 10 takes 2.6 ms at best, against
-    4.2 ms with fresh gathers (2 cores, one BLAS thread).
+    step, and no step makes a fresh n_pattern^2 array: the workspace is 3
+    n_pattern^2 doubles, its matrix and dsyevd's work array, which holds
+    G's column gathers during the assembly and the sorted eigenvectors
+    after the solve; the rest of a step is n_local^2 temporaries, formed in
+    place where that keeps the bits.
     """
 
     def __init__(self):

@@ -61,6 +61,23 @@ class TestSpectrum:
         _, trace, _ = linearized_minimize(problem, MinimizeOptions(max_iter=0))
         assert diag == trace.iterations[0].solve
 
+    @pytest.mark.parametrize("m,p,q", [(8, 1, 1), (4, 2, 1)])
+    def test_holds_under_four_point_three_pattern_squared_arrays(self, m, p, q):
+        # The workspace is 3 n_pattern^2, and the system is assembled and
+        # solved in it, as a step's is; nothing else is n_pattern^2.
+        if linearized.find_dsyevd() is None:
+            pytest.skip("numpy's OpenBLAS exports no LAPACKE dsyevd here")
+        problem = extract_local_supernode(m, p, q, 0.0)
+        pair = initial_guess(problem)
+        n_pattern = problem.target_pattern.n_entries
+        tracemalloc.start()
+        try:
+            spectrum_at(problem, pair)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.3 * 8 * n_pattern**2
+
 
 class TestSpatialDecay:
     def test_initial_guess_structure(self):

@@ -224,7 +224,8 @@ def linearized_phases(problem, pair):
     """(report, split, system) at one state, formed as the linearized step forms them."""
     report = residual_and_error(problem, pair)
     split = split_spaces(problem, report)
-    return report, split, build_normal_system(problem, report, split)
+    workspace = linearized.EigenWorkspace(problem.target_pattern.n_entries)
+    return report, split, build_normal_system(problem, report, split, workspace)
 
 
 class TestByteIdentity:
@@ -440,28 +441,27 @@ class TestBlockedAssembly:
 
     @pytest.mark.parametrize("kind,m,dims", [("supernode", 4, (2, 1)),
                                              ("scalar", 8, None)])
-    def test_holds_under_three_pattern_squared_arrays(self, kind, m, dims):
+    def test_holds_under_one_pattern_squared_array(self, kind, m, dims):
+        # The matrix and G's gathers are the workspace's, made before the
+        # trace starts; what the assembly makes is G, M and row blocks.
         problem = case_problem(kind, m, dims)
         pair = random_state(problem, seed=m)
         report = residual_and_error(problem, pair)
         split = split_spaces(problem, report)
         n_pattern = problem.target_pattern.n_entries
+        workspace = linearized.EigenWorkspace(n_pattern)
         tracemalloc.start()
         try:
-            build_normal_system(problem, report, split)
+            build_normal_system(problem, report, split, workspace)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * 8 * n_pattern**2
+        assert peak <= 8 * n_pattern**2
 
 
 def diagonal_system(s, rhs=None):
     """A NormalSystem whose matrix is diag(s), with a zero rhs by default."""
-    s = np.asarray(s, dtype=float)
-    n = len(s)
-    return NormalSystem(matrix=np.diag(s),
-                        rhs=np.zeros(n) if rhs is None else np.asarray(rhs, dtype=float),
-                        basis=(np.arange(n), np.arange(n)), expected_null=None)
+    return workspace_system(np.diag(np.asarray(s, dtype=float)), rhs)
 
 
 # Spectra over many decades, with exact zeros and either sign.
@@ -558,19 +558,6 @@ class TestSolveForDa:
         with pytest.warns(RuntimeWarning, match="detected null dimension"):
             solve_for_da(wrong, n_local=problem.n_local)
 
-    def test_replaced_matrix_is_solved_afresh(self):
-        # eigenpairs asked for once must not outlive a replaced matrix
-        problem = extract_local_scalar(2, 0.0)
-        pair = initial_guess(problem)
-        system = linearized_phases(problem, pair)[2]
-        system.eig  # computed once and kept with this system
-        assert system.diagnostics.null_dim == problem.n_interior
-        zero = dataclasses.replace(system, matrix=np.zeros_like(system.matrix))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            _, diag = solve_for_da(zero, problem.n_local)
-        assert diag.null_dim == len(system.rhs)
-
     def test_returns_the_systems_diagnostics(self):
         problem = extract_local_scalar(2, 0.0)
         system = linearized_phases(problem, random_state(problem, seed=5))[2]
@@ -581,7 +568,8 @@ class TestSolveForDa:
         problem = extract_local_scalar(1, 0.0)
         pair = random_state(problem, seed=1)
         system = linearized_phases(problem, pair)[2]
-        zero = dataclasses.replace(system, matrix=np.zeros_like(system.matrix))
+        all_null = workspace_system(np.zeros_like(system.matrix)).workspace
+        zero = dataclasses.replace(system, workspace=all_null)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             da, diag = solve_for_da(zero, n_local=problem.n_local)
@@ -599,12 +587,12 @@ def sorted_eigh(matrix):
     return v.take(order, axis=1), s[order], np.copysign(1.0, w)[order]
 
 
-def workspace_system(matrix):
-    """A NormalSystem assembled into a workspace of its own, as a step's is."""
+def workspace_system(matrix, rhs=None):
+    """A NormalSystem of this matrix in a workspace of its own, with a zero rhs by default."""
     n = len(matrix)
     workspace = linearized.EigenWorkspace(n)
     workspace.matrix.T[...] = matrix
-    return NormalSystem(matrix=workspace.matrix.T, rhs=np.zeros(n),
+    return NormalSystem(rhs=np.zeros(n) if rhs is None else np.asarray(rhs, dtype=float),
                         basis=(np.arange(n), np.arange(n)), expected_null=None,
                         workspace=workspace)
 
@@ -620,7 +608,7 @@ NORMAL_SYSTEM_CASES = [("scalar", 4, None), ("scalar", 7, None), ("supernode", 4
 
 
 class TestInPlaceEigensolve:
-    """eig through the dsyevd binding gives np.linalg.eigh's bits, in place or not."""
+    """eig through the dsyevd binding gives np.linalg.eigh's bits, in place."""
 
     @pytest.fixture(params=["binding", "numpy"])
     def binding(self, request, monkeypatch):
@@ -634,11 +622,7 @@ class TestInPlaceEigensolve:
     def test_random_symmetric(self, binding, n):
         x = np.random.default_rng(n).standard_normal((n, n))
         matrix = x + x.T
-        want = sorted_eigh(matrix)
-        alone = NormalSystem(matrix=matrix, rhs=np.zeros(n),
-                             basis=(np.arange(n), np.arange(n)), expected_null=None)
-        assert_eig_equal(alone.eig, want)
-        assert_eig_equal(workspace_system(matrix).eig, want)
+        assert_eig_equal(workspace_system(matrix).eig, sorted_eigh(matrix))
 
     @pytest.mark.parametrize("kind,m,dims", NORMAL_SYSTEM_CASES)
     @pytest.mark.parametrize("lam", [0.0, 2.0, 4.0])
@@ -646,31 +630,12 @@ class TestInPlaceEigensolve:
         problem = case_problem(kind, m, dims, lam)
         report = residual_and_error(problem, random_state(problem, seed=m))
         split = split_spaces(problem, report)
-        alone = build_normal_system(problem, report, split)
         workspace = linearized.EigenWorkspace(problem.target_pattern.n_entries)
-        in_place = build_normal_system(problem, report, split, workspace)
-        assert np.array_equal(in_place.matrix, alone.matrix)
-        want = sorted_eigh(alone.matrix)
-        assert_eig_equal(alone.eig, want)
-        assert_eig_equal(in_place.eig, want)
-        assert in_place.diagnostics == alone.diagnostics
+        system = build_normal_system(problem, report, split, workspace)
+        want = sorted_eigh(system.matrix)  # before eig, which overwrites matrix
+        assert_eig_equal(system.eig, want)
         # The sorted vectors are the head of dsyevd's work array.
-        assert np.shares_memory(in_place.eig[0], workspace.work)
-        assert not np.shares_memory(alone.eig[0], workspace.work)
-
-    def test_system_without_workspace_keeps_its_matrix(self):
-        problem = extract_local_scalar(4, 0.0)
-        report, _, system = linearized_phases(problem, random_state(problem, seed=4))
-        before = system.matrix.copy()
-        system.eig
-        assert np.array_equal(system.matrix, before)
-
-    def test_replaced_matrix_is_not_the_workspaces(self):
-        x = np.random.default_rng(3).standard_normal((7, 7))
-        system = workspace_system(x + x.T)
-        replaced = dataclasses.replace(system, matrix=np.diag(np.arange(7.0)))
-        assert_eig_equal(replaced.eig, sorted_eigh(np.diag(np.arange(7.0))))
-        assert_eig_equal(system.eig, sorted_eigh(x + x.T))
+        assert np.shares_memory(system.eig[0], workspace.work)
 
     def test_workspace_system_sorts_into_the_workspace(self, binding):
         n = 200
@@ -707,7 +672,8 @@ class TestInPlaceEigensolve:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2 * problem.n_local * n_pattern  # less than the gathers alone
-        assert np.array_equal(system.matrix, build_normal_system(problem, report, split).matrix)
+        fresh = build_normal_system(problem, report, split, linearized.EigenWorkspace(n_pattern))
+        assert np.array_equal(system.matrix, fresh.matrix)
 
     @KNOWN_MISCOUNT
     def test_minimization_same_on_both_paths(self, monkeypatch):
@@ -768,10 +734,10 @@ class TestOneWorkspacePerMinimization:
 class TestMinimizationMemory:
     @KNOWN_MISCOUNT
     @pytest.mark.parametrize("kind,m,dims", [("scalar", 8, None), ("supernode", 4, (2, 1))])
-    def test_holds_under_five_pattern_squared_arrays(self, kind, m, dims):
+    def test_holds_under_four_and_a_half_pattern_squared_arrays(self, kind, m, dims):
         # The workspace's matrix and work array are 3 n_pattern^2; G's
-        # gathers and the sorted vectors live in work, and the rest of a
-        # step is n_local^2 temporaries.
+        # gathers and the sorted vectors live in work, the rest of a step is
+        # n_local^2 temporaries, and no step's arrays outlive it.
         if linearized.find_dsyevd() is None:
             pytest.skip("numpy's OpenBLAS exports no LAPACKE dsyevd here")
         problem = case_problem(kind, m, dims)
@@ -783,7 +749,7 @@ class TestMinimizationMemory:
         finally:
             tracemalloc.stop()
         assert trace.n_steps >= 3
-        assert peak <= 5 * 8 * n_pattern**2
+        assert peak <= 4.5 * 8 * n_pattern**2
 
 
 class TestComputeDy:
