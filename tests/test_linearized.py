@@ -675,6 +675,26 @@ class TestInPlaceEigensolve:
         fresh = build_normal_system(problem, report, split, linearized.EigenWorkspace(n_pattern))
         assert np.array_equal(system.matrix, fresh.matrix)
 
+    @pytest.mark.parametrize("kind,m,dims", [("scalar", 4, None), ("supernode", 2, (2, 1))])
+    def test_reused_workspace_solves_as_a_fresh_one(self, binding, kind, m, dims):
+        # A minimization assembles every step into one workspace, over the
+        # last step's matrix, vectors and gathers; none of it may leak in.
+        problem = case_problem(kind, m, dims)
+        n_pattern = problem.target_pattern.n_entries
+        states = [residual_and_error(problem, random_state(problem, seed=seed))
+                  for seed in (m, m + 1)]
+        splits = [split_spaces(problem, report) for report in states]
+        reused = linearized.EigenWorkspace(n_pattern)
+        first = build_normal_system(problem, states[0], splits[0], reused)
+        first.diagnostics  # solved in place, as a step solves it
+        second = build_normal_system(problem, states[1], splits[1], reused)
+        fresh = build_normal_system(problem, states[1], splits[1],
+                                    linearized.EigenWorkspace(n_pattern))
+        assert np.array_equal(second.matrix, fresh.matrix)
+        assert np.array_equal(second.rhs, fresh.rhs)
+        assert_eig_equal(second.eig, fresh.eig)
+        assert second.diagnostics == fresh.diagnostics
+
     @KNOWN_MISCOUNT
     def test_minimization_same_on_both_paths(self, monkeypatch):
         if linearized.find_dsyevd() is None:
