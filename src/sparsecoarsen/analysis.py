@@ -17,8 +17,8 @@ from .errors import NumericalFailure
 # extract_local_scalar is unused here, but perfbench/tracing.py wraps this name.
 from .lattice import StencilSpec, build_helmholtz, extract_local_scalar, extract_local_supernode
 from .linearized import (
-    EigenWorkspace,
     MinimizeOptions,
+    NormalSystem,
     build_normal_system,
     linearized_minimize,
     split_spaces,
@@ -71,13 +71,14 @@ def spectrum_at(problem, pair):
 
     sigma is the descending spectrum (NormalSystem.eig) and diagnostics the
     system's SolveDiagnostics (NormalSystem.diagnostics): the record a
-    linearized step at this state puts in its trace.  The system is
-    assembled and solved in a workspace of its own, as a step's is.
+    linearized step at this state puts in its trace.  The state is
+    assembled into a NormalSystem of its own and solved there, as a step's
+    is.
     """
     report = residual_and_error(problem, pair)
     split = split_spaces(problem, report)
-    workspace = EigenWorkspace(problem.target_pattern.n_entries)
-    system = build_normal_system(problem, report, split, workspace)
+    system = NormalSystem(problem.target_pattern.n_entries)
+    build_normal_system(problem, report, split, system)
     return system.eig[1], system.diagnostics
 
 

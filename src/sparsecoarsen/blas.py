@@ -13,7 +13,7 @@ with ctypes and no dependency.  Where none is found, nothing is pinned.
 It binds one LAPACK routine of that library too: find_dsyevd() is the
 symmetric eigensolver that np.linalg.eigh calls, through its LAPACKE C
 entry, so a caller can run it in place in buffers it keeps
-(linearized.EigenWorkspace) and get eigh's bits.  Where the symbol is
+(linearized.NormalSystem) and get eigh's bits.  Where the symbol is
 absent, find_dsyevd() is None and np.linalg.eigh is the only path.
 """
 
@@ -49,10 +49,14 @@ class OpenBlas:
 
 
 def _library_paths():
-    """OpenBLAS libraries mapped into this process, else numpy's vendored ones."""
+    """OpenBLAS libraries mapped into this process, else numpy's vendored ones.
+
+    A maps line's pathname is its sixth field, which may hold spaces.
+    """
     try:
         with open("/proc/self/maps") as fh:
-            return sorted({line.split()[-1] for line in fh if "openblas" in line})
+            return sorted({line.split(maxsplit=5)[5].rstrip("\n")
+                           for line in fh if "openblas" in line})
     except OSError:
         root = os.path.dirname(np.__file__)
         return sorted(glob.glob(os.path.join(root + ".libs", "*openblas*"))
@@ -70,9 +74,14 @@ def _libraries():
 
 @functools.cache
 def find_openblas():
-    """numpy's OpenBLAS thread control, looked up once per process, or None."""
-    for lib in _libraries():
-        for get_name, set_name, config_name in _SYMBOLS:
+    """numpy's OpenBLAS thread control, looked up once per process, or None.
+
+    Each symbol set is tried in every library before the next set, so
+    numpy's own names win over a plain OpenBLAS whose path sorts first.
+    """
+    libraries = list(_libraries())
+    for get_name, set_name, config_name in _SYMBOLS:
+        for lib in libraries:
             if not (hasattr(lib, get_name) and hasattr(lib, set_name)):
                 continue
             get_threads, set_threads = lib[get_name], lib[set_name]

@@ -30,13 +30,14 @@ the system is singular by construction, because interior diagonal gauge
 directions dA = D A~ + A~ D lie in its null space.  The line search then
 guards the nonlinear terms.
 
-A NormalSystem keeps its eigenpairs (eig) and what the null cut makes of
-them (diagnostics, one SolveDiagnostics).  That one object is what
-solve_for_da returns, what the trace records as a state's `solve`, and what
-analysis.spectrum_at reports.  Every system is assembled into an
-EigenWorkspace, where LAPACK's dsyevd solves it in place; a minimization
-keeps one for all its steps, and dsyevd's work array is the step's one
-n_pattern^2-sized scratch.
+A NormalSystem owns the buffers of the normal equations and holds the
+state last assembled into it (build_normal_system), with that state's
+eigenpairs (eig), which LAPACK's dsyevd computes in place, and what the
+null cut makes of them (diagnostics, one SolveDiagnostics).  diagnostics is
+what solve_for_da returns, what the trace records as a state's `solve`,
+and what analysis.spectrum_at reports.  A minimization makes one
+NormalSystem and assembles every step into it, and dsyevd's work array is
+the step's one n_pattern^2-sized scratch.
 
 The solver's rules are fixed module constants, not options: NULL_REL_TOL
 (the null cut), RANK_TOL (the rank of K), ABS_TOL and PATIENCE (the stop
@@ -74,7 +75,6 @@ one sees every call.
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -134,29 +134,35 @@ class SolveDiagnostics:
     rhs_norm: float
 
 
-class EigenWorkspace:
-    """The buffers of one n x n symmetric eigensolve, kept from step to step.
+class NormalSystem:
+    """The dA normal equations, in buffers made once and reused for each state.
 
-    matrix is Fortran-ordered.  build_normal_system writes N into matrix.T
-    in C order; N is exactly symmetric, so that memory is N in either order.
-    eigh() runs numpy's own dsyevd (blas.find_dsyevd) on it in place, as
-    np.linalg.eigh calls it, so the eigenvalues land in w, the eigenvectors
-    overwrite matrix, and the bits are eigh's.  The work arrays are sized by
-    dsyevd's own query, as eigh sizes them: the blocking of the reduction
-    depends on lwork, and the bits on the blocking.  Where the binding is
-    absent, eigh() is np.linalg.eigh of matrix, and work still has the size
-    LAPACK asks for at least, 1 + 6n + 2n^2.
+    build_normal_system assembles a state into the system, over the last
+    one: N into matrix, and rhs, basis (the (rows, cols) index arrays of the
+    free positions, rows <= cols) and expected_null (n_interior when A~ had
+    full rank, else None).  eig and diagnostics belong to that state, and
+    the next assembly drops them.  eig solves the system the first time it
+    is read, in place, so matrix holds N only until then.
 
-    work is the step's one n^2-sized scratch, and dsyevd needs it only
-    while it runs.  Before the solve, build_normal_system gathers G's
-    columns into it; after the solve, NormalSystem.eig sorts the
-    eigenvectors into vectors, a C-ordered n x n view of its head.  So a
-    workspace holds 3 n^2 doubles, matrix and work, on either path, and
-    it holds one system at a time: each assembly overwrites the last.
+    N is exactly symmetric, so the C-ordered matrix is N in column-major
+    order too.  eig runs numpy's own dsyevd (blas.find_dsyevd) on it, as
+    np.linalg.eigh calls it: the eigenvalues land in w, the eigenvectors
+    overwrite matrix, and the bits are eigh's.  The work arrays are sized
+    by dsyevd's own query, as eigh sizes them: the bits depend on the
+    blocking, and the blocking on lwork.  Without the binding, eig is
+    np.linalg.eigh of matrix, and work has LAPACK's minimum size,
+    1 + 6n + 2n^2.
+
+    work is the one n^2-sized scratch: it holds G's column gathers before
+    the solve, dsyevd's work during it, and the sorted eigenvectors after
+    it, in vectors, a C-ordered n x n view of its head.  So a system holds
+    3 n^2 doubles, matrix and work, on either path.
     """
 
     def __init__(self, n):
-        self.matrix = np.empty((n, n), order="F")
+        self.matrix = np.empty((n, n))
+        self.rhs = self.basis = self.expected_null = None
+        self._eig = self._diagnostics = None
         self._dsyevd = find_dsyevd()
         if self._dsyevd is None:
             self.work = np.empty(1 + 6 * n + 2 * n * n)
@@ -178,39 +184,7 @@ class EigenWorkspace:
         if self._dsyevd(*args) != 0:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    def eigh(self):
-        """(w, v) of the symmetric matrix, as np.linalg.eigh(matrix) returns them.
-
-        With the binding, w and v are this workspace's w and matrix.
-        """
-        if self._dsyevd is None:
-            return np.linalg.eigh(self.matrix)
-        self._run(self._solve_args)
-        return self.w, self.matrix
-
-
-@dataclass(frozen=True)
-class NormalSystem:
-    """Normal equations of the projected dA least-squares problem.
-
-    The system lives in its workspace, where build_normal_system assembled
-    it: matrix is the workspace's matrix, and eig solves it there in place,
-    overwriting matrix with the eigenvectors and sorting them into the
-    work array.  So matrix is valid until eig, and eig (with diagnostics,
-    read from it) is valid until the next assembly in the same workspace.
-    """
-
-    rhs: np.ndarray
-    basis: tuple  # (rows, cols) index arrays of the free positions, rows <= cols
-    expected_null: int | None  # n_interior when A~ had full rank, else None
-    workspace: EigenWorkspace = field(repr=False, compare=False)
-
     @property
-    def matrix(self):
-        """N, the C-ordered view of the workspace's matrix; valid until eig."""
-        return self.workspace.matrix.T
-
-    @cached_property
     def eig(self):
         """Eigenpairs by descending |w|: (vectors, singular values |w|, signs of w).
 
@@ -218,31 +192,40 @@ class NormalSystem:
         it orders it, with one copy of the vectors where it makes two.  The
         copy must be C-ordered: products with a Fortran-ordered v[:, order]
         take another BLAS path and round differently.  It is gathered into
-        the workspace's vectors, the head of its work array, which dsyevd
-        has finished with, BLOCK_ROWS rows at a time with mode="clip": take
-        copies a Fortran-ordered source to C order first, and mode="raise"
-        buffers its output, so one gather of the whole matrix would make
-        another n^2 array.  Both eigensolve paths sort into the same view.
-        Computed once and kept with the system.
+        vectors, the head of the work array, which dsyevd has finished
+        with, BLOCK_ROWS rows at a time with mode="clip": take copies a
+        Fortran-ordered source to C order first, and mode="raise" buffers
+        its output, so one gather of the whole matrix would make another n^2
+        array.  Both eigensolve paths sort into the same view.
         """
-        w, v = self.workspace.eigh()
-        s = np.abs(w)
-        order = np.argsort(s)[::-1]
-        vectors = self.workspace.vectors
-        for start in range(0, len(order), BLOCK_ROWS):
-            rows = slice(start, start + BLOCK_ROWS)
-            v[rows].take(order, axis=1, out=vectors[rows], mode="clip")
-        return vectors, s[order], np.copysign(1.0, w)[order]
+        if self._eig is None:
+            if self._dsyevd is None:
+                w, v = np.linalg.eigh(self.matrix.T)
+            else:
+                self._run(self._solve_args)
+                w, v = self.w, self.matrix.T  # column-major: v[:, k] is the k-th vector
+            s = np.abs(w)
+            order = np.argsort(s)[::-1]
+            for start in range(0, len(order), BLOCK_ROWS):
+                rows = slice(start, start + BLOCK_ROWS)
+                v[rows].take(order, axis=1, out=self.vectors[rows], mode="clip")
+            self._eig = self.vectors, s[order], np.copysign(1.0, w)[order]
+        return self._eig
 
-    @cached_property
+    @property
     def diagnostics(self):
-        """The SolveDiagnostics of this system: where the null cut falls in eig.
+        """The SolveDiagnostics of this state: where the null cut falls in eig.
 
         Singular values below the fraction NULL_REL_TOL of s[0] are null,
         and all are when s[0] <= 0.  The condition numbers are NaN when
         everything is null.  rhs_null_component is the norm of the rhs in
         the null directions.
         """
+        if self._diagnostics is None:
+            self._diagnostics = self._null_cut()
+        return self._diagnostics
+
+    def _null_cut(self):
         u, s, _ = self.eig
         n = len(s)
         null_dim = n if n == 0 or s[0] <= 0.0 else int(np.sum(s < NULL_REL_TOL * s[0]))
@@ -283,8 +266,8 @@ def _symmetrized(x):
     return s
 
 
-def build_normal_system(problem, report, split, workspace):
-    """Assemble the dA normal equations from G and M without forming the operator.
+def build_normal_system(problem, report, split, system):
+    """Assemble the dA normal equations into `system` without forming the operator.
 
     With G = Y Qn Qn^T Y^T and M = Y Qn (Qn^T R Qn) Qn^T Y^T, the entries are
 
@@ -295,38 +278,40 @@ def build_normal_system(problem, report, split, workspace):
 
     G is symmetrized first, so G_ji = G_ij^T exactly and N comes out exactly
     symmetric: each entry and its mirror are the same two products, summed.
-    N is assembled into the workspace's matrix (an EigenWorkspace of
-    n_pattern), and G's two column gathers, 2 n_local n_pattern doubles, go
-    into its work array, which the last eigensolve there has finished
-    with.  The system is valid as long as the workspace holds it
-    (NormalSystem).  A workspace of another size, or a work array too small
-    for the gathers, raises ValueError.
+    N is assembled into the system's matrix, and G's two column gathers,
+    2 n_local n_pattern doubles, go into its work array, which the last
+    eigensolve there has finished with.  The last state's eig and
+    diagnostics are dropped (NormalSystem).  A system of another size, or a
+    work array too small for the gathers, raises ValueError.
     """
-    if problem.target_pattern.n_entries == 0:
+    i_idx, j_idx = problem.target_pattern.index_arrays
+    n_pattern = len(i_idx)
+    if n_pattern == 0:
         raise ValueError("target pattern has no free positions")
+    gathers_shape = (2, problem.n_local, n_pattern)
+    if system.matrix.shape != (n_pattern, n_pattern):
+        raise ValueError(f"normal system of shape {system.matrix.shape} for "
+                         f"{n_pattern} pattern entries")
+    if math.prod(gathers_shape) > len(system.work):
+        raise ValueError(f"G's gathers of shape {gathers_shape} do not fit in a "
+                         f"work array of {len(system.work)}")
+    system._eig = system._diagnostics = None
+
     z = report.y @ split.q_null
     g = _symmetrized(z @ z.T)
     t = split.q_null.T @ report.residual @ split.q_null
     m = _symmetrized(z @ t @ z.T)
     del z, t
 
-    i_idx, j_idx = problem.target_pattern.index_arrays
     delta = np.where(i_idx == j_idx, 2.0, 1.0)  # diagonal positions count once
     row_scale = 2.0 / delta
     col_scale = 1.0 / delta
-    rhs = row_scale * m[i_idx, j_idx]
+    system.rhs = row_scale * m[i_idx, j_idx]
+    system.basis = (i_idx, j_idx)
+    system.expected_null = problem.n_interior if split.rank == problem.n_interior else None
     del m
 
-    n_pattern = len(i_idx)
-    gathers_shape = (2, len(g), n_pattern)
-    if workspace.matrix.shape != (n_pattern, n_pattern):
-        raise ValueError(f"workspace of shape {workspace.matrix.shape} for "
-                         f"{n_pattern} pattern entries")
-    if math.prod(gathers_shape) > len(workspace.work):
-        raise ValueError(f"G's gathers of shape {gathers_shape} do not fit in a "
-                         f"workspace work array of {len(workspace.work)}")
-    matrix = workspace.matrix.T  # C-ordered, so the row blocks are contiguous
-    gathers = workspace.work[: math.prod(gathers_shape)].reshape(gathers_shape)
+    gathers = system.work[: math.prod(gathers_shape)].reshape(gathers_shape)
     # Columns first, then rows, one block of rows at a time into N itself:
     # G is symmetric, so the column gathers are the rows G_i, G_j
     # transposed, and every gather copies contiguous rows.  The weights
@@ -336,7 +321,7 @@ def build_normal_system(problem, report, split, workspace):
     g_tj = g.take(j_idx, axis=1, out=gathers[1], mode="clip")
     for start in range(0, n_pattern, BLOCK_ROWS):
         rows = slice(start, start + BLOCK_ROWS)
-        block = matrix[rows]
+        block = system.matrix[rows]  # C-ordered, so the row blocks are contiguous
         g_ti.take(i_idx[rows], axis=0, out=block)  # G_ii
         block *= g_tj.take(j_idx[rows], axis=0)  # G_jj
         cross = g_tj.take(i_idx[rows], axis=0)  # G_ij
@@ -344,13 +329,6 @@ def build_normal_system(problem, report, split, workspace):
         block += cross
         block *= row_scale[rows, None]
         block *= col_scale
-
-    return NormalSystem(
-        rhs=rhs,
-        basis=(i_idx, j_idx),
-        expected_null=problem.n_interior if split.rank == problem.n_interior else None,
-        workspace=workspace,
-    )
 
 
 def _embed_da(values, basis, n):
@@ -572,31 +550,6 @@ def _descend(problem, step, opts):
     return pair, trace
 
 
-class _LinearizedStep:
-    """Split, normal system, dA solve, dY; one instance per minimization.
-
-    Its EigenWorkspace is made on the first call, since n_pattern is fixed
-    for a problem, and every step assembles and solves its normal system
-    there; it goes with the minimization.  No split or system outlives its
-    step, and no step makes a fresh n_pattern^2 array: the workspace is 3
-    n_pattern^2 doubles, its matrix and dsyevd's work array, which holds
-    G's column gathers during the assembly and the sorted eigenvectors
-    after the solve; the rest of a step is n_local^2 temporaries, formed in
-    place where that keeps the bits.
-    """
-
-    def __init__(self):
-        self.workspace = None
-
-    def __call__(self, problem, pair, report):
-        if self.workspace is None:
-            self.workspace = EigenWorkspace(problem.target_pattern.n_entries)
-        split = split_spaces(problem, report)
-        system = build_normal_system(problem, report, split, self.workspace)
-        da, solve = solve_for_da(system, problem.n_local)
-        return compute_dy(problem, report, da, split), da, solve
-
-
 def _gradient_step(problem, pair, report):
     """The negative gradient in the joint (Y, A~) variables."""
     grad_y, grad_a = objective_gradient(problem, report)
@@ -609,8 +562,28 @@ def linearized_minimize(problem, opts=MinimizeOptions()):
     Returns (pair, trace, diagnostics).  The trace has one IterationRecord
     per visited state, including the last one, whose `solve` is that
     state's SolveDiagnostics; diagnostics lists those same objects.
+
+    Every step assembles and solves in one NormalSystem, made here since
+    n_pattern is fixed for a problem, so no step makes a fresh n_pattern^2
+    array; the rest of a step is n_local^2 temporaries, formed in place
+    where that keeps the bits, and no split outlives its step.  The system
+    is made at the first step, after the first state's arrays: made before
+    them, the same buffers left the large_region benchmark's peak RSS
+    0.5-2 MB higher (glibc's heap placed them worse; x86_64 Linux, 2 cores).
     """
-    pair, trace = _descend(problem, _LinearizedStep(), opts)
+    system = None
+
+    def step(problem, pair, report):
+        """Split, normal system (assembled into `system`), dA solve, dY."""
+        nonlocal system
+        if system is None:
+            system = NormalSystem(problem.target_pattern.n_entries)
+        split = split_spaces(problem, report)
+        build_normal_system(problem, report, split, system)
+        da, solve = solve_for_da(system, problem.n_local)
+        return compute_dy(problem, report, da, split), da, solve
+
+    pair, trace = _descend(problem, step, opts)
     return pair, trace, [rec.solve for rec in trace.iterations]
 
 

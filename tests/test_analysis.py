@@ -1,6 +1,9 @@
 import concurrent.futures
+import io
+import itertools
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -63,7 +66,7 @@ class TestSpectrum:
 
     @pytest.mark.parametrize("m,p,q", [(8, 1, 1), (4, 2, 1)])
     def test_holds_under_four_point_three_pattern_squared_arrays(self, m, p, q):
-        # The workspace is 3 n_pattern^2, and the system is assembled and
+        # The NormalSystem is 3 n_pattern^2, and the state is assembled and
         # solved in it, as a step's is; nothing else is n_pattern^2.
         if linearized.find_dsyevd() is None:
             pytest.skip("numpy's OpenBLAS exports no LAPACKE dsyevd here")
@@ -400,3 +403,43 @@ class TestSingleBlasThread:
         found = blas.find_openblas.__wrapped__()
         assert found is not None
         assert found.config == blas.find_openblas().config
+
+    def test_library_path_with_a_space(self, monkeypatch):
+        # A maps line's pathname is its sixth field and may hold spaces.
+        maps = ("7f00-7f10 r-xp 00000000 08:01 1234    /opt/fake blas/libopenblas.so.0\n"
+                "7f10-7f20 r--p 00010000 08:01 1234    /opt/fake blas/libopenblas.so.0\n"
+                "7f20-7f30 r-xp 00000000 08:01 5678    /usr/lib/libopenblas.so.0\n"
+                "7f30-7f40 rw-p 00000000 00:00 0 \n")
+        monkeypatch.setattr(blas, "open", lambda *args, **kwargs: io.StringIO(maps),
+                            raising=False)
+        assert blas._library_paths() == ["/opt/fake blas/libopenblas.so.0",
+                                         "/usr/lib/libopenblas.so.0"]
+
+    @pytest.fixture
+    def fresh_lookup(self):
+        blas.find_openblas.cache_clear()
+        yield
+        blas.find_openblas.cache_clear()
+
+    def test_numpy_library_wins_over_a_plain_openblas_mapped_first(
+            self, monkeypatch, openblas, fresh_lookup):
+        # A plain-symbol OpenBLAS whose path sorts before numpy's, as one
+        # under /opt or /usr/lib would, must not take the pin.
+        numpy_names = blas._SYMBOLS[0][:2]
+        real_libraries = blas._libraries
+        if not any(all(hasattr(lib, name) for name in numpy_names)
+                   for lib in real_libraries()):
+            pytest.skip("numpy's OpenBLAS exports no scipy_openblas thread control here")
+
+        class PlainOpenBlas(types.SimpleNamespace):
+            def __getitem__(self, name):
+                return getattr(self, name)
+
+        plain = PlainOpenBlas(openblas_get_num_threads=lambda: 1,
+                              openblas_set_num_threads=lambda threads: None)
+        monkeypatch.setattr(blas, "_libraries",
+                            lambda: itertools.chain([plain], real_libraries()))
+        assert openblas.get_threads() == 2
+        with blas.single_thread():
+            assert openblas.get_threads() == 1
+        assert openblas.get_threads() == 2

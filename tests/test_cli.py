@@ -1,5 +1,6 @@
 import concurrent.futures
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -359,6 +360,26 @@ class TestSchemas:
         assert len(rows) == 3
         for r in rows[1:]:
             assert float(r[3]) == pytest.approx(float(r[2]), rel=1e-12)
+
+    def test_global_verify_locality_violation(self, tmp_path, monkeypatch):
+        # A coupling to the outside above 1e-12 ||A_LL|| at one of two
+        # points fails the command there, and only there.
+        real = cli.global_verify
+
+        def leaky(spec, center, problem, pair):
+            report = real(spec, center, problem, pair)
+            if problem.lam == 3.5:
+                scale = math.sqrt(float((problem.a_ll**2).sum()))
+                report = dataclasses.replace(report, coupling_block_max=1e-9 * scale)
+            return report
+
+        monkeypatch.setattr(cli, "global_verify", leaky)
+        assert main(["global-verify", "--m", "2", "--lambda", "0,3.5",
+                     "--out", str(tmp_path)]) == 3
+        rows = read_rows(tmp_path / "global_verify.csv")[1:]
+        assert [(r[0], r[1]) for r in rows] == [("2", "0"), ("2", "3.5")]
+        assert (tmp_path / "global_verify.FAILED").read_text() == \
+            "locality violated at lambda=3.5 m=2\n"
 
 
 class TestDeterminism:

@@ -224,8 +224,9 @@ def linearized_phases(problem, pair):
     """(report, split, system) at one state, formed as the linearized step forms them."""
     report = residual_and_error(problem, pair)
     split = split_spaces(problem, report)
-    workspace = linearized.EigenWorkspace(problem.target_pattern.n_entries)
-    return report, split, build_normal_system(problem, report, split, workspace)
+    system = NormalSystem(problem.target_pattern.n_entries)
+    build_normal_system(problem, report, split, system)
+    return report, split, system
 
 
 class TestByteIdentity:
@@ -442,17 +443,17 @@ class TestBlockedAssembly:
     @pytest.mark.parametrize("kind,m,dims", [("supernode", 4, (2, 1)),
                                              ("scalar", 8, None)])
     def test_holds_under_one_pattern_squared_array(self, kind, m, dims):
-        # The matrix and G's gathers are the workspace's, made before the
+        # The matrix and G's gathers are the system's, made before the
         # trace starts; what the assembly makes is G, M and row blocks.
         problem = case_problem(kind, m, dims)
         pair = random_state(problem, seed=m)
         report = residual_and_error(problem, pair)
         split = split_spaces(problem, report)
         n_pattern = problem.target_pattern.n_entries
-        workspace = linearized.EigenWorkspace(n_pattern)
+        system = NormalSystem(n_pattern)
         tracemalloc.start()
         try:
-            build_normal_system(problem, report, split, workspace)
+            build_normal_system(problem, report, split, system)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -461,7 +462,7 @@ class TestBlockedAssembly:
 
 def diagonal_system(s, rhs=None):
     """A NormalSystem whose matrix is diag(s), with a zero rhs by default."""
-    return workspace_system(np.diag(np.asarray(s, dtype=float)), rhs)
+    return matrix_system(np.diag(np.asarray(s, dtype=float)), rhs)
 
 
 # Spectra over many decades, with exact zeros and either sign.
@@ -553,10 +554,9 @@ class TestSolveForDa:
         pair = initial_guess(problem)
         system = linearized_phases(problem, pair)[2]
         assert system.expected_null == problem.n_interior
-        wrong = dataclasses.replace(system,
-                                    expected_null=problem.n_interior + 1)
+        system.expected_null = problem.n_interior + 1
         with pytest.warns(RuntimeWarning, match="detected null dimension"):
-            solve_for_da(wrong, n_local=problem.n_local)
+            solve_for_da(system, n_local=problem.n_local)
 
     def test_returns_the_systems_diagnostics(self):
         problem = extract_local_scalar(2, 0.0)
@@ -568,11 +568,10 @@ class TestSolveForDa:
         problem = extract_local_scalar(1, 0.0)
         pair = random_state(problem, seed=1)
         system = linearized_phases(problem, pair)[2]
-        all_null = workspace_system(np.zeros_like(system.matrix)).workspace
-        zero = dataclasses.replace(system, workspace=all_null)
+        system.matrix[...] = 0.0  # before eig, which solves what matrix holds
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            da, diag = solve_for_da(zero, n_local=problem.n_local)
+            da, diag = solve_for_da(system, n_local=problem.n_local)
         assert np.all(da == 0.0)
         assert diag.null_dim == len(system.rhs)
         assert math.isnan(diag.cond_retained)
@@ -587,14 +586,14 @@ def sorted_eigh(matrix):
     return v.take(order, axis=1), s[order], np.copysign(1.0, w)[order]
 
 
-def workspace_system(matrix, rhs=None):
-    """A NormalSystem of this matrix in a workspace of its own, with a zero rhs by default."""
+def matrix_system(matrix, rhs=None):
+    """A fresh NormalSystem holding this matrix, with a zero rhs by default."""
     n = len(matrix)
-    workspace = linearized.EigenWorkspace(n)
-    workspace.matrix.T[...] = matrix
-    return NormalSystem(rhs=np.zeros(n) if rhs is None else np.asarray(rhs, dtype=float),
-                        basis=(np.arange(n), np.arange(n)), expected_null=None,
-                        workspace=workspace)
+    system = NormalSystem(n)
+    system.matrix[...] = matrix
+    system.rhs = np.zeros(n) if rhs is None else np.asarray(rhs, dtype=float)
+    system.basis = (np.arange(n), np.arange(n))
+    return system
 
 
 def assert_eig_equal(got, want):
@@ -622,7 +621,7 @@ class TestInPlaceEigensolve:
     def test_random_symmetric(self, binding, n):
         x = np.random.default_rng(n).standard_normal((n, n))
         matrix = x + x.T
-        assert_eig_equal(workspace_system(matrix).eig, sorted_eigh(matrix))
+        assert_eig_equal(matrix_system(matrix).eig, sorted_eigh(matrix))
 
     @pytest.mark.parametrize("kind,m,dims", NORMAL_SYSTEM_CASES)
     @pytest.mark.parametrize("lam", [0.0, 2.0, 4.0])
@@ -630,17 +629,17 @@ class TestInPlaceEigensolve:
         problem = case_problem(kind, m, dims, lam)
         report = residual_and_error(problem, random_state(problem, seed=m))
         split = split_spaces(problem, report)
-        workspace = linearized.EigenWorkspace(problem.target_pattern.n_entries)
-        system = build_normal_system(problem, report, split, workspace)
+        system = NormalSystem(problem.target_pattern.n_entries)
+        build_normal_system(problem, report, split, system)
         want = sorted_eigh(system.matrix)  # before eig, which overwrites matrix
         assert_eig_equal(system.eig, want)
         # The sorted vectors are the head of dsyevd's work array.
-        assert np.shares_memory(system.eig[0], workspace.work)
+        assert np.shares_memory(system.eig[0], system.work)
 
-    def test_workspace_system_sorts_into_the_workspace(self, binding):
+    def test_eig_sorts_into_the_work_array(self, binding):
         n = 200
         x = np.random.default_rng(1).standard_normal((n, n))
-        system = workspace_system(x + x.T)
+        system = matrix_system(x + x.T)
         tracemalloc.start()
         try:
             vectors = system.eig[0]
@@ -649,51 +648,60 @@ class TestInPlaceEigensolve:
             tracemalloc.stop()
         if binding == "binding":
             assert peak < 8 * n * n / 2  # row blocks, not a whole copy
-        assert vectors is system.workspace.vectors
+        assert vectors is system.vectors
+
+    def test_eig_solves_once_per_assembly(self, binding):
+        # A second solve would decompose the eigenvectors left in matrix.
+        x = np.random.default_rng(2).standard_normal((7, 7))
+        system = matrix_system(x + x.T)
+        eig, diagnostics = system.eig, system.diagnostics
+        assert system.eig is eig and system.diagnostics is diagnostics
+        assert_eig_equal(eig, sorted_eigh(x + x.T))
 
     def test_work_array_has_lapacks_minimum(self, binding):
         for n in (0, 1, 2, 7, 64):
-            workspace = linearized.EigenWorkspace(n)
-            assert len(workspace.work) >= (1 if n <= 1 else 1 + 6 * n + 2 * n * n)
-            assert workspace.vectors.shape == (n, n)
-            assert workspace.vectors.flags.c_contiguous
+            system = NormalSystem(n)
+            assert len(system.work) >= (1 if n <= 1 else 1 + 6 * n + 2 * n * n)
+            assert system.vectors.shape == (n, n)
+            assert system.vectors.flags.c_contiguous
 
     def test_assembly_gathers_g_into_the_work_array(self, binding):
         problem = extract_local_scalar(8, 0.0)
         report = residual_and_error(problem, random_state(problem, seed=8))
         split = split_spaces(problem, report)
         n_pattern = problem.target_pattern.n_entries
-        workspace = linearized.EigenWorkspace(n_pattern)
-        workspace.work[...] = np.nan  # the gathers, then the vectors, overwrite it
+        system = NormalSystem(n_pattern)
+        system.work[...] = np.nan  # the gathers, then the vectors, overwrite it
         tracemalloc.start()
         try:
-            system = build_normal_system(problem, report, split, workspace)
+            build_normal_system(problem, report, split, system)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2 * problem.n_local * n_pattern  # less than the gathers alone
-        fresh = build_normal_system(problem, report, split, linearized.EigenWorkspace(n_pattern))
+        fresh = NormalSystem(n_pattern)
+        build_normal_system(problem, report, split, fresh)
         assert np.array_equal(system.matrix, fresh.matrix)
 
     @pytest.mark.parametrize("kind,m,dims", [("scalar", 4, None), ("supernode", 2, (2, 1))])
-    def test_reused_workspace_solves_as_a_fresh_one(self, binding, kind, m, dims):
-        # A minimization assembles every step into one workspace, over the
-        # last step's matrix, vectors and gathers; none of it may leak in.
+    def test_reused_system_solves_as_a_fresh_one(self, binding, kind, m, dims):
+        # A minimization assembles every step into one system, over the
+        # last step's matrix, vectors, gathers, eig and diagnostics; none of
+        # it may leak in.
         problem = case_problem(kind, m, dims)
         n_pattern = problem.target_pattern.n_entries
         states = [residual_and_error(problem, random_state(problem, seed=seed))
                   for seed in (m, m + 1)]
         splits = [split_spaces(problem, report) for report in states]
-        reused = linearized.EigenWorkspace(n_pattern)
-        first = build_normal_system(problem, states[0], splits[0], reused)
-        first.diagnostics  # solved in place, as a step solves it
-        second = build_normal_system(problem, states[1], splits[1], reused)
-        fresh = build_normal_system(problem, states[1], splits[1],
-                                    linearized.EigenWorkspace(n_pattern))
-        assert np.array_equal(second.matrix, fresh.matrix)
-        assert np.array_equal(second.rhs, fresh.rhs)
-        assert_eig_equal(second.eig, fresh.eig)
-        assert second.diagnostics == fresh.diagnostics
+        reused, fresh = NormalSystem(n_pattern), NormalSystem(n_pattern)
+        build_normal_system(problem, states[0], splits[0], reused)
+        first = reused.diagnostics  # solved in place, as a step solves it
+        build_normal_system(problem, states[1], splits[1], reused)
+        build_normal_system(problem, states[1], splits[1], fresh)
+        assert np.array_equal(reused.matrix, fresh.matrix)
+        assert np.array_equal(reused.rhs, fresh.rhs)
+        assert_eig_equal(reused.eig, fresh.eig)
+        assert reused.diagnostics == fresh.diagnostics != first
 
     @KNOWN_MISCOUNT
     def test_minimization_same_on_both_paths(self, monkeypatch):
@@ -712,31 +720,31 @@ class TestInPlaceEigensolve:
         problem = extract_local_scalar(2, 0.0)
         report = residual_and_error(problem, initial_guess(problem))
         split = split_spaces(problem, report)
-        workspace = linearized.EigenWorkspace(problem.target_pattern.n_entries)
-        workspace.work = workspace.work[: 2 * problem.n_local * problem.target_pattern.n_entries - 1]
+        system = NormalSystem(problem.target_pattern.n_entries)
+        system.work = system.work[: 2 * problem.n_local * problem.target_pattern.n_entries - 1]
         with pytest.raises(ValueError, match="gathers"):
-            build_normal_system(problem, report, split, workspace)
+            build_normal_system(problem, report, split, system)
 
-    def test_wrong_workspace_size_rejected(self):
+    def test_wrong_system_size_rejected(self):
         problem = extract_local_scalar(2, 0.0)
         report = residual_and_error(problem, initial_guess(problem))
         split = split_spaces(problem, report)
-        workspace = linearized.EigenWorkspace(problem.target_pattern.n_entries + 1)
-        with pytest.raises(ValueError, match="workspace"):
-            build_normal_system(problem, report, split, workspace)
+        system = NormalSystem(problem.target_pattern.n_entries + 1)
+        with pytest.raises(ValueError, match="pattern entries"):
+            build_normal_system(problem, report, split, system)
 
 
-class TestOneWorkspacePerMinimization:
+class TestOneNormalSystemPerMinimization:
     @pytest.fixture
     def constructions(self, monkeypatch):
         made = []
 
-        class Spy(linearized.EigenWorkspace):
+        class Spy(NormalSystem):
             def __init__(self, n):
                 made.append(n)
                 super().__init__(n)
 
-        monkeypatch.setattr(linearized, "EigenWorkspace", Spy)
+        monkeypatch.setattr(linearized, "NormalSystem", Spy)
         return made
 
     def test_linearized_minimize_makes_one(self, constructions):
@@ -755,7 +763,7 @@ class TestMinimizationMemory:
     @KNOWN_MISCOUNT
     @pytest.mark.parametrize("kind,m,dims", [("scalar", 8, None), ("supernode", 4, (2, 1))])
     def test_holds_under_four_and_a_half_pattern_squared_arrays(self, kind, m, dims):
-        # The workspace's matrix and work array are 3 n_pattern^2; G's
+        # The system's matrix and work array are 3 n_pattern^2; G's
         # gathers and the sorted vectors live in work, the rest of a step is
         # n_local^2 temporaries, and no step's arrays outlive it.
         if linearized.find_dsyevd() is None:
