@@ -18,11 +18,12 @@ from sparsecoarsen.cli import main  # noqa: E402
 
 OUT = ROOT / "out" / "figures"
 
+# Each run takes its command's default grid unless it states one.
 RUNS = [
-    ("sd_convergence", ["sd-convergence", "--m", "1,2,3,4"]),
-    ("svd_spectrum", ["svd-spectrum", "--m", "1,2,3,4,5,6,7,8"]),
-    ("lin_convergence", ["lin-convergence", "--m", "1,2,3,4,5,6,7"]),
-    ("spatial_decay", ["spatial-decay", "--m", "1,2,3,4,5,6,7"]),
+    ("sd_convergence", ["sd-convergence"]),
+    ("svd_spectrum", ["svd-spectrum"]),
+    ("lin_convergence", ["lin-convergence"]),
+    ("spatial_decay", ["spatial-decay"]),
     ("lambda_sweep", ["lambda-sweep"]),
     ("supernode_sweep",
      ["lambda-sweep", "--p", "2", "--q", "1", "--m", "1,2,3,4"]),

@@ -47,6 +47,20 @@ class GlobalVerifyReport:
     external_block_max: float  # same over external-to-external entries
     objective_error: float  # || A_LL - Y^T A~ Y ||_F for reference
 
+    def locality_holds(self, problem):
+        """Whether the embedding is exactly local, to the 1e-12 bounds.
+
+        The global error equals the local one to 1e-12 relative, the
+        coupling and external blocks are at most 1e-12 ||A_LL||_F, and no
+        off-diagonal entry left in the decoupled row exceeds the local error.
+        """
+        scale = float(np.linalg.norm(problem.a_ll))
+        return (abs(self.global_error - self.local_error)
+                <= 1e-12 * max(self.local_error, 1e-300)
+                and self.coupling_block_max <= 1e-12 * scale
+                and self.external_block_max <= 1e-12 * scale
+                and self.max_decoupled_offdiag <= self.local_error)
+
 
 @dataclass
 class SweepRecord:

@@ -61,35 +61,24 @@ def _list_parser(convert, valid, requirement):
     return parse
 
 
-def _parse_int(key, text):
-    try:
-        v = int(str(text).strip())
-    except ValueError as exc:
-        raise ConfigError(f"bad {key} value {text!r}") from exc
-    if v < 1:
-        raise ConfigError(f"{key} must be >= 1")
-    return v
+def _value_parser(convert, valid=lambda v: True, message=""):
+    """A parser(key, text) of one value, convert(token) and valid, else message.
+
+    message is formatted with the key and the text it rejects.
+    """
+    def parse(key, text):
+        try:
+            v = convert(str(text).strip())
+        except ValueError as exc:
+            raise ConfigError(f"bad {key} value {text!r}") from exc
+        if not valid(v):
+            raise ConfigError(message.format(key=key, text=text))
+        return v
+
+    return parse
 
 
-def _parse_tol(key, text):
-    try:
-        v = float(str(text).strip())
-    except ValueError as exc:
-        raise ConfigError(f"bad {key} value {text!r}") from exc
-    if not (math.isfinite(v) and v > 0.0):
-        raise ConfigError(f"{key} must be a positive finite number")
-    return v
-
-
-def _parse_text(key, text):
-    return str(text).strip()
-
-
-def _parse_format(key, text):
-    v = str(text).strip()
-    if v not in ("csv", "csv+svg"):
-        raise ConfigError(f"{key} must be 'csv' or 'csv+svg', got {text!r}")
-    return v
+_positive_int = _value_parser(int, lambda v: v >= 1, "{key} must be >= 1")
 
 
 # The settable keys, as --flags and as config file keys:
@@ -99,19 +88,24 @@ _FLAGS = {
                "L[,L...]", "stencil diagonal shift value(s)"),
     "m": ("ms", _list_parser(int, lambda v: v >= 1, "integers >= 1"),
           "M[,M...]", "local region radius value(s)"),
-    "p": ("p", _parse_int, "P", "supernode width (default 1)"),
-    "q": ("q", _parse_int, "Q", "supernode height (default 1)"),
-    "max-iter": ("max_iter", _parse_int, "MAX_ITER",
+    "p": ("p", _positive_int, "P", "supernode width (default 1)"),
+    "q": ("q", _positive_int, "Q", "supernode height (default 1)"),
+    "max-iter": ("max_iter", _positive_int, "MAX_ITER",
                  f"iteration cap per minimization (default "
                  f"{MinimizeOptions.max_iter}, "
                  f"{STEEPEST_DESCENT_OPTIONS.max_iter} for sd-convergence)"),
-    "tol": ("tol", _parse_tol, "TOL",
-            f"relative stagnation tolerance (default "
+    "tol": ("tol",
+            _value_parser(float, lambda v: math.isfinite(v) and v > 0.0,
+                          "{key} must be a positive finite number"),
+            "TOL", f"relative stagnation tolerance (default "
             f"{MinimizeOptions.rel_tol:g}, "
             f"{STEEPEST_DESCENT_OPTIONS.rel_tol:g} for sd-convergence)"),
-    "out": ("out", _parse_text, "OUT", "output directory (default: out)"),
-    "format": ("fmt", _parse_format, "FORMAT", "csv or csv+svg (default: csv)"),
-    "jobs": ("jobs", _parse_int, "JOBS",
+    "out": ("out", _value_parser(str), "OUT", "output directory (default: out)"),
+    "format": ("fmt",
+               _value_parser(str, lambda v: v in ("csv", "csv+svg"),
+                             "{key} must be 'csv' or 'csv+svg', got {text!r}"),
+               "FORMAT", "csv or csv+svg (default: csv)"),
+    "jobs": ("jobs", _positive_int, "JOBS",
              "max concurrent sweep points (default 1)"),
 }
 
@@ -138,20 +132,6 @@ _DEFAULTS = {
     "global-verify": {"lambda": (0.0, 3.5), "m": (2, 4)},
 }
 
-# The commands that write one series per m, at a single lambda (_per_m).
-_PER_M_COMMANDS = ("sd-convergence", "svd-spectrum", "lin-convergence",
-                   "spatial-decay")
-
-_HELP = {
-    "sd-convergence": "error vs iteration for the steepest descent baseline",
-    "svd-spectrum": "normalized singular values of the dA normal system",
-    "lin-convergence": "error vs iteration for the linearized minimizer",
-    "spatial-decay": "converged error vs m plus per-column deviation vs distance",
-    "lambda-sweep": "converged error over a (lambda, m) grid, plus symmetry check",
-    "global-verify": "embed X on an explicit grid and verify exact locality",
-}
-
-
 @dataclass
 class Settings:
     command: str
@@ -164,10 +144,6 @@ class Settings:
     out: str
     fmt: str
     jobs: int
-
-
-def _parse(key, raw):
-    return _FLAGS[key][1](key, raw)
 
 
 def read_config(path):
@@ -187,7 +163,7 @@ def read_config(path):
         key = key.strip().replace("_", "-")
         if key not in _FLAGS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = _parse(key, value)
+        values[key] = _FLAGS[key][1](key, value)
     return values
 
 
@@ -197,11 +173,12 @@ def resolve_settings(args):
     merged.update(_DEFAULTS[args.command])
     if args.config is not None:
         merged.update(read_config(args.config))
-    for key, (field, *_) in _FLAGS.items():
+    for key, (field, parse, *_) in _FLAGS.items():
         raw = getattr(args, field)
         if raw is not None:
-            merged[key] = _parse(key, raw)
-    if args.command in _PER_M_COMMANDS and len(merged["lambda"]) != 1:
+            merged[key] = parse(key, raw)
+    _, _, per_m = _COMMANDS[args.command]
+    if per_m and len(merged["lambda"]) != 1:
         raise ConfigError(f"{args.command} writes per-m series for a single "
                           f"lambda; got {len(merged['lambda'])} values")
     return Settings(command=args.command,
@@ -222,16 +199,21 @@ def write_csv(path, header, rows):
             fh.write(",".join(_fmt_value(v) for v in row) + "\n")
 
 
-def _finalize(settings, outdir, stem, header, rows, failure, chart=None):
+def _output(settings, outdir, suffix):
+    """outdir / the command's name, with '_' for '-', plus suffix."""
+    return outdir / (settings.command.replace("-", "_") + suffix)
+
+
+def _finalize(settings, outdir, header, rows, failure, chart=None):
     """Write the CSV, the chart under csv+svg, and a .FAILED marker on failure.
 
     chart is (series, title, xlabel, ylabel) for plots.write_line_chart.  On
     success a marker left by an earlier failed run is removed.
     """
-    write_csv(outdir / f"{stem}.csv", header, rows)
+    write_csv(_output(settings, outdir, ".csv"), header, rows)
     if chart is not None and settings.fmt == "csv+svg":
-        plots.write_line_chart(outdir / f"{stem}.svg", *chart)
-    marker = outdir / f"{stem}.FAILED"
+        plots.write_line_chart(_output(settings, outdir, ".svg"), *chart)
+    marker = _output(settings, outdir, ".FAILED")
     if failure is not None:
         marker.write_text(f"{failure}\n")
         return 3
@@ -274,8 +256,8 @@ def cmd_sd_convergence(settings, outdir):
             for m, _, trace in results for rec in trace.iterations]
     chart = (_error_series(results), f"steepest descent, lambda={lam:g}",
              "iteration", "error norm")
-    return _finalize(settings, outdir, "sd_convergence",
-                     ["m", "iteration", "error"], rows, failure, chart)
+    return _finalize(settings, outdir, ["m", "iteration", "error"], rows,
+                     failure, chart)
 
 
 def cmd_svd_spectrum(settings, outdir):
@@ -291,8 +273,8 @@ def cmd_svd_spectrum(settings, outdir):
     chart = (series,
              f"normal system spectrum at the initial guess, lambda={lam:g}",
              "index", "sigma / sigma_1")
-    return _finalize(settings, outdir, "svd_spectrum",
-                     ["m", "index", "sigma_normalized"], rows, failure, chart)
+    return _finalize(settings, outdir, ["m", "index", "sigma_normalized"],
+                     rows, failure, chart)
 
 
 def cmd_lin_convergence(settings, outdir):
@@ -305,7 +287,7 @@ def cmd_lin_convergence(settings, outdir):
     chart = (_error_series(results),
              f"linearized minimization, lambda={lam:g}", "iteration",
              "error norm")
-    return _finalize(settings, outdir, "lin_convergence",
+    return _finalize(settings, outdir,
                      ["m", "iteration", "error", "alpha", "cond_eq7_estimate"],
                      rows, failure, chart)
 
@@ -334,8 +316,8 @@ def cmd_spatial_decay(settings, outdir):
 
     chart = (series, f"spatial decay, lambda={lam:g}", "m or distance",
              "value")
-    return _finalize(settings, outdir, "spatial_decay",
-                     ["kind", "distance_or_m", "value"], rows, failure, chart)
+    return _finalize(settings, outdir, ["kind", "distance_or_m", "value"],
+                     rows, failure, chart)
 
 
 def _mirror(lam, swept):
@@ -373,12 +355,12 @@ def cmd_lambda_sweep(settings, outdir):
         denom = max(abs(a.error), abs(b.error), 1e-300)
         sym_rows.append((lam, mirror_of[lam], m, a.error, b.error,
                          abs(a.error - b.error) / denom))
-    write_csv(outdir / "lambda_sweep_symmetry.csv",
+    write_csv(_output(settings, outdir, "_symmetry.csv"),
               ["lambda", "lambda_mirror", "m", "error", "error_mirror",
                "rel_diff"], sym_rows)
 
     # No --jobs here, so that output directories agree across --jobs.
-    (outdir / "lambda_sweep_blas.json").write_text(
+    _output(settings, outdir, "_blas.json").write_text(
         json.dumps(single_thread_config(), indent=2, sort_keys=True) + "\n")
 
     failure = "; ".join(
@@ -395,8 +377,7 @@ def cmd_lambda_sweep(settings, outdir):
     chart = (series,
              f"converged error vs lambda (p={settings.p}, q={settings.q})",
              "lambda", "error norm")
-    return _finalize(settings, outdir, "lambda_sweep", header, rows, failure,
-                     chart)
+    return _finalize(settings, outdir, header, rows, failure, chart)
 
 
 def cmd_global_verify(settings, outdir):
@@ -412,31 +393,37 @@ def cmd_global_verify(settings, outdir):
             break
         rows.append((m, lam, report.local_error, report.global_error,
                      report.max_decoupled_offdiag))
-        scale = float(np.linalg.norm(problem.a_ll))
-        checks = [
-            abs(report.global_error - report.local_error)
-            <= 1e-12 * max(report.local_error, 1e-300),
-            report.coupling_block_max <= 1e-12 * scale,
-            report.external_block_max <= 1e-12 * scale,
-            report.max_decoupled_offdiag <= report.local_error,
-        ]
-        if not all(checks):
+        if not report.locality_holds(problem):
             violations.append(f"lambda={lam:g} m={m}")
 
     if failure is None and violations:
         failure = "locality violated at " + ", ".join(violations)
-    return _finalize(settings, outdir, "global_verify",
+    return _finalize(settings, outdir,
                      ["m", "lambda", "local_error", "global_error",
                       "max_decoupled_offdiag"], rows, failure)
 
 
-_HANDLERS = {
-    "sd-convergence": cmd_sd_convergence,
-    "svd-spectrum": cmd_svd_spectrum,
-    "lin-convergence": cmd_lin_convergence,
-    "spatial-decay": cmd_spatial_decay,
-    "lambda-sweep": cmd_lambda_sweep,
-    "global-verify": cmd_global_verify,
+# name -> (handler, help, per_m).  A per-m command writes one series per m at
+# a single lambda (_per_m).
+_COMMANDS = {
+    "sd-convergence": (
+        cmd_sd_convergence,
+        "error vs iteration for the steepest descent baseline", True),
+    "svd-spectrum": (
+        cmd_svd_spectrum,
+        "normalized singular values of the dA normal system", True),
+    "lin-convergence": (
+        cmd_lin_convergence,
+        "error vs iteration for the linearized minimizer", True),
+    "spatial-decay": (
+        cmd_spatial_decay,
+        "converged error vs m plus per-column deviation vs distance", True),
+    "lambda-sweep": (
+        cmd_lambda_sweep,
+        "converged error over a (lambda, m) grid, plus symmetry check", False),
+    "global-verify": (
+        cmd_global_verify,
+        "embed X on an explicit grid and verify exact locality", False),
 }
 
 
@@ -446,8 +433,8 @@ def build_parser():
         description="local sparsity-preserving decoupling experiments",
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
-    for name in _HANDLERS:
-        p = sub.add_parser(name, help=_HELP[name])
+    for name, (_, summary, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
         for key, (field, _, metavar, text) in _FLAGS.items():
             p.add_argument(f"--{key}", dest=field, metavar=metavar, help=text)
         p.add_argument("--config", help="key=value file; flags override it")
@@ -470,7 +457,7 @@ def main(argv=None):
             outdir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:  # e.g. --out names an existing file
             raise ConfigError(f"cannot use {outdir} as the output directory: {exc}") from exc
-        return _HANDLERS[settings.command](settings, outdir)
+        return _COMMANDS[settings.command][0](settings, outdir)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -80,7 +80,8 @@ import numpy as np
 
 from .blas import find_dsyevd, single_thread
 from .errors import NumericalFailure
-from .transform import initial_guess, objective_gradient, residual_and_error
+from .transform import (initial_guess, objective_gradient, residual_and_error,
+                        symmetrized)
 
 LINE_SEARCH_ABSCISSAE = np.array([0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0])
 _LINE_SEARCH_VANDER = np.vander(LINE_SEARCH_ABSCISSAE, 7)
@@ -259,13 +260,6 @@ def split_spaces(problem, report):
     )
 
 
-def _symmetrized(x):
-    """0.5 (x + x^T), formed with one temporary: the bits of the plain expression."""
-    s = x + x.T
-    s *= 0.5
-    return s
-
-
 def build_normal_system(problem, report, split, system):
     """Assemble the dA normal equations into `system` without forming the operator.
 
@@ -298,9 +292,9 @@ def build_normal_system(problem, report, split, system):
     system._eig = system._diagnostics = None
 
     z = report.y @ split.q_null
-    g = _symmetrized(z @ z.T)
+    g = symmetrized(z @ z.T)
     t = split.q_null.T @ report.residual @ split.q_null
-    m = _symmetrized(z @ t @ z.T)
+    m = symmetrized(z @ t @ z.T)
     del z, t
 
     delta = np.where(i_idx == j_idx, 2.0, 1.0)  # diagonal positions count once
@@ -370,7 +364,7 @@ def compute_dy(problem, report, da, split):
     y = report.y
     w = y.T @ da @ y
     np.subtract(report.residual, w, out=w)
-    w = _symmetrized(w)
+    w = symmetrized(w)
     w2 = (w @ split.q_null) @ split.q_null.T
     w2 += w
     del w
@@ -402,7 +396,7 @@ def line_objective(problem, pair, report, dy, da):
         del at
         s = y.T @ ay
         del y, ay
-        s = _symmetrized(s)
+        s = symmetrized(s)
         np.subtract(problem.a_ll, s, out=s)
         s *= s
         return float(np.sum(s))
@@ -438,13 +432,8 @@ def line_search(problem, pair, report, dy, da):
     g0 = float(np.sum(report.residual**2))
     coeffs, scale = fit_line_polynomial(g_of, g0)
 
-    deriv = np.polyder(coeffs)
-    if np.any(deriv != 0.0):
-        roots = np.roots(deriv)
-    else:
-        roots = np.array([])
     best_alpha, best_g = 0.0, g0
-    for root in roots:
+    for root in np.roots(np.polyder(coeffs)):
         if abs(root.imag) > 1e-8 * max(1.0, abs(root.real)):
             continue
         alpha = float(root.real) * scale

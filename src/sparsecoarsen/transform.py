@@ -72,13 +72,18 @@ def initial_guess(problem):
     return TransformPair(y_rows=y_rows, a_tilde=a_tilde)
 
 
+def symmetrized(x):
+    """0.5 (x + x^T), formed with one temporary: the bits of the plain expression."""
+    s = x + x.T
+    s *= 0.5
+    return s
+
+
 def residual_and_error(problem, pair):
     """Residual A_LL - Y^T A~ Y (symmetrized exactly), its Frobenius norm, Y and A~ Y."""
     y = pair.full_y()
     ay = pair.a_tilde @ y
-    s = y.T @ ay
-    s = 0.5 * (s + s.T)
-    residual = problem.a_ll - s
+    residual = problem.a_ll - symmetrized(y.T @ ay)
     return ErrorReport(residual=residual, norm=float(np.linalg.norm(residual)), y=y, ay=ay)
 
 
@@ -95,8 +100,7 @@ def objective_gradient(problem, report):
     y, residual = report.y, report.residual
     grad_y = -4.0 * (report.ay @ residual)[: problem.n_interior]
 
-    p = y @ residual @ y.T
-    p = 0.5 * (p + p.T)
+    p = symmetrized(y @ residual @ y.T)
     mask = problem.target_pattern.mask()
     grad_a = np.where(mask, -4.0 * p, 0.0)
     diag = np.arange(problem.n_local)

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import io
 import itertools
 import math
@@ -261,6 +262,40 @@ class TestGlobalVerify:
         loc_ratio = locals_[2] / locals_[4]
         assert inv_ratio / loc_ratio < 5.0
         assert loc_ratio / inv_ratio < 5.0
+
+
+class TestLocalityHolds:
+    @pytest.fixture(scope="class")
+    def verified(self):
+        problem = extract_local_scalar(2, 0.0)
+        pair, _, _ = linearized_minimize(problem)
+        spec, center = default_verify_grid(problem)
+        return problem, global_verify(spec, center, problem, pair)
+
+    def test_holds_on_a_converged_report(self, verified):
+        problem, report = verified
+        assert report.locality_holds(problem)
+
+    # Each bound's field, given the local error, ||A_LL||_F and a fraction
+    # f of the way to its limit.
+    LIMITS = {
+        "global_error": lambda local, scale, f: local + f * 1e-12 * local,
+        "coupling_block_max": lambda local, scale, f: f * 1e-12 * scale,
+        "external_block_max": lambda local, scale, f: f * 1e-12 * scale,
+        "max_decoupled_offdiag": lambda local, scale, f: f * local,
+    }
+
+    @pytest.mark.parametrize("field", sorted(LIMITS))
+    def test_each_bound_fails_alone_just_past_its_limit(self, verified, field):
+        problem, report = verified
+        scale = float(np.linalg.norm(problem.a_ll))
+
+        def holds(fraction):
+            value = self.LIMITS[field](report.local_error, scale, fraction)
+            return dataclasses.replace(report, **{field: value}).locality_holds(problem)
+
+        assert holds(0.99)
+        assert not holds(1.01)
 
 
 class TestFitDecayRate:

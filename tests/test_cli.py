@@ -154,6 +154,49 @@ class TestExitCodes:
         assert f"{key} value {repeated} is repeated" in capsys.readouterr().err
         assert not out.exists()  # nothing solved or written
 
+    @pytest.mark.parametrize("key, text, message", [
+        ("p", "0", "p must be >= 1"),
+        ("p", "x", "bad p value 'x'"),
+        ("max-iter", "1.5", "bad max-iter value '1.5'"),
+        ("jobs", "0", "jobs must be >= 1"),
+        ("tol", "-1", "tol must be a positive finite number"),
+        ("tol", "nan", "tol must be a positive finite number"),
+        ("tol", "x", "bad tol value 'x'"),
+        ("format", "pdf", "format must be 'csv' or 'csv+svg', got 'pdf'"),
+    ])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_bad_scalar_values_rejected(self, tmp_path, capsys, key, text,
+                                        message, via):
+        out = tmp_path / "o"
+        if via == "flag":
+            argv = [f"--{key}={text}"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{key}={text}\n")
+            argv = ["--config", str(cfg)]
+        code = main(["lambda-sweep", *argv, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()  # nothing solved or written
+
+    def test_help_lists_the_commands_in_order(self, capsys):
+        commands = [
+            ("sd-convergence",
+             "error vs iteration for the steepest descent baseline"),
+            ("svd-spectrum", "normalized singular values of the dA normal system"),
+            ("lin-convergence", "error vs iteration for the linearized minimizer"),
+            ("spatial-decay",
+             "converged error vs m plus per-column deviation vs distance"),
+            ("lambda-sweep",
+             "converged error over a (lambda, m) grid, plus symmetry check"),
+            ("global-verify",
+             "embed X on an explicit grid and verify exact locality"),
+        ]
+        assert main(["--help"]) == 0
+        shown = " ".join(capsys.readouterr().out.split())  # undo the wrapping
+        at = [shown.find(f"{name} {summary}") for name, summary in commands]
+        assert -1 not in at and at == sorted(at)
+
     @pytest.mark.parametrize("command, solver, m_col, failed_at", [
         ("sd-convergence", "steepest_descent", 0, "m=2"),
         ("svd-spectrum", "spectrum_at", 0, "m=2"),
