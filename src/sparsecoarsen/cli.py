@@ -17,6 +17,7 @@ import argparse
 import itertools
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -442,6 +443,14 @@ def build_parser():
 
 
 def main(argv=None):
+    # argparse takes "-0.5,1" or "-1e-3" after a space for a flag, not a value:
+    # join it to its value flag, written in full or abbreviated as argparse allows.
+    argv = sys.argv[1:] if argv is None else list(argv)
+    value_flags = [f"--{key}" for key in (*_FLAGS, "config")]
+    for k in range(len(argv) - 1, 0, -1):
+        flags = [f for f in value_flags if f.startswith(argv[k - 1])]
+        if (argv[k - 1] in flags or len(flags) == 1) and re.match(r"-[0-9.]", argv[k]):
+            argv[k - 1:k + 1] = [f"{argv[k - 1]}={argv[k]}"]
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -11,7 +11,10 @@ supernodes within m hops of the decoupled node's supernode (a scalar region
 is the 1 x 1 case), their interior/boundary split, the region's node order
 and the supernode adjacency.  extract_local_supernode builds the local
 operator and the target sparsity pattern the transformation must preserve
-from that layout, treating sparsity at supernode granularity.
+from that layout, treating sparsity at supernode granularity.  A
+SparsityPattern owns the free-value map: its free values, one per
+positions() entry, are the unknowns of A~ and dA, and embed and
+multiplicity say how they fill the symmetric matrix.
 """
 
 from dataclasses import dataclass
@@ -64,20 +67,32 @@ class SparsityPattern:
     @cached_property
     def index_arrays(self):
         """Read-only (rows, cols) arrays of positions(), built once per pattern."""
-        pos = self.positions()
-        rows = np.array([i for i, _ in pos], dtype=np.intp)
-        cols = np.array([j for _, j in pos], dtype=np.intp)
-        rows.flags.writeable = False
-        cols.flags.writeable = False
-        return rows, cols
+        index = np.array(self.positions(), dtype=np.intp).reshape(-1, 2).T.copy()
+        index.flags.writeable = False
+        return index[0], index[1]
+
+    def embed(self, values):
+        """Symmetric array of values' dtype: values at positions() and mirrored, 0 elsewhere."""
+        rows, cols = self.index_arrays
+        out = np.zeros((self.dim, self.dim), dtype=values.dtype)
+        out[rows, cols] = values
+        out[cols, rows] = values
+        return out
+
+    @cached_property
+    def multiplicity(self):
+        """Read-only count of the entries each free value fills: 1.0 on the diagonal, 2.0 off it.
+
+        So <embed(v), M> = sum(multiplicity * M[index_arrays] * v) for symmetric M.
+        """
+        rows, cols = self.index_arrays
+        out = np.where(rows == cols, 1.0, 2.0)
+        out.flags.writeable = False
+        return out
 
     def mask(self):
-        """Dense boolean admissibility mask, symmetric."""
-        out = np.zeros((self.dim, self.dim), dtype=bool)
-        rows, cols = self.index_arrays
-        out[rows, cols] = True
-        out[cols, rows] = True
-        return out
+        """Dense boolean admissibility mask, symmetric: embed of ones."""
+        return self.embed(np.ones(self.n_entries, dtype=bool))
 
     @property
     def n_entries(self):
@@ -94,8 +109,6 @@ class SupernodeLayout:
     stencil coupling.
     """
 
-    p: int
-    q: int
     supernode_coords: tuple
     node_ids: tuple
     adjacency: frozenset
@@ -107,33 +120,23 @@ class SupernodeLayout:
 class LocalProblem:
     """Everything needed to decouple one node while preserving sparsity.
 
-    a_ll is the dense local operator in the region node order (interior nodes
-    first, then boundary).  target_pattern is the admissible sparsity of the
-    coarsened operator: the region pattern with the decoupled node's
-    off-diagonal entries removed.  coords are integer node coordinates
-    relative to the decoupled node.
+    a_ll is the dense local operator in the region node order, the
+    n_interior interior nodes first, then boundary.  target_pattern is the
+    admissible sparsity of the coarsened operator: the region pattern with
+    the decoupled node's off-diagonal entries removed.  coords are integer
+    node coordinates relative to the decoupled node.
     """
 
     a_ll: np.ndarray
-    interior: tuple
-    boundary: tuple
+    n_interior: int
     decoupled: int
     target_pattern: SparsityPattern
     coords: np.ndarray
     lam: float
-    supernode_dims: tuple
 
     @property
     def n_local(self):
         return self.a_ll.shape[0]
-
-    @property
-    def n_interior(self):
-        return len(self.interior)
-
-    @property
-    def n_boundary(self):
-        return len(self.boundary)
 
 
 def _stencil(coords, lam):
@@ -232,8 +235,6 @@ def supernode_layout(m, p, q):
                 a, b = sid_of[(sx, sy)], sid_of[nb]
                 adjacency.add((min(a, b), max(a, b)))
     return SupernodeLayout(
-        p=p,
-        q=q,
         supernode_coords=tuple(scoords),
         node_ids=tuple(tuple(index[c] for c in members[s]) for s in scoords),
         adjacency=frozenset(adjacency),
@@ -263,13 +264,11 @@ def extract_local_supernode(m, p, q, lam):
     c = layout.node_ids[0][0]
     return LocalProblem(
         a_ll=_stencil(layout.order, lam),
-        interior=tuple(range(layout.n_interior)),
-        boundary=tuple(range(layout.n_interior, n)),
+        n_interior=layout.n_interior,
         decoupled=c,
         target_pattern=decoupled_pattern(base, c),
         coords=np.array(layout.order, dtype=int),
         lam=lam,
-        supernode_dims=(p, q),
     )
 
 

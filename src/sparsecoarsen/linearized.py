@@ -139,11 +139,12 @@ class NormalSystem:
     """The dA normal equations, in buffers made once and reused for each state.
 
     build_normal_system assembles a state into the system, over the last
-    one: N into matrix, and rhs, basis (the (rows, cols) index arrays of the
-    free positions, rows <= cols) and expected_null (n_interior when A~ had
-    full rank, else None).  eig and diagnostics belong to that state, and
-    the next assembly drops them.  eig solves the system the first time it
-    is read, in place, so matrix holds N only until then.
+    one: N into matrix, and rhs, pattern (the target SparsityPattern: its
+    free values are the unknowns, and it owns their map into dA) and
+    expected_null (n_interior when A~ had full rank, else None).  eig and
+    diagnostics belong to that state, and the next assembly drops them.
+    eig solves the system the first time it is read, in place, so matrix
+    holds N only until then.
 
     N is exactly symmetric, so the C-ordered matrix is N in column-major
     order too.  eig runs numpy's own dsyevd (blas.find_dsyevd) on it, as
@@ -162,7 +163,7 @@ class NormalSystem:
 
     def __init__(self, n):
         self.matrix = np.empty((n, n))
-        self.rhs = self.basis = self.expected_null = None
+        self.rhs = self.pattern = self.expected_null = None
         self._eig = self._diagnostics = None
         self._dsyevd = find_dsyevd()
         if self._dsyevd is None:
@@ -267,8 +268,8 @@ def build_normal_system(problem, report, split, system):
 
         N_kl  = Tr(B_k G B_l G),  rhs_k = Tr(B_k M)
 
-    over the symmetrized pattern basis B_k, i.e. O(n_pattern^2) work given G.
-    Y and R are read from the state's report.
+    over the pattern's basis B_k = embed(e_k), i.e. O(n_pattern^2) work
+    given G.  Y and R are read from the state's report.
 
     G is symmetrized first, so G_ji = G_ij^T exactly and N comes out exactly
     symmetric: each entry and its mirror are the same two products, summed.
@@ -278,7 +279,8 @@ def build_normal_system(problem, report, split, system):
     diagnostics are dropped (NormalSystem).  A system of another size, or a
     work array too small for the gathers, raises ValueError.
     """
-    i_idx, j_idx = problem.target_pattern.index_arrays
+    pattern = problem.target_pattern
+    i_idx, j_idx = pattern.index_arrays
     n_pattern = len(i_idx)
     if n_pattern == 0:
         raise ValueError("target pattern has no free positions")
@@ -297,20 +299,19 @@ def build_normal_system(problem, report, split, system):
     m = symmetrized(z @ t @ z.T)
     del z, t
 
-    delta = np.where(i_idx == j_idx, 2.0, 1.0)  # diagonal positions count once
-    row_scale = 2.0 / delta
-    col_scale = 1.0 / delta
-    system.rhs = row_scale * m[i_idx, j_idx]
-    system.basis = (i_idx, j_idx)
+    col_scale = 0.5 * pattern.multiplicity
+    system.rhs = pattern.multiplicity * m[i_idx, j_idx]
+    system.pattern = pattern
     system.expected_null = problem.n_interior if split.rank == problem.n_interior else None
     del m
 
     gathers = system.work[: math.prod(gathers_shape)].reshape(gathers_shape)
     # Columns first, then rows, one block of rows at a time into N itself:
     # G is symmetric, so the column gathers are the rows G_i, G_j
-    # transposed, and every gather copies contiguous rows.  The weights
-    # 2 / (delta_k delta_l) are powers of two, applied rows first, so the
-    # bytes are those of one multiplication by their product.
+    # transposed, and every gather copies contiguous rows.  For free values
+    # k, l at (i, j), (i', j'), N_kl = c_k c_l (G_ii' G_jj' + G_ij' G_ji') / 2
+    # with c = multiplicity: powers of two, applied rows first, so the bytes
+    # are those of one multiplication by their product.
     g_ti = g.take(i_idx, axis=1, out=gathers[0], mode="clip")
     g_tj = g.take(j_idx, axis=1, out=gathers[1], mode="clip")
     for start in range(0, n_pattern, BLOCK_ROWS):
@@ -321,21 +322,14 @@ def build_normal_system(problem, report, split, system):
         cross = g_tj.take(i_idx[rows], axis=0)  # G_ij
         cross *= g_ti.take(j_idx[rows], axis=0)  # G_ji, which is G_ij^T
         block += cross
-        block *= row_scale[rows, None]
+        block *= pattern.multiplicity[rows, None]
         block *= col_scale
 
 
-def _embed_da(values, basis, n):
-    rows, cols = basis
-    da = np.zeros((n, n))
-    da[rows, cols] = values
-    da[cols, rows] = values
-    return da
-
-
-def solve_for_da(system, n_local):
+def solve_for_da(system):
     """Solve the normal equations on their non-null eigenpairs; returns (dA, diagnostics).
 
+    The solution is dA's free values, which system.pattern embeds.
     diagnostics is system.diagnostics, whose null directions are dropped
     from the solution.  A warning is emitted when the detected null
     dimension disagrees with the gauge count n_interior (only meaningful
@@ -354,7 +348,7 @@ def solve_for_da(system, n_local):
     retained = len(s) - diagnostics.null_dim
     proj = u[:, :retained].T @ system.rhs
     coeffs = u[:, :retained] @ (proj / s[:retained] * sign[:retained])
-    return _embed_da(coeffs, system.basis, n_local), diagnostics
+    return system.pattern.embed(coeffs), diagnostics
 
 
 def compute_dy(problem, report, da, split):
@@ -569,7 +563,7 @@ def linearized_minimize(problem, opts=MinimizeOptions()):
             system = NormalSystem(problem.target_pattern.n_entries)
         split = split_spaces(problem, report)
         build_normal_system(problem, report, split, system)
-        da, solve = solve_for_da(system, problem.n_local)
+        da, solve = solve_for_da(system)
         return compute_dy(problem, report, da, split), da, solve
 
     pair, trace = _descend(problem, step, opts)

@@ -92,21 +92,17 @@ def objective_gradient(problem, report):
 
     `report` is the state's residual_and_error; the gradient reads its Y,
     A~ Y and residual R = A_LL - Y^T A~ Y.  Returns (grad_y, grad_a).
-    grad_y is (n_interior, n_local).  grad_a is a pattern-masked symmetric
-    matrix holding the derivative with respect to each free value: a
-    symmetric off-diagonal pair (i, j) is one variable, so positions (i, j)
-    and (j, i) both carry d/da_ij.
+    grad_y is (n_interior, n_local).  grad_a is the pattern's embed of the
+    derivative with respect to each free value, -2 multiplicity P with
+    P = sym(Y R Y^T) at its positions: an off-diagonal free value fills
+    (i, j) and (j, i), so both carry its derivative.
     """
     y, residual = report.y, report.residual
     grad_y = -4.0 * (report.ay @ residual)[: problem.n_interior]
 
-    p = symmetrized(y @ residual @ y.T)
-    mask = problem.target_pattern.mask()
-    grad_a = np.where(mask, -4.0 * p, 0.0)
-    diag = np.arange(problem.n_local)
-    on_diag = mask[diag, diag]
-    grad_a[diag[on_diag], diag[on_diag]] = -2.0 * p[diag[on_diag], diag[on_diag]]
-    return grad_y, grad_a
+    pattern = problem.target_pattern
+    p = symmetrized(y @ residual @ y.T)[pattern.index_arrays]
+    return grad_y, pattern.embed((-2.0 * pattern.multiplicity) * p)
 
 
 def interior_scaling(pair, d):

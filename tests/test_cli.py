@@ -334,6 +334,30 @@ class TestSchemas:
             [("3", "5"), ("3", "5"), ("5", "3"), ("5", "3")]
         assert all(float(r[5]) <= 1e-10 for r in sym[1:])
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--lambda", "-0.5,1"), ("--lambda", "-1e-3"), ("--lambda", "-.5"),
+        ("--lam", "-0.5,1")])
+    def test_dash_value_after_a_space_is_the_value(self, tmp_path, flag,
+                                                    value):
+        # argparse alone reads these as flags: only plain negative numbers
+        # such as -1 pass as values
+        spaced, joined = tmp_path / "spaced", tmp_path / "joined"
+        assert main(["lambda-sweep", flag, value, "--m", "1",
+                     "--out", str(spaced)]) == 0
+        assert main(["lambda-sweep", f"--lambda={value}", "--m", "1",
+                     "--out", str(joined)]) == 0
+        names = sorted(p.name for p in joined.iterdir())
+        assert sorted(p.name for p in spaced.iterdir()) == names
+        assert "lambda_sweep.csv" in names
+        for name in names:
+            assert (spaced / name).read_bytes() == (joined / name).read_bytes()
+
+    def test_missing_value_keeps_argparse_error(self, tmp_path, capsys):
+        assert main(["lambda-sweep", "--lambda", "--m", "1",
+                     "--out", str(tmp_path)]) == 2
+        assert "argument --lambda: expected one argument" in \
+            capsys.readouterr().err
+
     def test_lambda_sweep_mirror_matches_swept_value(self, tmp_path,
                                                       monkeypatch):
         # 8 - 7.9 is 0.09999999999999964, not 0.1: the mirror of 7.9 is the

@@ -111,6 +111,47 @@ class TestSparsityPattern:
         expected = np.array([[(i, j) in pat for j in range(n)] for i in range(n)])
         assert np.array_equal(pat.mask(), expected)
 
+    @pytest.mark.parametrize("problem", [extract_local_scalar(2, 0.0),
+                                         extract_local_supernode(1, 2, 1, 0.0)],
+                             ids=["scalar", "supernode"])
+    def test_embed_holds_values_at_positions_only(self, problem):
+        pat = problem.target_pattern
+        rows, cols = pat.index_arrays
+        values = np.arange(1.0, pat.n_entries + 1)
+        out = pat.embed(values)
+        assert np.array_equal(out, out.T)
+        assert np.array_equal(out[rows, cols], values)
+        out[rows, cols] = out[cols, rows] = 0.0
+        assert not out.any()
+        assert np.array_equal(pat.mask(), pat.embed(np.ones(pat.n_entries)))
+
+    def test_multiplicity_is_lazy_and_read_only(self):
+        pat = SparsityPattern.from_pairs(3, [(0, 0), (1, 2)])
+        assert "multiplicity" not in vars(pat)
+        assert pat.multiplicity.tolist() == [1.0, 2.0]
+        with pytest.raises(ValueError):
+            pat.multiplicity[0] = 2.0
+
+    # The assembly's rhs and the gradient rest on this identity.
+    @given(st.sampled_from([(1, 1, 1), (2, 1, 1), (3, 1, 1), (1, 2, 1),
+                            (2, 2, 1), (1, 1, 2), (2, 1, 2)]),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_inner_product_identity(self, region, seed):
+        m, p, q = region
+        pat = extract_local_supernode(m, p, q, 0.0).target_pattern
+        rows, cols = pat.index_arrays
+        rng = np.random.default_rng(seed)
+        # small integers, so both sides are exact
+        values = rng.integers(-9, 10, pat.n_entries).astype(float)
+        sym = rng.integers(-9, 10, (pat.dim, pat.dim)).astype(float)
+        sym += sym.T
+        assert np.sum(pat.embed(values) * sym) == \
+            np.sum(pat.multiplicity * sym[rows, cols] * values)
+        filled = [np.count_nonzero(pat.embed(np.eye(pat.n_entries)[k]))
+                  for k in range(pat.n_entries)]
+        assert np.array_equal(pat.multiplicity, filled)
+
 
 class TestDecoupledPattern:
     def test_removes_row_and_column(self):
@@ -140,31 +181,30 @@ class TestExtractLocalScalar:
         prob = extract_local_scalar(m, 0.0)
         assert prob.n_local == region_size(m)
         assert prob.n_interior == region_size(m - 1)
-        assert prob.n_boundary == 4 * m
+        assert prob.n_local - prob.n_interior == 4 * m
 
     def test_m1_counts(self):
         prob = extract_local_scalar(1, 0.0)
-        assert (prob.n_local, prob.n_interior, prob.n_boundary) == (5, 1, 4)
+        assert (prob.n_local, prob.n_interior) == (5, 1)
 
     def test_m2_and_m3_counts(self):
         p2 = extract_local_scalar(2, 0.0)
-        assert (p2.n_local, p2.n_interior, p2.n_boundary) == (13, 5, 8)
+        assert (p2.n_local, p2.n_interior) == (13, 5)
         p3 = extract_local_scalar(3, 0.0)
-        assert (p3.n_local, p3.n_interior, p3.n_boundary) == (25, 13, 12)
+        assert (p3.n_local, p3.n_interior) == (25, 13)
 
     def test_decoupled_is_first_interior(self):
         prob = extract_local_scalar(3, 1.0)
         assert prob.decoupled == 0
-        assert prob.decoupled in prob.interior
+        assert prob.decoupled < prob.n_interior
         assert tuple(prob.coords[0]) == (0, 0)
 
     def test_interior_then_boundary_ordering(self):
         prob = extract_local_scalar(3, 1.0)
-        assert prob.interior == tuple(range(13))
-        assert prob.boundary == tuple(range(13, 25))
+        assert (prob.n_interior, prob.n_local) == (13, 25)
         dist = np.abs(prob.coords).sum(axis=1)
-        assert dist[list(prob.interior)].max() == 2
-        assert set(dist[list(prob.boundary)]) == {3}
+        assert dist[:prob.n_interior].max() == 2
+        assert set(dist[prob.n_interior:]) == {3}
 
     def test_a_ll_values(self):
         lam = 2.5
@@ -236,13 +276,14 @@ class TestSupernodes:
     )
     def test_region_counts(self, m, p, q, n_l, n_i, n_b):
         prob = extract_local_supernode(m, p, q, 0.0)
-        assert (prob.n_local, prob.n_interior, prob.n_boundary) == (n_l, n_i, n_b)
+        assert (prob.n_local, prob.n_interior, prob.n_local - prob.n_interior) == \
+            (n_l, n_i, n_b)
 
     def test_count_formula(self):
         for m, p, q in [(1, 2, 1), (2, 2, 2), (3, 3, 2)]:
             prob = extract_local_supernode(m, p, q, 0.0)
             assert prob.n_local == region_size(m) * p * q
-            assert prob.n_boundary == 4 * m * p * q
+            assert prob.n_local - prob.n_interior == 4 * m * p * q
 
     def test_degenerate_1x1_matches_scalar(self):
         for m in (1, 2, 3):
@@ -250,7 +291,7 @@ class TestSupernodes:
             b = extract_local_supernode(m, 1, 1, 1.5)
             np.testing.assert_array_equal(a.a_ll, b.a_ll)
             assert a.target_pattern.entries == b.target_pattern.entries
-            assert a.interior == b.interior and a.boundary == b.boundary
+            assert a.n_interior == b.n_interior and a.n_local == b.n_local
             np.testing.assert_array_equal(a.coords, b.coords)
 
     def test_fill_superset_of_stencil(self):

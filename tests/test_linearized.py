@@ -199,14 +199,12 @@ def diagonal_problem(a00):
     """A 2-node diagonal operator on a diagonal pattern: the initial guess is exact."""
     return LocalProblem(
         a_ll=np.diag([a00, 3.0]),
-        interior=(0,),
-        boundary=(1,),
+        n_interior=1,
         decoupled=0,
         target_pattern=SparsityPattern(dim=2,
                                        entries=frozenset({(0, 0), (1, 1)})),
         coords=np.array([[0, 0], [1, 0]]),
         lam=0.0,
-        supernode_dims=(1, 1),
     )
 
 
@@ -249,7 +247,7 @@ class TestByteIdentity:
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            da, diag = solve_for_da(system, n_local=problem.n_local)
+            da, diag = solve_for_da(system)
         ref_da, ref_fields = direct_solve(matrix, rhs,
                                           problem.target_pattern.positions(),
                                           problem.n_local)
@@ -266,7 +264,7 @@ class TestByteIdentity:
         report, split, system = linearized_phases(problem, pair)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            da, _ = solve_for_da(system, n_local=problem.n_local)
+            da, _ = solve_for_da(system)
         dy = compute_dy(problem, report, da, split)
         assert np.array_equal(report.y, pair.full_y())
         assert np.array_equal(report.ay[: problem.n_interior],
@@ -305,7 +303,7 @@ class TestLineSearchReadsG0:
         report, split, system = linearized_phases(problem, pair)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            da, _ = solve_for_da(system, n_local=problem.n_local)
+            da, _ = solve_for_da(system)
         dy = compute_dy(problem, report, da, split)
         expected = two_step_line_search(problem, pair, dy, da)
 
@@ -409,14 +407,12 @@ class TestNormalSystem:
     def test_empty_pattern_rejected(self):
         problem = LocalProblem(
             a_ll=np.eye(2),
-            interior=(0,),
-            boundary=(1,),
+            n_interior=1,
             decoupled=0,
             target_pattern=SparsityPattern(dim=2, entries=frozenset()),
             coords=np.array([[0, 0], [1, 0]]),
             lam=0.0,
-            supernode_dims=(1, 1),
-        )
+            )
         pair = initial_guess(problem)
         with pytest.raises(ValueError):
             linearized_phases(problem, pair)
@@ -535,7 +531,7 @@ class TestSolveForDa:
         problem = extract_local_scalar(2, 0.0)
         pair = initial_guess(problem)
         system = linearized_phases(problem, pair)[2]
-        da, diag = solve_for_da(system, n_local=problem.n_local)
+        da, diag = solve_for_da(system)
         assert diag.null_dim == problem.n_interior
         assert diag.cond_eq7_estimate == \
             pytest.approx(math.sqrt(diag.cond_retained))
@@ -545,7 +541,7 @@ class TestSolveForDa:
         problem = extract_local_scalar(2, 3.5)
         pair = random_state(problem, seed=6)
         system = linearized_phases(problem, pair)[2]
-        da, _ = solve_for_da(system, n_local=problem.n_local)
+        da, _ = solve_for_da(system)
         assert np.array_equal(da, da.T)
         assert np.all(da[~problem.target_pattern.mask()] == 0.0)
 
@@ -556,12 +552,12 @@ class TestSolveForDa:
         assert system.expected_null == problem.n_interior
         system.expected_null = problem.n_interior + 1
         with pytest.warns(RuntimeWarning, match="detected null dimension"):
-            solve_for_da(system, n_local=problem.n_local)
+            solve_for_da(system)
 
     def test_returns_the_systems_diagnostics(self):
         problem = extract_local_scalar(2, 0.0)
         system = linearized_phases(problem, random_state(problem, seed=5))[2]
-        _, diag = solve_for_da(system, n_local=problem.n_local)
+        _, diag = solve_for_da(system)
         assert diag is system.diagnostics
 
     def test_everything_truncated_gives_zero(self):
@@ -571,7 +567,7 @@ class TestSolveForDa:
         system.matrix[...] = 0.0  # before eig, which solves what matrix holds
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            da, diag = solve_for_da(system, n_local=problem.n_local)
+            da, diag = solve_for_da(system)
         assert np.all(da == 0.0)
         assert diag.null_dim == len(system.rhs)
         assert math.isnan(diag.cond_retained)
@@ -592,7 +588,7 @@ def matrix_system(matrix, rhs=None):
     system = NormalSystem(n)
     system.matrix[...] = matrix
     system.rhs = np.zeros(n) if rhs is None else np.asarray(rhs, dtype=float)
-    system.basis = (np.arange(n), np.arange(n))
+    system.pattern = SparsityPattern.from_pairs(n, [(k, k) for k in range(n)])
     return system
 
 
@@ -787,7 +783,7 @@ class TestComputeDy:
             problem = extract_local_scalar(m, lam)
             pair = random_state(problem, seed=m + 40)
             report, split, system = linearized_phases(problem, pair)
-            da, _ = solve_for_da(system, n_local=problem.n_local)
+            da, _ = solve_for_da(system)
             dy = compute_dy(problem, report, da, split)
             r_norm = report.norm
             span_span, span_null, _ = rotated_block_norms(problem, pair,
@@ -825,7 +821,7 @@ class TestLineSearch:
         problem = extract_local_scalar(2, 0.0)
         pair = random_state(problem, seed=3)
         report, split, system = linearized_phases(problem, pair)
-        da, _ = solve_for_da(system, n_local=problem.n_local)
+        da, _ = solve_for_da(system)
         dy = compute_dy(problem, report, da, split)
         g = line_objective(problem, pair, report, dy, da)
         coeffs, scale = fit_line_polynomial(g, g(0.0))
@@ -840,7 +836,7 @@ class TestLineSearch:
         problem = extract_local_scalar(2, 0.0)
         pair = initial_guess(problem)
         report, split, system = linearized_phases(problem, pair)
-        da, _ = solve_for_da(system, n_local=problem.n_local)
+        da, _ = solve_for_da(system)
         dy = compute_dy(problem, report, da, split)
         alpha, err = line_search(problem, pair, report, dy, da)
         assert 0.0 < alpha <= 4.0

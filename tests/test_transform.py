@@ -104,9 +104,12 @@ class TestGradient:
         assert np.all(grad_a[~problem.target_pattern.mask()] == 0.0)
         assert np.array_equal(grad_a, grad_a.T)
 
-    @pytest.mark.parametrize("m,lam", [(1, 0.0), (2, 0.0), (2, 3.5)])
-    def test_matches_central_differences(self, m, lam):
-        problem = extract_local_scalar(m, lam)
+    # The (2, 1) supernode pattern holds off-diagonal pairs inside a supernode.
+    @pytest.mark.parametrize("m,lam,dims", [(1, 0.0, (1, 1)), (2, 0.0, (1, 1)),
+                                            (2, 3.5, (1, 1)), (1, 0.0, (2, 1))],
+                             ids=["1-0.0", "2-0.0", "2-3.5", "supernode-2x1-1-0.0"])
+    def test_matches_central_differences(self, m, lam, dims):
+        problem = extract_local_supernode(m, *dims, lam)
         pair = random_state(problem, seed=100 * m + 1)
         grad_y, grad_a = gradient(problem, pair)
         h = 1e-6
