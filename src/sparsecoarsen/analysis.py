@@ -4,10 +4,11 @@ Everything here is read-only with respect to the minimization: it builds
 normal systems, embeds transformations into explicit grids, or runs batches
 of minimizations and tabulates the results for the experiment harness.
 A spectrum is read as the minimization reads it: spectrum_at returns the
-normal system's own SolveDiagnostics next to its singular values.
+SolveDiagnostics of the same null cut next to its singular values.
 """
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,7 @@ from .linearized import (
     NormalSystem,
     build_normal_system,
     linearized_minimize,
+    null_cut,
     split_spaces,
 )
 from .transform import condition_of_y, interior_scaling, residual_and_error
@@ -83,17 +85,17 @@ class SweepRecord:
 def spectrum_at(problem, pair):
     """(sigma, diagnostics) of the dA normal system at the given state.
 
-    sigma is the descending spectrum (NormalSystem.eig) and diagnostics the
-    system's SolveDiagnostics (NormalSystem.diagnostics): the record a
-    linearized step at this state puts in its trace.  The state is
-    assembled into a NormalSystem of its own and solved there, as a step's
-    is.
+    sigma is the descending spectrum of NormalSystem.eigh() and diagnostics
+    what null_cut makes of it: the record a linearized step at this state
+    puts in its trace.  The state is assembled into a NormalSystem of its
+    own and solved there, as a step's is.
     """
     report = residual_and_error(problem, pair)
     split = split_spaces(problem, report)
     system = NormalSystem(problem.target_pattern.n_entries)
     build_normal_system(problem, report, split, system)
-    return system.eig[1], system.diagnostics
+    u, sigma, _ = system.eigh()
+    return sigma, null_cut(u, sigma, system.rhs)
 
 
 def spatial_decay(problem, pair):
@@ -225,34 +227,38 @@ def fit_decay_rate(ms, errors):
 
 
 def _sweep_point(args):
+    """A point's SweepRecord, and every warning the caller's filters let through."""
     lam, m, p, q, opts = args
-    problem = extract_local_supernode(m, p, q, lam)
-    point = dict(lam=lam, m=m, p=p, q=q, n_local=problem.n_local,
-                 n_pattern=problem.target_pattern.n_entries)
-    try:
-        pair, trace, _ = linearized_minimize(problem, opts)
-        final = trace.iterations[-1]
-        return SweepRecord(
-            **point,
-            error=final.error,
-            iterations=trace.n_steps,
-            cond_y=condition_of_y(pair),
-            cond_eq7_estimate=final.solve.cond_eq7_estimate,
-            null_dim=final.solve.null_dim,
-            status="ok" if trace.converged else "max_iter",
-            stop_reason=trace.stop_reason,
-        )
-    except NumericalFailure as exc:
-        return SweepRecord(
-            **point,
-            error=math.nan,
-            iterations=0,
-            cond_y=math.nan,
-            cond_eq7_estimate=math.nan,
-            null_dim=-1,
-            status=f"failed: {exc}",
-            stop_reason="failed",
-        )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", append=True)
+        problem = extract_local_supernode(m, p, q, lam)
+        point = dict(lam=lam, m=m, p=p, q=q, n_local=problem.n_local,
+                     n_pattern=problem.target_pattern.n_entries)
+        try:
+            pair, trace, _ = linearized_minimize(problem, opts)
+            final = trace.iterations[-1]
+            record = SweepRecord(
+                **point,
+                error=final.error,
+                iterations=trace.n_steps,
+                cond_y=condition_of_y(pair),
+                cond_eq7_estimate=final.solve.cond_eq7_estimate,
+                null_dim=final.solve.null_dim,
+                status="ok" if trace.converged else "max_iter",
+                stop_reason=trace.stop_reason,
+            )
+        except NumericalFailure as exc:
+            record = SweepRecord(
+                **point,
+                error=math.nan,
+                iterations=0,
+                cond_y=math.nan,
+                cond_eq7_estimate=math.nan,
+                null_dim=-1,
+                status=f"failed: {exc}",
+                stop_reason="failed",
+            )
+    return record, [(w.message, w.category, w.filename, w.lineno) for w in caught]
 
 
 def run_sweep(lambdas, ms, p=1, q=1, opts=MinimizeOptions(), jobs=1):
@@ -265,7 +271,8 @@ def run_sweep(lambdas, ms, p=1, q=1, opts=MinimizeOptions(), jobs=1):
     identical and identically ordered whatever jobs or the caller's BLAS
     thread count is; where no OpenBLAS thread control is found, that holds
     only at a fixed BLAS thread count.  Numerical failures become explicit
-    failure records, never invented values.
+    failure records, never invented values.  The points' warnings are then
+    emitted in grid order, under the caller's filters, whatever jobs is.
     """
     points = [(lam, m, p, q, opts) for lam in sorted(lambdas) for m in sorted(ms)]
     # The pool starts all of its workers on the first submit.
@@ -275,5 +282,13 @@ def run_sweep(lambdas, ms, p=1, q=1, opts=MinimizeOptions(), jobs=1):
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_sweep_point, points))
-    return [_sweep_point(pt) for pt in points]
+            results = list(pool.map(_sweep_point, points))
+    else:
+        results = [_sweep_point(pt) for pt in points]
+    # Not between points: a point's recorder changes the filters, and that
+    # empties the registry that keeps a message from repeating.
+    registry = {}
+    for _, caught in results:
+        for message, category, filename, lineno in caught:
+            warnings.warn_explicit(message, category, filename, lineno, registry=registry)
+    return [record for record, _ in results]

@@ -124,11 +124,14 @@ class LocalProblem:
     n_interior interior nodes first, then boundary.  target_pattern is the
     admissible sparsity of the coarsened operator: the region pattern with
     the decoupled node's off-diagonal entries removed.  coords are integer
-    node coordinates relative to the decoupled node.
+    node coordinates relative to the decoupled node.  gauge_dim counts the
+    gauge directions dA = D^T A~ + A~ D, D block-diagonal over the interior
+    supernodes: b^2 N - 2(b - 1) for N of them with b nodes each.
     """
 
     a_ll: np.ndarray
     n_interior: int
+    gauge_dim: int
     decoupled: int
     target_pattern: SparsityPattern
     coords: np.ndarray
@@ -265,6 +268,7 @@ def extract_local_supernode(m, p, q, lam):
     return LocalProblem(
         a_ll=_stencil(layout.order, lam),
         n_interior=layout.n_interior,
+        gauge_dim=p * q * layout.n_interior - 2 * (p * q - 1),
         decoupled=c,
         target_pattern=decoupled_pattern(base, c),
         coords=np.array(layout.order, dtype=int),

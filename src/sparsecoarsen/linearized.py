@@ -26,18 +26,17 @@ which is a linear least squares in the free values of dA.  Its normal
 equations have closed-form entries in G = Y Q_null Q_null^T Y^T and are
 solved through their symmetric eigendecomposition (eigh), dropping the
 eigenvalues whose |w| is below the fraction NULL_REL_TOL of the largest:
-the system is singular by construction, because interior diagonal gauge
-directions dA = D A~ + A~ D lie in its null space.  The line search then
-guards the nonlinear terms.
+the system is singular by construction, because the gauge directions
+dA = D^T A~ + A~ D (LocalProblem.gauge_dim) lie in its null space.  The
+line search then guards the nonlinear terms.
 
 A NormalSystem owns the buffers of the normal equations and holds the
-state last assembled into it (build_normal_system), with that state's
-eigenpairs (eig), which LAPACK's dsyevd computes in place, and what the
-null cut makes of them (diagnostics, one SolveDiagnostics).  diagnostics is
-what solve_for_da returns, what the trace records as a state's `solve`,
-and what analysis.spectrum_at reports.  A minimization makes one
-NormalSystem and assembles every step into it, and dsyevd's work array is
-the step's one n_pattern^2-sized scratch.
+state last assembled into it (build_normal_system).  solve_for_da and
+analysis.spectrum_at each solve it in place (eigh(), LAPACK's dsyevd) and
+cut its spectrum with null_cut, the one place the cut is made, into the
+SolveDiagnostics the trace records as a state's `solve`.  A minimization
+makes one NormalSystem and assembles every step into it, and dsyevd's work
+array is the step's one n_pattern^2-sized scratch.
 
 The solver's rules are fixed module constants, not options: NULL_REL_TOL
 (the null cut), RANK_TOL (the rank of K), ABS_TOL and PATIENCE (the stop
@@ -100,8 +99,7 @@ PATIENCE = 3
 # Longest line-search step: far beyond the full step alpha = 1 the
 # linearization the step came from says nothing.
 ALPHA_MAX = 4.0
-# Rows of the normal matrix assembled, and of its eigenvectors sorted, at a
-# time: the block temporaries stay small against the n_pattern^2 matrix.
+# Rows of N assembled at a time: the block temporaries stay small against N.
 BLOCK_ROWS = 64
 
 
@@ -121,7 +119,7 @@ class SubspaceSplit:
 
 @dataclass
 class SolveDiagnostics:
-    """The null cut's reading of a normal system's spectrum (NormalSystem.diagnostics).
+    """The null cut's reading of a normal system's spectrum (null_cut).
 
     Every field is a Python scalar, so a record outlives none of the
     system's arrays.
@@ -141,30 +139,27 @@ class NormalSystem:
     build_normal_system assembles a state into the system, over the last
     one: N into matrix, and rhs, pattern (the target SparsityPattern: its
     free values are the unknowns, and it owns their map into dA) and
-    expected_null (n_interior when A~ had full rank, else None).  eig and
-    diagnostics belong to that state, and the next assembly drops them.
-    eig solves the system the first time it is read, in place, so matrix
-    holds N only until then.
+    expected_null (the problem's gauge_dim when A~ had full rank, else
+    None).  eigh() solves it in place, so matrix holds N until then and the
+    eigenvectors after; nothing is cached, so call it once per assembly.
 
     N is exactly symmetric, so the C-ordered matrix is N in column-major
-    order too.  eig runs numpy's own dsyevd (blas.find_dsyevd) on it, as
+    order too.  eigh() runs numpy's own dsyevd (blas.find_dsyevd) on it, as
     np.linalg.eigh calls it: the eigenvalues land in w, the eigenvectors
     overwrite matrix, and the bits are eigh's.  The work arrays are sized
     by dsyevd's own query, as eigh sizes them: the bits depend on the
-    blocking, and the blocking on lwork.  Without the binding, eig is
-    np.linalg.eigh of matrix, and work has LAPACK's minimum size,
+    blocking, and the blocking on lwork.  Without the binding, eigh() calls
+    np.linalg.eigh on matrix, and work has LAPACK's minimum size,
     1 + 6n + 2n^2.
 
     work is the one n^2-sized scratch: it holds G's column gathers before
-    the solve, dsyevd's work during it, and the sorted eigenvectors after
-    it, in vectors, a C-ordered n x n view of its head.  So a system holds
-    3 n^2 doubles, matrix and work, on either path.
+    the solve, dsyevd's work during it and the sort's gather after it.  So
+    a system holds 3 n^2 doubles, matrix and work, on either path.
     """
 
     def __init__(self, n):
         self.matrix = np.empty((n, n))
         self.rhs = self.pattern = self.expected_null = None
-        self._eig = self._diagnostics = None
         self._dsyevd = find_dsyevd()
         if self._dsyevd is None:
             self.work = np.empty(1 + 6 * n + 2 * n * n)
@@ -175,7 +170,6 @@ class NormalSystem:
             self.work = np.empty(int(work[0]))
             self.iwork = np.empty(int(iwork[0]), dtype=np.int64)
             self._solve_args = self._args(self.work, len(self.work), self.iwork, len(self.iwork))
-        self.vectors = self.work[: n * n].reshape(n, n)
 
     def _args(self, work, lwork, iwork, liwork):
         n = len(self.w)
@@ -186,65 +180,53 @@ class NormalSystem:
         if self._dsyevd(*args) != 0:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    @property
-    def eig(self):
-        """Eigenpairs by descending |w|: (vectors, singular values |w|, signs of w).
+    def eigh(self):
+        """Solve in place; returns (u, s, sign), the eigenpairs by descending |w|.
 
         This is the eigh that np.linalg.svd(hermitian=True) wraps, ordered as
-        it orders it, with one copy of the vectors where it makes two.  The
-        copy must be C-ordered: products with a Fortran-ordered v[:, order]
-        take another BLAS path and round differently.  It is gathered into
-        vectors, the head of the work array, which dsyevd has finished
-        with, BLOCK_ROWS rows at a time with mode="clip": take copies a
-        Fortran-ordered source to C order first, and mode="raise" buffers
-        its output, so one gather of the whole matrix would make another n^2
-        array.  Both eigensolve paths sort into the same view.
+        it orders it.  dsyevd leaves the vectors in matrix's rows, and the
+        fallback copies eigh's there, so one sort serves both: a gather of
+        the rows into work's head (mode="raise" would buffer it), copied back
+        transposed.  So u is matrix, C-ordered: a Fortran-ordered u takes
+        another BLAS path and rounds differently.
         """
-        if self._eig is None:
-            if self._dsyevd is None:
-                w, v = np.linalg.eigh(self.matrix.T)
-            else:
-                self._run(self._solve_args)
-                w, v = self.w, self.matrix.T  # column-major: v[:, k] is the k-th vector
-            s = np.abs(w)
-            order = np.argsort(s)[::-1]
-            for start in range(0, len(order), BLOCK_ROWS):
-                rows = slice(start, start + BLOCK_ROWS)
-                v[rows].take(order, axis=1, out=self.vectors[rows], mode="clip")
-            self._eig = self.vectors, s[order], np.copysign(1.0, w)[order]
-        return self._eig
+        if self._dsyevd is None:
+            w, v = np.linalg.eigh(self.matrix.T)
+            np.copyto(self.matrix, v.T)
+        else:
+            self._run(self._solve_args)
+            w = self.w
+        s = np.abs(w)
+        order = np.argsort(s)[::-1]
+        head = self.work[: self.matrix.size].reshape(self.matrix.shape)
+        self.matrix.take(order, axis=0, out=head, mode="clip")
+        np.copyto(self.matrix, head.T)
+        return self.matrix, s[order], np.copysign(1.0, w)[order]
 
-    @property
-    def diagnostics(self):
-        """The SolveDiagnostics of this state: where the null cut falls in eig.
 
-        Singular values below the fraction NULL_REL_TOL of s[0] are null,
-        and all are when s[0] <= 0.  The condition numbers are NaN when
-        everything is null.  rhs_null_component is the norm of the rhs in
-        the null directions.
-        """
-        if self._diagnostics is None:
-            self._diagnostics = self._null_cut()
-        return self._diagnostics
+def null_cut(u, s, rhs):
+    """The SolveDiagnostics of a descending spectrum s with vectors u (NormalSystem.eigh).
 
-    def _null_cut(self):
-        u, s, _ = self.eig
-        n = len(s)
-        null_dim = n if n == 0 or s[0] <= 0.0 else int(np.sum(s < NULL_REL_TOL * s[0]))
-        retained = n - null_dim
-        rhs_norm = float(np.linalg.norm(self.rhs))
-        if retained == 0:
-            return SolveDiagnostics(null_dim, 1.0 if null_dim else 0.0,
-                                    math.nan, math.nan, rhs_norm, rhs_norm)
-        cond = float(s[0] / s[retained - 1])
-        return SolveDiagnostics(
-            null_dim=null_dim,
-            gap_ratio=float(s[retained] / s[retained - 1]) if null_dim else 0.0,
-            cond_retained=cond,
-            cond_eq7_estimate=math.sqrt(cond),
-            rhs_null_component=float(np.linalg.norm(u[:, retained:].T @ self.rhs)),
-            rhs_norm=rhs_norm,
-        )
+    Singular values below the fraction NULL_REL_TOL of s[0] are null, and
+    all are when s[0] <= 0.  The condition numbers are NaN when everything
+    is null.  rhs_null_component is the norm of rhs in the null directions.
+    """
+    n = len(s)
+    null_dim = n if n == 0 or s[0] <= 0.0 else int(np.sum(s < NULL_REL_TOL * s[0]))
+    retained = n - null_dim
+    rhs_norm = float(np.linalg.norm(rhs))
+    if retained == 0:
+        return SolveDiagnostics(null_dim, 1.0 if null_dim else 0.0,
+                                math.nan, math.nan, rhs_norm, rhs_norm)
+    cond = float(s[0] / s[retained - 1])
+    return SolveDiagnostics(
+        null_dim=null_dim,
+        gap_ratio=float(s[retained] / s[retained - 1]) if null_dim else 0.0,
+        cond_retained=cond,
+        cond_eq7_estimate=math.sqrt(cond),
+        rhs_null_component=float(np.linalg.norm(u[:, retained:].T @ rhs)),
+        rhs_norm=rhs_norm,
+    )
 
 
 def split_spaces(problem, report):
@@ -275,8 +257,7 @@ def build_normal_system(problem, report, split, system):
     symmetric: each entry and its mirror are the same two products, summed.
     N is assembled into the system's matrix, and G's two column gathers,
     2 n_local n_pattern doubles, go into its work array, which the last
-    eigensolve there has finished with.  The last state's eig and
-    diagnostics are dropped (NormalSystem).  A system of another size, or a
+    eigensolve there has finished with.  A system of another size, or a
     work array too small for the gathers, raises ValueError.
     """
     pattern = problem.target_pattern
@@ -291,7 +272,6 @@ def build_normal_system(problem, report, split, system):
     if math.prod(gathers_shape) > len(system.work):
         raise ValueError(f"G's gathers of shape {gathers_shape} do not fit in a "
                          f"work array of {len(system.work)}")
-    system._eig = system._diagnostics = None
 
     z = report.y @ split.q_null
     g = symmetrized(z @ z.T)
@@ -302,7 +282,7 @@ def build_normal_system(problem, report, split, system):
     col_scale = 0.5 * pattern.multiplicity
     system.rhs = pattern.multiplicity * m[i_idx, j_idx]
     system.pattern = pattern
-    system.expected_null = problem.n_interior if split.rank == problem.n_interior else None
+    system.expected_null = problem.gauge_dim if split.rank == problem.n_interior else None
     del m
 
     gathers = system.work[: math.prod(gathers_shape)].reshape(gathers_shape)
@@ -330,16 +310,16 @@ def solve_for_da(system):
     """Solve the normal equations on their non-null eigenpairs; returns (dA, diagnostics).
 
     The solution is dA's free values, which system.pattern embeds.
-    diagnostics is system.diagnostics, whose null directions are dropped
-    from the solution.  A warning is emitted when the detected null
-    dimension disagrees with the gauge count n_interior (only meaningful
-    when A~ had full rank).
+    diagnostics is null_cut's reading of system.eigh(), whose null
+    directions are dropped from the solution.  A warning is emitted when the
+    detected null dimension disagrees with the gauge count expected_null
+    (only meaningful when A~ had full rank).
     """
-    u, s, sign = system.eig
-    diagnostics = system.diagnostics
+    u, s, sign = system.eigh()
+    diagnostics = null_cut(u, s, system.rhs)
     if system.expected_null is not None and diagnostics.null_dim != system.expected_null:
         warnings.warn(
-            f"detected null dimension {diagnostics.null_dim} != interior count "
+            f"detected null dimension {diagnostics.null_dim} != gauge count "
             f"{system.expected_null} for a full-rank A~",
             RuntimeWarning,
             stacklevel=2,

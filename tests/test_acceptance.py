@@ -108,7 +108,7 @@ class TestAcceptance:
             states = [initial_guess(problem), converged(0.0, m, max_iter=1)[1]]
             for pair in states:
                 system = linearized_phases(problem, pair)[2]
-                u, s, _ = system.eig
+                u, s, _ = system.eigh()
                 null = gap_null_count(s)
                 ok = ok and null == problem.n_interior
                 if null:

@@ -5,6 +5,7 @@ import itertools
 import math
 import tracemalloc
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -363,6 +364,29 @@ class TestRunSweep:
         assert records[0].status.startswith("failed:")
         assert records[0].stop_reason == "failed"
         assert math.isnan(records[0].error)
+
+    @pytest.mark.parametrize("action", ["always", "default"])
+    def test_warnings_emitted_in_grid_order_at_any_jobs(self, action):
+        # Each pool worker used to print a message once in its own registry,
+        # so which messages reached stderr depended on the schedule.  Now the
+        # sweep emits every point's warnings, in grid order, as one serial
+        # run of the solves would: all of them, or each message once.
+        lambdas, ms = [0.0, 2.0], [2, 3]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for lam in lambdas:
+                for m in ms:
+                    linearized_minimize(extract_local_supernode(m, 2, 1, lam))
+        every = [(str(w.message), w.filename, w.lineno) for w in caught]
+        once = list(dict.fromkeys(every))
+        assert len(once) < len(every)  # the grid repeats a message
+        for jobs in (1, 2):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.resetwarnings()
+                warnings.simplefilter(action)
+                run_sweep(lambdas, ms, 2, 1, jobs=jobs)
+            assert [(str(w.message), w.filename, w.lineno) for w in caught] == \
+                (every if action == "always" else once)
 
     @pytest.mark.parametrize("jobs, n_points, workers", [
         (5000, 1, None),  # one point runs serially, no pool at all

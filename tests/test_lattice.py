@@ -285,6 +285,20 @@ class TestSupernodes:
             assert prob.n_local == region_size(m) * p * q
             assert prob.n_local - prob.n_interior == 4 * m * p * q
 
+    @pytest.mark.parametrize("m,p,q,gauge", [
+        (2, 2, 1, 18), (3, 2, 1, 50), (4, 2, 1, 98), (2, 1, 2, 18),
+        (2, 3, 1, 41), (3, 3, 1, 113), (2, 2, 2, 74), (3, 2, 2, 202)])
+    def test_gauge_count(self, m, p, q, gauge):
+        # b^2 N - 2(b - 1): b = p q nodes per supernode, N interior supernodes
+        b = p * q
+        prob = extract_local_supernode(m, p, q, 0.0)
+        assert prob.gauge_dim == b * b * region_size(m - 1) - 2 * (b - 1) == gauge
+
+    def test_scalar_gauge_count_is_interior_count(self):
+        for m in range(1, 8):
+            prob = extract_local_scalar(m, 0.0)
+            assert prob.gauge_dim == prob.n_interior
+
     def test_degenerate_1x1_matches_scalar(self):
         for m in (1, 2, 3):
             a = extract_local_scalar(m, 1.5)

@@ -25,6 +25,7 @@ from sparsecoarsen.linearized import (
     line_search,
     linearized_minimize,
     linearized_residual,
+    null_cut,
     solve_for_da,
     split_spaces,
     steepest_descent,
@@ -190,7 +191,8 @@ BYTE_IDENTITY_CASES = (
 
 
 # Supernode regions from m = 2 on, and scalar regions from m = 6 on, meet
-# the known null-dimension miscount.
+# the known null-dimension miscount: the NULL_REL_TOL cut drops physical
+# directions too, so it counts more than the gauge.
 KNOWN_MISCOUNT = pytest.mark.filterwarnings(
     "ignore:detected null dimension:RuntimeWarning")
 
@@ -200,6 +202,7 @@ def diagonal_problem(a00):
     return LocalProblem(
         a_ll=np.diag([a00, 3.0]),
         n_interior=1,
+        gauge_dim=1,
         decoupled=0,
         target_pattern=SparsityPattern(dim=2,
                                        entries=frozenset({(0, 0), (1, 1)})),
@@ -408,6 +411,7 @@ class TestNormalSystem:
         problem = LocalProblem(
             a_ll=np.eye(2),
             n_interior=1,
+            gauge_dim=1,
             decoupled=0,
             target_pattern=SparsityPattern(dim=2, entries=frozenset()),
             coords=np.array([[0, 0], [1, 0]]),
@@ -456,9 +460,10 @@ class TestBlockedAssembly:
         assert peak <= 8 * n_pattern**2
 
 
-def diagonal_system(s, rhs=None):
-    """A NormalSystem whose matrix is diag(s), with a zero rhs by default."""
-    return matrix_system(np.diag(np.asarray(s, dtype=float)), rhs)
+def unit_cut(s, rhs=None):
+    """null_cut of the descending spectrum s on unit vectors, with a zero rhs by default."""
+    s = np.asarray(s, dtype=float)
+    return null_cut(np.eye(len(s)), s, np.zeros(len(s)) if rhs is None else np.asarray(rhs))
 
 
 # Spectra over many decades, with exact zeros and either sign.
@@ -471,30 +476,30 @@ SPECTRA = st.lists(
 class TestNullCount:
     def test_threshold_counts_below_relative_cut(self):
         s = [1.0, 1e-3, 1e-9, 1e-14, 1e-16]
-        assert diagonal_system(s).diagnostics.null_dim == 3
+        assert unit_cut(s).null_dim == 3
         # the cut is strict: a value exactly at NULL_REL_TOL * s[0] is kept
-        assert diagonal_system([2.0, 2.0 * NULL_REL_TOL]).diagnostics.null_dim == 0
+        assert unit_cut([2.0, 2.0 * NULL_REL_TOL]).null_dim == 0
 
     def test_zero_and_empty_spectra(self):
-        zero = diagonal_system(np.zeros(3)).diagnostics
+        zero = unit_cut(np.zeros(3))
         assert (zero.null_dim, zero.gap_ratio) == (3, 1.0)
         assert math.isnan(zero.cond_retained) and math.isnan(zero.cond_eq7_estimate)
-        empty = diagonal_system(np.zeros(0)).diagnostics
+        empty = unit_cut(np.zeros(0))
         assert (empty.null_dim, empty.gap_ratio) == (0, 0.0)
 
     def test_rhs_norms_split_at_the_cut(self):
-        # diag(s) has unit eigenvectors, so the null component is rhs[2:]
-        diag = diagonal_system([1.0, 0.5, 1e-12, 0.0], rhs=[3.0, 0.0, 4.0, 12.0]).diagnostics
+        # on unit vectors the null component is rhs[2:]
+        diag = unit_cut([1.0, 0.5, 1e-12, 0.0], rhs=[3.0, 0.0, 4.0, 12.0])
         assert diag.null_dim == 2
         assert diag.rhs_norm == 13.0
         assert diag.rhs_null_component == pytest.approx(math.sqrt(160.0), rel=1e-15)
 
     @settings(max_examples=200, deadline=None)
     @given(SPECTRA)
-    def test_cut_reads_the_returned_spectrum(self, values):
-        system = diagonal_system(values)
-        s = system.eig[1]
-        diag = system.diagnostics
+    def test_cut_reads_the_given_spectrum(self, values):
+        # the eigenpairs of diag(values), sorted by descending |w| as eigh() sorts them
+        s = -np.sort(-np.abs(values))
+        diag = unit_cut(s)
         n = len(values)
         retained = int(np.sum(s >= NULL_REL_TOL * s[0])) if s[0] > 0.0 else 0
         assert diag.null_dim + retained == n
@@ -526,6 +531,33 @@ class TestNullCount:
         assert gap_null_count(s) == 2
 
 
+# (p, q, m) after a few steps, where the gauge stands clear of the physical
+# spectrum.  Not (2,2): it has 8 more exact null directions than the gauge
+# at m = 2.  Not (2,1) m = 4 or (3,1) m = 3: at lambda = 0 physical values
+# reach 1e-16 of the largest there.
+GAUGE_GATE_CASES = ([(1, 1, m) for m in (2, 3, 4, 5)]
+                    + [(p, q, m) for p, q in ((2, 1), (1, 2)) for m in (2, 3)]
+                    + [(3, 1, 2)])
+
+
+class TestGaugeCount:
+    @KNOWN_MISCOUNT
+    @pytest.mark.parametrize("lam", [0.0, 2.0, 3.5])
+    @pytest.mark.parametrize("p,q,m", GAUGE_GATE_CASES)
+    def test_normal_matrix_null_space_is_the_gauge(self, p, q, m, lam):
+        # Exactly gauge_dim values under a 1e-13 relative cut, and a drop of
+        # at least 1e3 to them from the next one (4.9e3 at the least here).
+        problem = extract_local_supernode(m, p, q, lam)
+        pair = linearized_minimize(problem, MinimizeOptions(max_iter=5))[0]
+        _, split, system = linearized_phases(problem, pair)
+        assert split.rank == problem.n_interior  # where expected_null is set
+        assert system.expected_null == problem.gauge_dim
+        s = system.eigh()[1]
+        retained = len(s) - problem.gauge_dim
+        assert int(np.sum(s < 1e-13 * s[0])) == problem.gauge_dim
+        assert s[retained - 1] >= 1e3 * s[retained]
+
+
 class TestSolveForDa:
     def test_detects_gauge_null_space(self):
         problem = extract_local_scalar(2, 0.0)
@@ -549,22 +581,24 @@ class TestSolveForDa:
         problem = extract_local_scalar(2, 0.0)
         pair = initial_guess(problem)
         system = linearized_phases(problem, pair)[2]
-        assert system.expected_null == problem.n_interior
-        system.expected_null = problem.n_interior + 1
+        assert system.expected_null == problem.gauge_dim
+        system.expected_null = problem.gauge_dim + 1
         with pytest.warns(RuntimeWarning, match="detected null dimension"):
             solve_for_da(system)
 
-    def test_returns_the_systems_diagnostics(self):
+    def test_returns_the_null_cut_of_the_systems_eigenpairs(self):
         problem = extract_local_scalar(2, 0.0)
-        system = linearized_phases(problem, random_state(problem, seed=5))[2]
+        pair = random_state(problem, seed=5)
+        system, twin = (linearized_phases(problem, pair)[2] for _ in range(2))
         _, diag = solve_for_da(system)
-        assert diag is system.diagnostics
+        u, s, _ = twin.eigh()
+        assert diag == null_cut(u, s, twin.rhs)
 
     def test_everything_truncated_gives_zero(self):
         problem = extract_local_scalar(1, 0.0)
         pair = random_state(problem, seed=1)
         system = linearized_phases(problem, pair)[2]
-        system.matrix[...] = 0.0  # before eig, which solves what matrix holds
+        system.matrix[...] = 0.0  # before eigh(), which solves what matrix holds
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             da, diag = solve_for_da(system)
@@ -575,7 +609,7 @@ class TestSolveForDa:
 
 
 def sorted_eigh(matrix):
-    """np.linalg.eigh, sorted by descending |w| as NormalSystem.eig sorts it."""
+    """np.linalg.eigh, sorted by descending |w| as NormalSystem.eigh sorts it."""
     w, v = np.linalg.eigh(matrix)
     s = np.abs(w)
     order = np.argsort(s)[::-1]
@@ -603,7 +637,7 @@ NORMAL_SYSTEM_CASES = [("scalar", 4, None), ("scalar", 7, None), ("supernode", 4
 
 
 class TestInPlaceEigensolve:
-    """eig through the dsyevd binding gives np.linalg.eigh's bits, in place."""
+    """eigh() through the dsyevd binding gives np.linalg.eigh's bits, in place."""
 
     @pytest.fixture(params=["binding", "numpy"])
     def binding(self, request, monkeypatch):
@@ -617,7 +651,7 @@ class TestInPlaceEigensolve:
     def test_random_symmetric(self, binding, n):
         x = np.random.default_rng(n).standard_normal((n, n))
         matrix = x + x.T
-        assert_eig_equal(matrix_system(matrix).eig, sorted_eigh(matrix))
+        assert_eig_equal(matrix_system(matrix).eigh(), sorted_eigh(matrix))
 
     @pytest.mark.parametrize("kind,m,dims", NORMAL_SYSTEM_CASES)
     @pytest.mark.parametrize("lam", [0.0, 2.0, 4.0])
@@ -627,39 +661,44 @@ class TestInPlaceEigensolve:
         split = split_spaces(problem, report)
         system = NormalSystem(problem.target_pattern.n_entries)
         build_normal_system(problem, report, split, system)
-        want = sorted_eigh(system.matrix)  # before eig, which overwrites matrix
-        assert_eig_equal(system.eig, want)
-        # The sorted vectors are the head of dsyevd's work array.
-        assert np.shares_memory(system.eig[0], system.work)
+        want = sorted_eigh(system.matrix)  # before eigh(), which overwrites matrix
+        got = system.eigh()
+        assert_eig_equal(got, want)
+        assert got[0] is system.matrix  # the sorted vectors are left in matrix
 
-    def test_eig_sorts_into_the_work_array(self, binding):
+    @pytest.mark.parametrize("kind,m,dims", NORMAL_SYSTEM_CASES)
+    def test_same_eigenpairs_on_both_paths(self, monkeypatch, kind, m, dims):
+        if linearized.find_dsyevd() is None:
+            pytest.skip("numpy's OpenBLAS exports no LAPACKE dsyevd here")
+        problem = case_problem(kind, m, dims, 2.0)
+        pair = random_state(problem, seed=m)
+        bound = linearized_phases(problem, pair)[2]
+        monkeypatch.setattr(linearized, "find_dsyevd", lambda: None)
+        fallback = linearized_phases(problem, pair)[2]
+        assert np.array_equal(bound.matrix, fallback.matrix)
+        got, want = bound.eigh(), fallback.eigh()
+        assert_eig_equal(got, want)
+        assert got[0] is bound.matrix and want[0] is fallback.matrix
+
+    def test_eigh_sorts_in_place(self, binding):
         n = 200
         x = np.random.default_rng(1).standard_normal((n, n))
         system = matrix_system(x + x.T)
         tracemalloc.start()
         try:
-            vectors = system.eig[0]
+            u = system.eigh()[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         if binding == "binding":
-            assert peak < 8 * n * n / 2  # row blocks, not a whole copy
-        assert vectors is system.vectors
-
-    def test_eig_solves_once_per_assembly(self, binding):
-        # A second solve would decompose the eigenvectors left in matrix.
-        x = np.random.default_rng(2).standard_normal((7, 7))
-        system = matrix_system(x + x.T)
-        eig, diagnostics = system.eig, system.diagnostics
-        assert system.eig is eig and system.diagnostics is diagnostics
-        assert_eig_equal(eig, sorted_eigh(x + x.T))
+            assert peak < 8 * n * n / 2  # the gather goes into work, not a copy
+        assert u is system.matrix
 
     def test_work_array_has_lapacks_minimum(self, binding):
         for n in (0, 1, 2, 7, 64):
             system = NormalSystem(n)
             assert len(system.work) >= (1 if n <= 1 else 1 + 6 * n + 2 * n * n)
-            assert system.vectors.shape == (n, n)
-            assert system.vectors.flags.c_contiguous
+            assert len(system.work) >= n * n  # the sort's gather fits in it
 
     def test_assembly_gathers_g_into_the_work_array(self, binding):
         problem = extract_local_scalar(8, 0.0)
@@ -667,7 +706,7 @@ class TestInPlaceEigensolve:
         split = split_spaces(problem, report)
         n_pattern = problem.target_pattern.n_entries
         system = NormalSystem(n_pattern)
-        system.work[...] = np.nan  # the gathers, then the vectors, overwrite it
+        system.work[...] = np.nan  # the gathers, then dsyevd and the sort, overwrite it
         tracemalloc.start()
         try:
             build_normal_system(problem, report, split, system)
@@ -682,8 +721,8 @@ class TestInPlaceEigensolve:
     @pytest.mark.parametrize("kind,m,dims", [("scalar", 4, None), ("supernode", 2, (2, 1))])
     def test_reused_system_solves_as_a_fresh_one(self, binding, kind, m, dims):
         # A minimization assembles every step into one system, over the
-        # last step's matrix, vectors, gathers, eig and diagnostics; none of
-        # it may leak in.
+        # last step's eigenvectors in matrix and its gathers and sort in
+        # work; none of it may leak in.
         problem = case_problem(kind, m, dims)
         n_pattern = problem.target_pattern.n_entries
         states = [residual_and_error(problem, random_state(problem, seed=seed))
@@ -691,13 +730,14 @@ class TestInPlaceEigensolve:
         splits = [split_spaces(problem, report) for report in states]
         reused, fresh = NormalSystem(n_pattern), NormalSystem(n_pattern)
         build_normal_system(problem, states[0], splits[0], reused)
-        first = reused.diagnostics  # solved in place, as a step solves it
+        first = null_cut(*reused.eigh()[:2], reused.rhs)  # solved in place, as a step solves it
         build_normal_system(problem, states[1], splits[1], reused)
         build_normal_system(problem, states[1], splits[1], fresh)
         assert np.array_equal(reused.matrix, fresh.matrix)
         assert np.array_equal(reused.rhs, fresh.rhs)
-        assert_eig_equal(reused.eig, fresh.eig)
-        assert reused.diagnostics == fresh.diagnostics != first
+        got, want = reused.eigh(), fresh.eigh()
+        assert_eig_equal(got, want)
+        assert null_cut(*got[:2], reused.rhs) == null_cut(*want[:2], fresh.rhs) != first
 
     @KNOWN_MISCOUNT
     def test_minimization_same_on_both_paths(self, monkeypatch):
@@ -759,9 +799,10 @@ class TestMinimizationMemory:
     @KNOWN_MISCOUNT
     @pytest.mark.parametrize("kind,m,dims", [("scalar", 8, None), ("supernode", 4, (2, 1))])
     def test_holds_under_four_and_a_half_pattern_squared_arrays(self, kind, m, dims):
-        # The system's matrix and work array are 3 n_pattern^2; G's
-        # gathers and the sorted vectors live in work, the rest of a step is
-        # n_local^2 temporaries, and no step's arrays outlive it.
+        # The system's matrix and work array are 3 n_pattern^2; the
+        # eigenvectors are sorted in matrix through a gather in work, as G's
+        # gathers are made in work; the rest of a step is n_local^2
+        # temporaries, and no step's arrays outlive it.
         if linearized.find_dsyevd() is None:
             pytest.skip("numpy's OpenBLAS exports no LAPACKE dsyevd here")
         problem = case_problem(kind, m, dims)
@@ -914,7 +955,7 @@ class TestLinearizedMinimize:
     def test_solve_records_hold_python_scalars(self, kind, m, dims):
         # a trace keeps no array of a step's system alive
         _, trace, _ = linearized_minimize(case_problem(kind, m, dims))
-        zero = diagonal_system(np.zeros(2)).diagnostics  # the all-null path
+        zero = unit_cut(np.zeros(2))  # the all-null path
         for diag in [rec.solve for rec in trace.iterations] + [zero]:
             assert [type(v) for v in dataclasses.astuple(diag)] == \
                 [int, float, float, float, float, float]
@@ -954,7 +995,7 @@ class TestLinearizedMinimize:
 
     @pytest.mark.parametrize("lam", [0.0, 2.0, 3.5])
     @pytest.mark.parametrize("kind,m,dims", [
-        pytest.param(*case, marks=KNOWN_MISCOUNT) if case[0] == "supernode"
+        pytest.param(*case, marks=KNOWN_MISCOUNT) if case[0] == "supernode" and case[1] > 1
         else case for case in BYTE_IDENTITY_CASES])
     def test_default_trace_is_prefix_of_tighter_tol(self, kind, m, dims, lam):
         # the stop rules never enter a step's arithmetic: a looser rel_tol
