@@ -9,8 +9,9 @@ control is found, that holds only at a fixed thread count.
 lambda_sweep_blas.json records the BLAS library and the thread count per
 sweep point.
 
-Exit codes: 0 success, 2 bad arguments or config file, 3 numerical failure
-(partial output is kept and a .FAILED marker is written next to it).
+Exit codes: 0 success, 2 bad arguments or config file, or an output that
+cannot be written, 3 numerical failure (partial output is kept and a .FAILED
+marker is written next to it).
 """
 
 import argparse
@@ -473,6 +474,9 @@ def main(argv=None):
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # a write into outdir failed
+        print(f"error: cannot write into {outdir}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -9,6 +9,4 @@ class NumericalFailure(RuntimeError):
     so callers can keep whatever progress was made.
     """
 
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = trace
+    trace = None

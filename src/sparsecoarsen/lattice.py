@@ -8,10 +8,10 @@ integer nodes: the local region of a problem, or the explicit row-major grid
 node is a local operation, so local problems are built intrinsically.
 supernode_layout is the one place that derives a region: the p x q
 supernodes within m hops of the decoupled node's supernode (a scalar region
-is the 1 x 1 case), their interior/boundary split, the region's node order
-and the supernode adjacency.  extract_local_supernode builds the local
-operator and the target sparsity pattern the transformation must preserve
-from that layout, treating sparsity at supernode granularity.  A
+is the 1 x 1 case), their interior/boundary split and the region's node
+order.  extract_local_supernode builds the local operator and the target
+sparsity pattern the transformation must preserve from that layout, by one
+rule on supernode coordinates (stated there).  A
 SparsityPattern owns the free-value map: its free values, one per
 positions() entry, are the unknowns of A~ and dA, and embed and
 multiplicity say how they fill the symmetric matrix.
@@ -105,13 +105,10 @@ class SupernodeLayout:
 
     order lists the region's node coordinates, the n_interior interior nodes
     first; node_ids maps supernode id -> tuple of member node indices in that
-    order; adjacency holds unordered supernode id pairs whose members share a
-    stencil coupling.
+    order, the central supernode first.
     """
 
-    supernode_coords: tuple
     node_ids: tuple
-    adjacency: frozenset
     order: tuple
     n_interior: int
 
@@ -216,8 +213,6 @@ def supernode_layout(m, p, q):
     supernodes within m - 1 hops are interior; those at exactly m hops form
     the boundary.  The region order lists the interior nodes sorted by hop
     count, then the boundary nodes likewise, and node ids index that order.
-    Adjacency is over supernode ids; for the five-point stencil it is exactly
-    the 2D grid adjacency of supernode coordinates.
     """
     if m < 1 or p < 1 or q < 1:
         raise ValueError("m, p, q must all be >= 1")
@@ -230,17 +225,8 @@ def supernode_layout(m, p, q):
     boundary = [c for s in scoords if abs(s[0]) + abs(s[1]) == m for c in members[s]]
     order = sorted(interior, key=_sort_key) + sorted(boundary, key=_sort_key)
     index = {coord: k for k, coord in enumerate(order)}
-    sid_of = {s: k for k, s in enumerate(scoords)}
-    adjacency = set()
-    for (sx, sy) in scoords:
-        for nb in ((sx + 1, sy), (sx, sy + 1)):
-            if nb in sid_of:
-                a, b = sid_of[(sx, sy)], sid_of[nb]
-                adjacency.add((min(a, b), max(a, b)))
     return SupernodeLayout(
-        supernode_coords=tuple(scoords),
         node_ids=tuple(tuple(index[c] for c in members[s]) for s in scoords),
-        adjacency=frozenset(adjacency),
         order=tuple(order),
         n_interior=len(interior),
     )
@@ -249,20 +235,21 @@ def supernode_layout(m, p, q):
 def extract_local_supernode(m, p, q, lam):
     """Local problem with p x q supernodes: region = supernodes within m hops.
 
-    The admissible pattern treats sparsity at supernode granularity: every
-    intra-supernode pair plus every pair between adjacent supernodes, so
-    member nodes share all their connections.  Positions not backed by a raw
+    The admissible pattern treats sparsity at supernode granularity: nodes
+    u and v may couple when their supernodes X = coords // (p, q) satisfy
+    |X_u - X_v|_1 <= 1, so member nodes share all their connections; for
+    p = q = 1 this is the five-point stencil.  Positions not backed by a raw
     stencil coupling simply start at zero.  The decoupled node is the origin
     corner (0, 0) of the central supernode.
     """
     layout = supernode_layout(m, p, q)
-    n = len(layout.order)
-    pairs = [(k, k) for k in range(n)]
-    for ids in layout.node_ids:
-        pairs += [(u, v) for a, u in enumerate(ids) for v in ids[a + 1:]]
-    for a, b in layout.adjacency:
-        pairs += [(u, v) for u in layout.node_ids[a] for v in layout.node_ids[b]]
-    base = SparsityPattern.from_pairs(n, pairs)
+    coords = np.array(layout.order, dtype=int)
+    bx, by = (coords // (p, q)).T
+    near = np.abs(np.subtract.outer(bx, bx)) + np.abs(np.subtract.outer(by, by)) <= 1
+    # Each pair once, as (i, j) with i <= j: the canonical form.
+    i, j = np.nonzero(np.triu(near))
+    base = SparsityPattern(dim=len(coords),
+                           entries=frozenset(zip(i.tolist(), j.tolist())))
     # (0, 0) is the first member of the central supernode, which is id 0.
     c = layout.node_ids[0][0]
     return LocalProblem(
@@ -271,7 +258,7 @@ def extract_local_supernode(m, p, q, lam):
         gauge_dim=p * q * layout.n_interior - 2 * (p * q - 1),
         decoupled=c,
         target_pattern=decoupled_pattern(base, c),
-        coords=np.array(layout.order, dtype=int),
+        coords=coords,
         lam=lam,
     )
 

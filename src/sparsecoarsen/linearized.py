@@ -232,9 +232,7 @@ def null_cut(u, s, rhs):
 def split_spaces(problem, report):
     """SVD split of the report's K = P_I A~ Y into span (q) and null space (q_null)."""
     u, s, vt = np.linalg.svd(report.ay[: problem.n_interior], full_matrices=True)
-    rank = 0
-    if s.size and s[0] > 0.0:
-        rank = int(np.sum(s > RANK_TOL * s[0]))
+    rank = int(np.sum(s > RANK_TOL * s[0]))
     return SubspaceSplit(
         q=vt[:rank].T.copy(),
         q_null=vt[rank:].T.copy(),
@@ -333,8 +331,6 @@ def solve_for_da(system):
 
 def compute_dy(problem, report, da, split):
     """dY = 1/2 (K^+)^T (R - Y^T dA Y)(I + Qn Qn^T) at the report's Y, R; zero at rank 0."""
-    if split.rank == 0:
-        return np.zeros((problem.n_interior, problem.n_local))
     y = report.y
     w = y.T @ da @ y
     np.subtract(report.residual, w, out=w)

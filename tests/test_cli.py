@@ -122,6 +122,16 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert afile.read_text() == "kept\n"
 
+    def test_unwritable_output_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        blocked = out / "lin_convergence.csv"
+        blocked.mkdir(parents=True)  # a directory where the CSV goes
+        code = main(["lin-convergence", "--m", "1", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(blocked) in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_help_shows_metavars(self, capsys):
         assert main(["lambda-sweep", "--help"]) == 0
         out = capsys.readouterr().out

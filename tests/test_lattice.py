@@ -256,19 +256,23 @@ class TestSupernodes:
         seen = [n for ids in layout.node_ids for n in ids]
         assert len(seen) == len(set(seen)) == region_size(2) * 2
 
-    def test_layout_adjacency_is_grid(self):
-        layout = supernode_layout(2, 2, 3)
-        coord_of = {k: c for k, c in enumerate(layout.supernode_coords)}
-        for a, b in layout.adjacency:
-            ca, cb = coord_of[a], coord_of[b]
-            assert abs(ca[0] - cb[0]) + abs(ca[1] - cb[1]) == 1
-        # every grid-adjacent pair inside the diamond appears
-        ids = {c: k for k, c in coord_of.items()}
-        for (sx, sy), k in ids.items():
-            for nb in ((sx + 1, sy), (sx, sy + 1)):
-                if nb in ids:
-                    pair = (min(k, ids[nb]), max(k, ids[nb]))
-                    assert pair in layout.adjacency
+    @pytest.mark.parametrize("m,p,q", [
+        (1, 1, 1), (3, 1, 1), (2, 2, 1), (2, 1, 2), (2, 3, 1), (2, 2, 3)])
+    def test_pattern_couples_members_of_coupled_supernodes(self, m, p, q):
+        # Independent rule: two supernodes are adjacent when any of their
+        # members share a nonzero stencil coupling.  Off the decoupled row,
+        # the pattern is every pair within one supernode or two adjacent ones.
+        prob = extract_local_supernode(m, p, q, 0.0)
+        node_ids = supernode_layout(m, p, q).node_ids
+        c = prob.decoupled
+        adjacent = {(a, b) for a, ia in enumerate(node_ids)
+                    for b, ib in enumerate(node_ids)
+                    if a == b or np.any(prob.a_ll[np.ix_(ia, ib)] != 0.0)}
+        expected = {(k, k) for k in range(prob.n_local)}
+        expected |= {(min(u, v), max(u, v)) for a, b in adjacent
+                     for u in node_ids[a] for v in node_ids[b]
+                     if c not in (u, v)}
+        assert prob.target_pattern.entries == expected
 
     @pytest.mark.parametrize(
         "m,p,q,n_l,n_i,n_b",
@@ -326,18 +330,6 @@ class TestSupernodes:
         filled_only = mask & (prob.a_ll == 0.0)
         assert filled_only.any()
         assert np.all(prob.a_ll[filled_only] == 0.0)
-
-    def test_supernode_members_share_connections(self):
-        # any two nodes of adjacent supernodes are pattern-coupled
-        prob = extract_local_supernode(2, 2, 1, 0.0)
-        layout = supernode_layout(2, 2, 1)
-        c = prob.decoupled
-        for a, b in layout.adjacency:
-            for u in layout.node_ids[a]:
-                for v in layout.node_ids[b]:
-                    if c in (u, v):
-                        continue
-                    assert (u, v) in prob.target_pattern
 
     def test_decoupled_row_pattern(self):
         prob = extract_local_supernode(1, 2, 1, 0.0)

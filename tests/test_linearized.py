@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -12,6 +14,7 @@ from sparsecoarsen.lattice import (
     SparsityPattern,
     extract_local_scalar,
     extract_local_supernode,
+    supernode_layout,
 )
 from sparsecoarsen.linearized import (
     LINE_SEARCH_ABSCISSAE,
@@ -195,6 +198,22 @@ BYTE_IDENTITY_CASES = (
 # directions too, so it counts more than the gauge.
 KNOWN_MISCOUNT = pytest.mark.filterwarnings(
     "ignore:detected null dimension:RuntimeWarning")
+
+
+# (p, q, m) after a few steps, where the gauge stands clear of the physical
+# spectrum.  Not (2,2): it has 8 more exact null directions than the gauge
+# at m = 2.  Not (2,1) m = 4 or (3,1) m = 3: at lambda = 0 physical values
+# reach 1e-16 of the largest there.
+GAUGE_GATE_CASES = ([(1, 1, m) for m in (2, 3, 4, 5)]
+                    + [(p, q, m) for p, q in ((2, 1), (1, 2)) for m in (2, 3)]
+                    + [(3, 1, 2)])
+
+
+@functools.lru_cache(maxsize=None)
+def gauge_gate_state(p, q, m, lam):
+    """(problem, pair) after 5 linearized steps, shared by the gauge gates: read only."""
+    problem = extract_local_supernode(m, p, q, lam)
+    return problem, linearized_minimize(problem, MinimizeOptions(max_iter=5))[0]
 
 
 def diagonal_problem(a00):
@@ -388,24 +407,39 @@ class TestNormalSystem:
             system = linearized_phases(problem, pair)[2]
             assert np.all(system.rhs == 0.0)
 
-    def test_gauge_directions_are_null(self):
-        problem = extract_local_scalar(2, 0.0)
-        pair = random_state(problem, seed=2)
+    @KNOWN_MISCOUNT
+    @pytest.mark.parametrize("lam", [0.0, 2.0, 3.5])
+    @pytest.mark.parametrize("p,q,m", GAUGE_GATE_CASES + [(2, 2, 2)])
+    def test_gauge_directions_are_null(self, p, q, m, lam):
+        # The gauge's block basis: dA = D^T A~ + A~ D, D = e_u e_v^T, for each
+        # ordered member pair (u, v) of an interior supernode, less the
+        # 2(b - 1) pairs that join the decoupled node c to another member:
+        # those couple c off the diagonal.  (2,2) is checked here, not in the
+        # count gate: N has more null directions there than the gauge.
+        problem, pair = gauge_gate_state(p, q, m, lam)
         system = linearized_phases(problem, pair)[2]
-        scale = np.linalg.norm(system.matrix)
-        rng = np.random.default_rng(8)
-        for _ in range(5):
-            d = np.zeros(problem.n_local)
-            d[: problem.n_interior] = rng.standard_normal(problem.n_interior)
-            gauge = np.diag(d) @ pair.a_tilde + pair.a_tilde @ np.diag(d)
-            coeffs = np.array([
-                gauge[i, j] for i, j in problem.target_pattern.positions()
-            ])
-            assert np.linalg.norm(system.matrix @ coeffs) <= \
-                1e-12 * scale * np.linalg.norm(coeffs)
-            assert abs(system.rhs @ coeffs) <= \
-                1e-12 * max(np.linalg.norm(system.rhs), 1.0) * \
-                np.linalg.norm(coeffs)
+        pattern = problem.target_pattern
+        rows, cols = pattern.index_arrays
+        a, c = pair.a_tilde, problem.decoupled
+        columns = []
+        for ids in supernode_layout(m, p, q).node_ids:
+            if max(ids) >= problem.n_interior:
+                continue
+            for u, v in itertools.product(ids, ids):
+                if u != v and c in (u, v):
+                    continue
+                d = np.zeros_like(a)
+                d[u, v] = 1.0
+                da = d.T @ a + a @ d
+                np.testing.assert_array_equal(pattern.embed(da[rows, cols]), da)
+                columns.append(da[rows, cols])
+        basis = np.column_stack(columns)
+        assert basis.shape[1] == np.linalg.matrix_rank(basis) == problem.gauge_dim
+        scale = np.linalg.norm(basis)
+        assert np.linalg.norm(system.matrix @ basis) <= \
+            1e-12 * np.linalg.norm(system.matrix, 2) * scale
+        assert np.abs(system.rhs @ basis).max() <= \
+            1e-12 * max(np.linalg.norm(system.rhs), 1.0) * scale
 
     def test_empty_pattern_rejected(self):
         problem = LocalProblem(
@@ -531,15 +565,6 @@ class TestNullCount:
         assert gap_null_count(s) == 2
 
 
-# (p, q, m) after a few steps, where the gauge stands clear of the physical
-# spectrum.  Not (2,2): it has 8 more exact null directions than the gauge
-# at m = 2.  Not (2,1) m = 4 or (3,1) m = 3: at lambda = 0 physical values
-# reach 1e-16 of the largest there.
-GAUGE_GATE_CASES = ([(1, 1, m) for m in (2, 3, 4, 5)]
-                    + [(p, q, m) for p, q in ((2, 1), (1, 2)) for m in (2, 3)]
-                    + [(3, 1, 2)])
-
-
 class TestGaugeCount:
     @KNOWN_MISCOUNT
     @pytest.mark.parametrize("lam", [0.0, 2.0, 3.5])
@@ -547,8 +572,7 @@ class TestGaugeCount:
     def test_normal_matrix_null_space_is_the_gauge(self, p, q, m, lam):
         # Exactly gauge_dim values under a 1e-13 relative cut, and a drop of
         # at least 1e3 to them from the next one (4.9e3 at the least here).
-        problem = extract_local_supernode(m, p, q, lam)
-        pair = linearized_minimize(problem, MinimizeOptions(max_iter=5))[0]
+        problem, pair = gauge_gate_state(p, q, m, lam)
         _, split, system = linearized_phases(problem, pair)
         assert split.rank == problem.n_interior  # where expected_null is set
         assert system.expected_null == problem.gauge_dim
