@@ -3,8 +3,9 @@
 Everything here is read-only with respect to the minimization: it builds
 normal systems, embeds transformations into explicit grids, or runs batches
 of minimizations and tabulates the results for the experiment harness.
-A spectrum is read as the minimization reads it: spectrum_at returns the
-SolveDiagnostics of the same null cut next to its singular values.
+A spectrum is read with the minimization's null cut: spectrum_at returns
+the SolveDiagnostics of that cut next to its singular values, over every
+free value, pinned or not.
 """
 
 import math
@@ -86,13 +87,16 @@ def spectrum_at(problem, pair):
     """(sigma, diagnostics) of the dA normal system at the given state.
 
     sigma is the descending spectrum of NormalSystem.eigh() and diagnostics
-    what null_cut makes of it: the record a linearized step at this state
-    puts in its trace.  The state is assembled into a NormalSystem of its
-    own and solved there, as a step's is.
+    what null_cut makes of it.  The state is assembled, with no pins, into
+    a NormalSystem of its own and solved there, so the gauge's null values
+    stay in sigma.  Where the step at this state pins nothing
+    (linearized.gauge_pins), diagnostics is the record it puts in its
+    trace; where it pins, the null_dim is the same wherever the cut drops
+    the gauge alone, but the other fields read the unpinned spectrum.
     """
     report = residual_and_error(problem, pair)
     split = split_spaces(problem, report)
-    system = NormalSystem(problem.target_pattern.n_entries)
+    system = NormalSystem(problem.target_pattern.n_entries, problem.n_local)
     build_normal_system(problem, report, split, system)
     u, sigma, _ = system.eigh()
     return sigma, null_cut(u, sigma, system.rhs)

@@ -14,9 +14,11 @@ sparsity pattern the transformation must preserve from that layout, by one
 rule on supernode coordinates (stated there).  A
 SparsityPattern owns the free-value map: its free values, one per
 positions() entry, are the unknowns of A~ and dA, and embed and
-multiplicity say how they fill the symmetric matrix.
+multiplicity say how they fill the symmetric matrix.  gauge_basis states
+the gauge directions of dA in those coordinates.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -121,9 +123,11 @@ class LocalProblem:
     n_interior interior nodes first, then boundary.  target_pattern is the
     admissible sparsity of the coarsened operator: the region pattern with
     the decoupled node's off-diagonal entries removed.  coords are integer
-    node coordinates relative to the decoupled node.  gauge_dim counts the
-    gauge directions dA = D^T A~ + A~ D, D block-diagonal over the interior
-    supernodes: b^2 N - 2(b - 1) for N of them with b nodes each.
+    node coordinates relative to the decoupled node.  node_ids is the
+    layout's supernode membership (SupernodeLayout.node_ids).  gauge_dim
+    counts the gauge directions dA = D^T A~ + A~ D, D block-diagonal over
+    the interior supernodes: b^2 N - 2(b - 1) for N of them with b nodes
+    each (gauge_basis).
     """
 
     a_ll: np.ndarray
@@ -133,10 +137,46 @@ class LocalProblem:
     target_pattern: SparsityPattern
     coords: np.ndarray
     lam: float
+    node_ids: tuple
 
     @property
     def n_local(self):
         return self.a_ll.shape[0]
+
+    @cached_property
+    def gauge_support(self):
+        """Where gauge_basis's triplets sit, and the A~ entry each one reads.
+
+        Read-only arrays (rows, cols, a_rows, a_cols, weights), built once
+        per problem: triplet t has the value weights[t] * A~[a_rows[t],
+        a_cols[t]].  They are sorted by row, then column.
+        """
+        c = self.decoupled
+        directions = [(u, v) for ids in self.node_ids if max(ids) < self.n_interior
+                      for u in ids for v in ids if u == v or c not in (u, v)]
+        pattern = self.target_pattern
+        touching = defaultdict(list)  # node -> its row's and column's free values
+        for k, (i, j) in enumerate(pattern.positions()):
+            touching[i].append((k, i, j))
+            if j != i:
+                touching[j].append((k, i, j))
+        entries = []
+        for g, (u, v) in enumerate(directions):
+            for k, i, j in touching[v]:
+                # [i = v] A~_uj + [j = v] A~_iu
+                if i == j:
+                    source = (u, v, 2.0)  # both terms
+                elif i == v:
+                    source = (u, j, 1.0)
+                else:
+                    source = (i, u, 1.0)
+                if source[:2] in pattern:  # A~ is zero elsewhere
+                    entries.append((k, g, *source))
+        table = np.array(sorted(entries), dtype=float).reshape(-1, 5).T
+        support = (*table[:4].astype(np.intp), table[4].copy())
+        for a in support:
+            a.flags.writeable = False
+        return support
 
 
 def _stencil(coords, lam):
@@ -260,7 +300,24 @@ def extract_local_supernode(m, p, q, lam):
         target_pattern=decoupled_pattern(base, c),
         coords=coords,
         lam=lam,
+        node_ids=layout.node_ids,
     )
+
+
+def gauge_basis(problem, a_tilde):
+    """The gauge directions dA = D^T A~ + A~ D at a_tilde, as (row, column, value) triplets.
+
+    There is one column per D = e_u e_v^T with u and v members of one
+    interior supernode, less the 2(b - 1) ordered pairs that join the
+    decoupled node to another member (those would couple it off the
+    diagonal): problem.gauge_dim columns.  Rows are the target pattern's
+    free values.  Direction (u, v) has [i = v] A~_uj + [j = v] A~_iu at free
+    value (i, j), so only the free values in row or column v hold entries.
+    A row and column may repeat in no two triplets; they are sorted by row,
+    and only their values depend on a_tilde (LocalProblem.gauge_support).
+    """
+    rows, cols, a_rows, a_cols, weights = problem.gauge_support
+    return rows, cols, weights * a_tilde[a_rows, a_cols]
 
 
 def extract_local_scalar(m, lam):

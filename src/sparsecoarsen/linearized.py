@@ -27,22 +27,37 @@ equations have closed-form entries in G = Y Q_null Q_null^T Y^T and are
 solved through their symmetric eigendecomposition (eigh), dropping the
 eigenvalues whose |w| is below the fraction NULL_REL_TOL of the largest:
 the system is singular by construction, because the gauge directions
-dA = D^T A~ + A~ D (LocalProblem.gauge_dim) lie in its null space.  The
-line search then guards the nonlinear terms.
+dA = D^T A~ + A~ D (LocalProblem.gauge_dim, lattice.gauge_basis) lie in
+its null space.  The line search then guards the nonlinear terms.
+
+Where the gauge is the interior diagonal directions alone (gauge_dim ==
+n_interior: every scalar region, and 2-node supernodes at m = 1), a step
+pins it instead of leaving it all to the cut (gauge_pins): dA_ii = 0 at
+each interior diagonal with |A~_ii| above PIN_REL_TOL of max |A~|.  N is
+then assembled over the other free values only, solved with the same cut,
+and the solution, zero at the pins, is projected onto the orthogonal
+complement of the gauge basis (GaugePins.unpin).  Wherever the cut drops
+the gauge alone, that is the unpinned min-norm step in exact arithmetic,
+from an eigensolve 1 - ((n_pattern - n_I)/n_pattern)^3 cheaper (64% at
+scalar m = 10).  Where nothing is pinned (lambda = 4, where A~'s
+diagonal is near zero, and every other supernode region), the step is the
+unpinned one bit for bit.
 
 A NormalSystem owns the buffers of the normal equations and holds the
 state last assembled into it (build_normal_system).  solve_for_da and
 analysis.spectrum_at each solve it in place (eigh(), LAPACK's dsyevd) and
 cut its spectrum with null_cut, the one place the cut is made, into the
-SolveDiagnostics the trace records as a state's `solve`.  A minimization
-makes one NormalSystem and assembles every step into it, and dsyevd's work
-array is the step's one n_pattern^2-sized scratch.
+SolveDiagnostics the trace records as a state's `solve`: its null_dim
+counts the pins plus the cut, and its condition numbers are the pinned
+system's.  spectrum_at never pins.  A minimization makes one NormalSystem
+and assembles every step into it, and dsyevd's work array is the step's
+one n_pattern^2-sized scratch.
 
 The solver's rules are fixed module constants, not options: NULL_REL_TOL
-(the null cut), RANK_TOL (the rank of K), ABS_TOL and PATIENCE (the stop
-rules) and ALPHA_MAX (the line search's longest step).  Only the iteration
-cap and the stagnation tolerance are MinimizeOptions; steepest descent's
-defaults are STEEPEST_DESCENT_OPTIONS.
+(the null cut), PIN_REL_TOL (the pins), RANK_TOL (the rank of K), ABS_TOL
+and PATIENCE (the stop rules) and ALPHA_MAX (the line search's longest
+step).  Only the iteration cap and the stagnation tolerance are
+MinimizeOptions; steepest descent's defaults are STEEPEST_DESCENT_OPTIONS.
 
 A minimization of either kind stops at the first of these, recorded as the
 trace's stop_reason:
@@ -79,6 +94,7 @@ import numpy as np
 
 from .blas import find_dsyevd, single_thread
 from .errors import NumericalFailure
+from .lattice import gauge_basis
 from .transform import (initial_guess, objective_gradient, residual_and_error,
                         symmetrized)
 
@@ -101,6 +117,11 @@ PATIENCE = 3
 ALPHA_MAX = 4.0
 # Rows of N assembled at a time: the block temporaries stay small against N.
 BLOCK_ROWS = 64
+# An interior diagonal A~_ii is pinned when |A~_ii| is above this fraction of
+# max |A~|.  Over every state of the CLI's scalar grids the ratio is at
+# least 0.27 away from lambda = 4 and at most 2.2e-14 at it, where nothing
+# is pinned; (2,1) m=1 at lambda = 3 and 5 passes 8.4e-5 on the way.
+PIN_REL_TOL = 1e-3
 
 
 @dataclass
@@ -121,8 +142,11 @@ class SubspaceSplit:
 class SolveDiagnostics:
     """The null cut's reading of a normal system's spectrum (null_cut).
 
-    Every field is a Python scalar, so a record outlives none of the
-    system's arrays.
+    null_dim counts the free values the system was pinned at (gauge_pins)
+    plus the eigenvalues the cut drops; the other fields read the solved
+    system's spectrum, so a pinned step reports the pinned system's
+    conditioning.  Every field is a Python scalar, so a record outlives
+    none of the system's arrays.
     """
 
     null_dim: int
@@ -133,15 +157,81 @@ class SolveDiagnostics:
     rhs_norm: float
 
 
+@dataclass
+class GaugePins:
+    """The interior diagonals a state pins at dA_ii = 0 (gauge_pins).
+
+    pinned and free split the target pattern's free values, ascending; the
+    free ones are the normal system's unknowns.  basis holds the gauge
+    directions at the state's A~ (lattice.gauge_basis), gauge_dim of them.
+    """
+
+    pinned: np.ndarray
+    free: np.ndarray
+    basis: tuple
+    gauge_dim: int
+
+    def unpin(self, coeffs):
+        """Every free value from the free ones' coeffs: zero at the pins, then off the gauge.
+
+        The projection onto the orthogonal complement of the basis B solves
+        B^T B c = B^T x and subtracts B c, with B^T B and both products
+        formed from the triplets.  They are sorted by row, so the pairs of
+        triplets that share a row, which make B^T B, lie d apart for d
+        below the longest run of one row.
+        """
+        rows, cols, values = self.basis
+        x = np.zeros(len(self.pinned) + len(self.free))
+        x[self.free] = coeffs
+        gram = np.zeros((self.gauge_dim, self.gauge_dim))
+        np.add.at(gram, (cols, cols), values * values)
+        for d in range(1, len(rows)):
+            same = rows[d:] == rows[:-d]
+            if not same.any():
+                break
+            a, b = cols[:-d][same], cols[d:][same]
+            products = values[:-d][same] * values[d:][same]
+            np.add.at(gram, (a, b), products)
+            np.add.at(gram, (b, a), products)
+        btx = np.bincount(cols, weights=values * x[rows], minlength=self.gauge_dim)
+        c = np.linalg.solve(gram, btx)
+        x -= np.bincount(rows, weights=values * c[cols], minlength=len(x))
+        return x
+
+
+def gauge_pins(problem, a_tilde):
+    """The GaugePins of a state with this A~, or None where nothing is pinned.
+
+    Only where the gauge is the interior diagonal directions alone
+    (gauge_dim == n_interior: scalar regions, and 2-node supernodes at
+    m = 1): there direction i is the only one with an entry, 2 A~_ii, at
+    free value (i, i), so dA_ii = 0 fixes it wherever that entry is not
+    small.  Each interior diagonal with |A~_ii| > PIN_REL_TOL max |A~| is
+    pinned; the test is strict, so an all-zero A~ pins nothing.
+    """
+    if problem.gauge_dim != problem.n_interior:
+        return None
+    rows, cols = problem.target_pattern.index_arrays
+    diagonal = np.flatnonzero((rows == cols) & (rows < problem.n_interior))
+    large = np.abs(a_tilde[rows[diagonal], rows[diagonal]]) > PIN_REL_TOL * np.abs(a_tilde).max()
+    if not large.any():
+        return None
+    pinned = diagonal[large]
+    return GaugePins(pinned=pinned, free=np.delete(np.arange(len(rows)), pinned),
+                     basis=gauge_basis(problem, a_tilde), gauge_dim=problem.gauge_dim)
+
+
 class NormalSystem:
     """The dA normal equations, in buffers made once and reused for each state.
 
-    build_normal_system assembles a state into the system, over the last
-    one: N into matrix, and rhs, pattern (the target SparsityPattern: its
-    free values are the unknowns, and it owns their map into dA) and
-    expected_null (the problem's gauge_dim when A~ had full rank, else
-    None).  eigh() solves it in place, so matrix holds N until then and the
-    eigenvectors after; nothing is cached, so call it once per assembly.
+    NormalSystem(n, n_local) has n unknowns.  build_normal_system assembles
+    a state into the system, over the last one: N into matrix, and rhs,
+    pattern (the target SparsityPattern: it owns the map of the free values
+    into dA), pins (the GaugePins the state was assembled with, whose free
+    values are the unknowns; None when they all are) and expected_null (the
+    problem's gauge_dim when A~ had full rank, else None).  eigh() solves
+    it in place, so matrix holds N until then and the eigenvectors after;
+    nothing is cached, so call it once per assembly.
 
     N is exactly symmetric, so the C-ordered matrix is N in column-major
     order too.  eigh() runs numpy's own dsyevd (blas.find_dsyevd) on it, as
@@ -154,22 +244,27 @@ class NormalSystem:
 
     work is the one n^2-sized scratch: it holds G's column gathers before
     the solve, dsyevd's work during it and the sort's gather after it.  So
-    a system holds 3 n^2 doubles, matrix and work, on either path.
+    a system holds 3 n^2 doubles, matrix and work, on either path.  The
+    gathers of a region of n_local nodes, 2 n_local n doubles, fit in that
+    unless n is far below n_local; work is then made that long, and dsyevd
+    still gets the queried lwork.
     """
 
-    def __init__(self, n):
+    def __init__(self, n, n_local=0):
         self.matrix = np.empty((n, n))
-        self.rhs = self.pattern = self.expected_null = None
+        self.rhs = self.pattern = self.expected_null = self.pins = None
+        gathers = 2 * n_local * n
         self._dsyevd = find_dsyevd()
         if self._dsyevd is None:
-            self.work = np.empty(1 + 6 * n + 2 * n * n)
+            self.work = np.empty(max(1 + 6 * n + 2 * n * n, gathers))
         else:
             self.w = np.empty(n)
             work, iwork = np.empty(1), np.empty(1, dtype=np.int64)
             self._run(self._args(work, -1, iwork, -1))  # the size query
-            self.work = np.empty(int(work[0]))
+            lwork = int(work[0])
+            self.work = np.empty(max(lwork, gathers))
             self.iwork = np.empty(int(iwork[0]), dtype=np.int64)
-            self._solve_args = self._args(self.work, len(self.work), self.iwork, len(self.iwork))
+            self._solve_args = self._args(self.work, lwork, self.iwork, len(self.iwork))
 
     def _args(self, work, lwork, iwork, liwork):
         n = len(self.w)
@@ -204,24 +299,26 @@ class NormalSystem:
         return self.matrix, s[order], np.copysign(1.0, w)[order]
 
 
-def null_cut(u, s, rhs):
+def null_cut(u, s, rhs, pinned=0):
     """The SolveDiagnostics of a descending spectrum s with vectors u (NormalSystem.eigh).
 
     Singular values below the fraction NULL_REL_TOL of s[0] are null, and
-    all are when s[0] <= 0.  The condition numbers are NaN when everything
-    is null.  rhs_null_component is the norm of rhs in the null directions.
+    all are when s[0] <= 0; null_dim counts them and the `pinned` free
+    values the system was solved without.  The condition numbers are NaN
+    when everything is null.  rhs_null_component is the norm of rhs in the
+    null directions.
     """
     n = len(s)
-    null_dim = n if n == 0 or s[0] <= 0.0 else int(np.sum(s < NULL_REL_TOL * s[0]))
-    retained = n - null_dim
+    cut = n if n == 0 or s[0] <= 0.0 else int(np.sum(s < NULL_REL_TOL * s[0]))
+    retained = n - cut
     rhs_norm = float(np.linalg.norm(rhs))
     if retained == 0:
-        return SolveDiagnostics(null_dim, 1.0 if null_dim else 0.0,
+        return SolveDiagnostics(pinned + cut, 1.0 if cut else 0.0,
                                 math.nan, math.nan, rhs_norm, rhs_norm)
     cond = float(s[0] / s[retained - 1])
     return SolveDiagnostics(
-        null_dim=null_dim,
-        gap_ratio=float(s[retained] / s[retained - 1]) if null_dim else 0.0,
+        null_dim=pinned + cut,
+        gap_ratio=float(s[retained] / s[retained - 1]) if cut else 0.0,
         cond_retained=cond,
         cond_eq7_estimate=math.sqrt(cond),
         rhs_null_component=float(np.linalg.norm(u[:, retained:].T @ rhs)),
@@ -241,32 +338,37 @@ def split_spaces(problem, report):
     )
 
 
-def build_normal_system(problem, report, split, system):
+def build_normal_system(problem, report, split, system, pins=None):
     """Assemble the dA normal equations into `system` without forming the operator.
 
     With G = Y Qn Qn^T Y^T and M = Y Qn (Qn^T R Qn) Qn^T Y^T, the entries are
 
         N_kl  = Tr(B_k G B_l G),  rhs_k = Tr(B_k M)
 
-    over the pattern's basis B_k = embed(e_k), i.e. O(n_pattern^2) work
-    given G.  Y and R are read from the state's report.
+    over the pattern's basis B_k = embed(e_k), i.e. O(n^2) work given G
+    for n unknowns.  Y and R are read from the state's report.  With pins
+    (GaugePins), k and l run over the free values pins.free alone, and the
+    system keeps pins for solve_for_da; without, over every free value.
 
     G is symmetrized first, so G_ji = G_ij^T exactly and N comes out exactly
     symmetric: each entry and its mirror are the same two products, summed.
     N is assembled into the system's matrix, and G's two column gathers,
-    2 n_local n_pattern doubles, go into its work array, which the last
+    2 n_local n doubles, go into its work array, which the last
     eigensolve there has finished with.  A system of another size, or a
     work array too small for the gathers, raises ValueError.
     """
     pattern = problem.target_pattern
-    i_idx, j_idx = pattern.index_arrays
-    n_pattern = len(i_idx)
-    if n_pattern == 0:
+    if pattern.n_entries == 0:
         raise ValueError("target pattern has no free positions")
-    gathers_shape = (2, problem.n_local, n_pattern)
-    if system.matrix.shape != (n_pattern, n_pattern):
+    i_idx, j_idx = pattern.index_arrays
+    multiplicity = pattern.multiplicity
+    if pins is not None:
+        i_idx, j_idx, multiplicity = i_idx[pins.free], j_idx[pins.free], multiplicity[pins.free]
+    n = len(i_idx)
+    gathers_shape = (2, problem.n_local, n)
+    if system.matrix.shape != (n, n):
         raise ValueError(f"normal system of shape {system.matrix.shape} for "
-                         f"{n_pattern} pattern entries")
+                         f"{n} unpinned pattern entries")
     if math.prod(gathers_shape) > len(system.work):
         raise ValueError(f"G's gathers of shape {gathers_shape} do not fit in a "
                          f"work array of {len(system.work)}")
@@ -277,9 +379,10 @@ def build_normal_system(problem, report, split, system):
     m = symmetrized(z @ t @ z.T)
     del z, t
 
-    col_scale = 0.5 * pattern.multiplicity
-    system.rhs = pattern.multiplicity * m[i_idx, j_idx]
+    col_scale = 0.5 * multiplicity
+    system.rhs = multiplicity * m[i_idx, j_idx]
     system.pattern = pattern
+    system.pins = pins
     system.expected_null = problem.gauge_dim if split.rank == problem.n_interior else None
     del m
 
@@ -292,7 +395,7 @@ def build_normal_system(problem, report, split, system):
     # are those of one multiplication by their product.
     g_ti = g.take(i_idx, axis=1, out=gathers[0], mode="clip")
     g_tj = g.take(j_idx, axis=1, out=gathers[1], mode="clip")
-    for start in range(0, n_pattern, BLOCK_ROWS):
+    for start in range(0, n, BLOCK_ROWS):
         rows = slice(start, start + BLOCK_ROWS)
         block = system.matrix[rows]  # C-ordered, so the row blocks are contiguous
         g_ti.take(i_idx[rows], axis=0, out=block)  # G_ii
@@ -300,7 +403,7 @@ def build_normal_system(problem, report, split, system):
         cross = g_tj.take(i_idx[rows], axis=0)  # G_ij
         cross *= g_ti.take(j_idx[rows], axis=0)  # G_ji, which is G_ij^T
         block += cross
-        block *= pattern.multiplicity[rows, None]
+        block *= multiplicity[rows, None]
         block *= col_scale
 
 
@@ -309,12 +412,15 @@ def solve_for_da(system):
 
     The solution is dA's free values, which system.pattern embeds.
     diagnostics is null_cut's reading of system.eigh(), whose null
-    directions are dropped from the solution.  A warning is emitted when the
+    directions are dropped from the solution; its null_dim counts the pins
+    too.  A pinned system's solution is zero at the pins and then projected
+    off the gauge (GaugePins.unpin).  A warning is emitted when the
     detected null dimension disagrees with the gauge count expected_null
     (only meaningful when A~ had full rank).
     """
     u, s, sign = system.eigh()
-    diagnostics = null_cut(u, s, system.rhs)
+    pinned = 0 if system.pins is None else len(system.pins.pinned)
+    diagnostics = null_cut(u, s, system.rhs, pinned)
     if system.expected_null is not None and diagnostics.null_dim != system.expected_null:
         warnings.warn(
             f"detected null dimension {diagnostics.null_dim} != gauge count "
@@ -323,9 +429,11 @@ def solve_for_da(system):
             stacklevel=2,
         )
 
-    retained = len(s) - diagnostics.null_dim
+    retained = len(s) + pinned - diagnostics.null_dim
     proj = u[:, :retained].T @ system.rhs
     coeffs = u[:, :retained] @ (proj / s[:retained] * sign[:retained])
+    if system.pins is not None:
+        coeffs = system.pins.unpin(coeffs)
     return system.pattern.embed(coeffs), diagnostics
 
 
@@ -522,23 +630,29 @@ def linearized_minimize(problem, opts=MinimizeOptions()):
     per visited state, including the last one, whose `solve` is that
     state's SolveDiagnostics; diagnostics lists those same objects.
 
-    Every step assembles and solves in one NormalSystem, made here since
-    n_pattern is fixed for a problem, so no step makes a fresh n_pattern^2
-    array; the rest of a step is n_local^2 temporaries, formed in place
-    where that keeps the bits, and no split outlives its step.  The system
-    is made at the first step, after the first state's arrays: made before
-    them, the same buffers left the large_region benchmark's peak RSS
-    0.5-2 MB higher (glibc's heap placed them worse; x86_64 Linux, 2 cores).
+    Every step assembles and solves in one NormalSystem, sized for the
+    free values its state leaves unpinned (gauge_pins), so no step makes a
+    fresh n_pattern^2 array.  A step that leaves another number unpinned
+    than the last makes a new one; on the CLI's grids only (2,1) m=1 at
+    lambda = 3 and 5 do, where one diagonal drops below PIN_REL_TOL and
+    comes back (20, 21 and 20 unknowns).  The
+    rest of a step is n_local^2 temporaries, formed in place where that
+    keeps the bits, and no split outlives its step.  The system is made at
+    the first step, after the first state's arrays: made before them, the
+    same buffers left the large_region benchmark's peak RSS 0.5-2 MB higher
+    (glibc's heap placed them worse; x86_64 Linux, 2 cores).
     """
     system = None
 
     def step(problem, pair, report):
-        """Split, normal system (assembled into `system`), dA solve, dY."""
+        """Pins, split, normal system (assembled into `system`), dA solve, dY."""
         nonlocal system
-        if system is None:
-            system = NormalSystem(problem.target_pattern.n_entries)
+        pins = gauge_pins(problem, pair.a_tilde)
+        n = problem.target_pattern.n_entries if pins is None else len(pins.free)
+        if system is None or len(system.matrix) != n:
+            system = NormalSystem(n, problem.n_local)
         split = split_spaces(problem, report)
-        build_normal_system(problem, report, split, system)
+        build_normal_system(problem, report, split, system, pins)
         da, solve = solve_for_da(system)
         return compute_dy(problem, report, da, split), da, solve
 

@@ -57,14 +57,24 @@ class TestSpectrum:
             pytest.approx(math.sqrt(diag.cond_retained))
         assert diag.gap_ratio < 1e-10
 
-    @pytest.mark.parametrize("lam", [0.0, 3.5])
+    @pytest.mark.parametrize("lam", [0.0, 3.5, 4.0])
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_matches_first_record_of_a_minimization(self, m, lam):
-        # the spectrum is read as the minimization reads it at its first state
+        # The spectrum is the unpinned system's.  At lambda = 0 and 3.5 the
+        # first step pins the n_I directions the cut finds here, so the
+        # null counts agree; at lambda = 4 it pins nothing, and the whole
+        # record is the spectrum's reading.
         problem = extract_local_scalar(m, lam)
-        _, diag = spectrum_at(problem, initial_guess(problem))
+        pair = initial_guess(problem)
+        _, diag = spectrum_at(problem, pair)
         _, trace, _ = linearized_minimize(problem, MinimizeOptions(max_iter=0))
-        assert diag == trace.iterations[0].solve
+        first = trace.iterations[0].solve
+        assert first.null_dim == diag.null_dim
+        if linearized.gauge_pins(problem, pair.a_tilde) is None:
+            assert lam == 4.0
+            assert first == diag
+        else:
+            assert lam != 4.0 and diag.null_dim == problem.n_interior
 
     @pytest.mark.parametrize("m,p,q", [(8, 1, 1), (4, 2, 1)])
     def test_holds_under_four_point_three_pattern_squared_arrays(self, m, p, q):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,8 +13,17 @@ from sparsecoarsen.lattice import (
     decoupled_pattern,
     extract_local_scalar,
     extract_local_supernode,
+    gauge_basis,
     supernode_layout,
 )
+
+
+def dense_gauge_basis(problem, a_tilde):
+    """gauge_basis's triplets as an n_pattern x gauge_dim array."""
+    rows, cols, values = gauge_basis(problem, a_tilde)
+    basis = np.zeros((problem.target_pattern.n_entries, problem.gauge_dim))
+    basis[rows, cols] = values
+    return basis
 
 
 def region_size(m):
@@ -337,3 +348,50 @@ class TestSupernodes:
         assert c == 0 and tuple(prob.coords[c]) == (0, 0)
         assert (c, c) in prob.target_pattern
         assert all((c, j) not in prob.target_pattern for j in range(1, prob.n_local))
+
+
+class TestGaugeBasis:
+    @pytest.mark.parametrize("m,p,q", [(1, 1, 1), (3, 1, 1), (1, 2, 1), (2, 2, 1),
+                                       (2, 1, 2), (2, 3, 1), (2, 2, 2)])
+    def test_columns_are_the_block_gauge_directions(self, m, p, q):
+        # dA = D^T A~ + A~ D, D = e_u e_v^T, for each ordered member pair
+        # (u, v) of an interior supernode, less the 2(b - 1) pairs that join
+        # the decoupled node c to another member, at a random patterned A~
+        problem = extract_local_supernode(m, p, q, 0.0)
+        pattern = problem.target_pattern
+        rows, cols = pattern.index_arrays
+        a = pattern.embed(np.random.default_rng(10 * m + p).standard_normal(pattern.n_entries))
+        c = problem.decoupled
+        columns = []
+        for ids in supernode_layout(m, p, q).node_ids:
+            if max(ids) >= problem.n_interior:
+                continue
+            for u, v in itertools.product(ids, ids):
+                if u != v and c in (u, v):
+                    continue
+                d = np.zeros_like(a)
+                d[u, v] = 1.0
+                da = d.T @ a + a @ d
+                np.testing.assert_array_equal(pattern.embed(da[rows, cols]), da)
+                columns.append(da[rows, cols])
+        assert len(columns) == problem.gauge_dim
+        np.testing.assert_array_equal(dense_gauge_basis(problem, a), np.column_stack(columns))
+
+    @pytest.mark.parametrize("m,p,q", [(3, 1, 1), (2, 2, 1), (2, 2, 2)])
+    def test_triplets_sorted_by_row_and_distinct(self, m, p, q):
+        problem = extract_local_supernode(m, p, q, 1.0)
+        rows, cols, _ = gauge_basis(problem, problem.a_ll)
+        assert np.all(np.diff(rows) >= 0)
+        assert len(set(zip(rows.tolist(), cols.tolist()))) == len(rows)
+        assert cols.min() == 0 and cols.max() == problem.gauge_dim - 1
+        assert not any(a.flags.writeable for a in problem.gauge_support)
+
+    def test_scalar_directions_touch_their_node_alone_on_the_diagonal(self):
+        # direction i has 2 A~_ii at free value (i, i), and no other
+        # direction has an entry there: the pins fix the scalar gauge
+        problem = extract_local_scalar(3, 0.5)
+        basis = dense_gauge_basis(problem, problem.a_ll)
+        rows, cols = problem.target_pattern.index_arrays
+        diagonal = np.flatnonzero((rows == cols) & (rows < problem.n_interior))
+        np.testing.assert_array_equal(basis[diagonal],
+                                      np.diag(2.0 * np.diag(problem.a_ll)[rows[diagonal]]))
