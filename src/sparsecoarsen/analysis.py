@@ -17,12 +17,14 @@ import numpy as np
 from .blas import single_thread
 from .errors import NumericalFailure
 # extract_local_scalar is unused here, but perfbench/tracing.py wraps this name.
-from .lattice import StencilSpec, build_helmholtz, extract_local_scalar, extract_local_supernode
+from .lattice import (StencilSpec, build_helmholtz, extract_local_scalar,
+                      extract_local_supernode, reflection_blocks)
 from .linearized import (
     MinimizeOptions,
     NormalSystem,
     build_normal_system,
     linearized_minimize,
+    merged_spectrum,
     null_cut,
     split_spaces,
 )
@@ -86,20 +88,24 @@ class SweepRecord:
 def spectrum_at(problem, pair):
     """(sigma, diagnostics) of the dA normal system at the given state.
 
-    sigma is the descending spectrum of NormalSystem.eigh() and diagnostics
-    what null_cut makes of it.  The state is assembled, with no pins, into
-    a NormalSystem of its own and solved there, so the gauge's null values
-    stay in sigma.  Where the step at this state pins nothing
+    sigma is the descending spectrum of every reflection block merged
+    (NormalSystem.eigh() and eigvals()) and diagnostics what null_cut makes
+    of it.  The state is assembled, with no pins, into a NormalSystem of
+    its own over lattice.reflection_blocks and solved there, so the gauge's
+    null values stay in sigma.  Where the step at this state pins nothing
     (linearized.gauge_pins), diagnostics is the record it puts in its
     trace; where it pins, the null_dim is the same wherever the cut drops
     the gauge alone, but the other fields read the unpinned spectrum.
     """
     report = residual_and_error(problem, pair)
     split = split_spaces(problem, report)
-    system = NormalSystem(problem.target_pattern.n_entries, problem.n_local)
+    n = problem.target_pattern.n_entries
+    system = NormalSystem(n, problem.n_local, reflection_blocks(problem))
     build_normal_system(problem, report, split, system)
-    u, sigma, _ = system.eigh()
-    return sigma, null_cut(u, sigma, system.rhs)
+    u, s, _ = system.eigh()
+    rest = system.eigvals()
+    return (merged_spectrum(s, rest),
+            null_cut(u, s, system.blocks[0].project(system.rhs), rest=rest))
 
 
 def spatial_decay(problem, pair):

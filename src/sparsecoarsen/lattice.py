@@ -15,7 +15,9 @@ rule on supernode coordinates (stated there).  A
 SparsityPattern owns the free-value map: its free values, one per
 positions() entry, are the unknowns of A~ and dA, and embed and
 multiplicity say how they fill the symmetric matrix.  gauge_basis states
-the gauge directions of dA in those coordinates.
+the gauge directions of dA in those coordinates, and reflection_blocks
+splits them into the character blocks of the reflections about the
+decoupled node.
 """
 
 from collections import defaultdict
@@ -177,6 +179,136 @@ class LocalProblem:
         for a in support:
             a.flags.writeable = False
         return support
+
+    @cached_property
+    def reflection_images(self):
+        """The free-value permutations of the reflection group K, or None.
+
+        K is {e, Fx, Fy, R180}: x -> -x, y -> -y and both, about the
+        decoupled node at the origin of coords.  Row g of the read-only
+        (4, n_pattern) array, in REFLECTIONS' order, maps free value (i, j)
+        to the free value at (g i, g j).  Built once per problem, and None
+        unless Fx and Fy, and so R180, map the region's nodes, its interior,
+        A_LL and the target pattern onto themselves: so for scalar regions
+        alone, since a p x q supernode with p or q above 1 has the decoupled
+        node at a corner.
+        """
+        coords = self.coords
+        n = self.n_local
+        rows, cols = self.target_pattern.index_arrays
+        reach = int(np.abs(coords).max(initial=0))
+
+        def keys(c):  # distinct integers for the points within reach
+            return (c[:, 0] + reach) * (2 * reach + 1) + c[:, 1] + reach
+
+        order = np.argsort(keys(coords))
+        node_keys = keys(coords)[order]
+        pattern_keys = rows * n + cols  # ascending, as positions() is sorted
+        images = [np.arange(len(rows))]
+        for flip in REFLECTIONS[1:3]:
+            image_keys = keys(coords * flip)
+            at = np.searchsorted(node_keys, image_keys).clip(max=n - 1)
+            perm = order[at]
+            if not (np.array_equal(node_keys[at], image_keys)
+                    and np.all(perm[: self.n_interior] < self.n_interior)
+                    and np.array_equal(self.a_ll[np.ix_(perm, perm)], self.a_ll)):
+                return None
+            i, j = perm[rows], perm[cols]
+            image_keys = np.minimum(i, j) * n + np.maximum(i, j)
+            at = np.searchsorted(pattern_keys, image_keys).clip(max=max(len(rows) - 1, 0))
+            if not np.array_equal(pattern_keys[at], image_keys):
+                return None
+            images.append(at)
+        images.append(images[1][images[2]])  # R180 = Fx Fy
+        images = np.array(images)
+        images.flags.writeable = False
+        return images
+
+
+# The elements of the reflection group K as sign flips of (x, y) about the
+# decoupled node: e, Fx, Fy and R180 = Fx Fy.
+REFLECTIONS = np.array([[1, 1], [-1, 1], [1, -1], [-1, -1]])
+# K's four characters, one per row, as their values on REFLECTIONS: the
+# trivial one first, then the ones odd under Fx, under Fy, and under both.
+CHARACTERS = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]],
+                      dtype=float)
+
+
+@dataclass(frozen=True, eq=False)
+class SymmetryBlock:
+    """One character block of an orthonormal basis of the unknowns (reflection_blocks).
+
+    Column b holds weights[b, t] at unknown members[b, t], t < width: the
+    orbit sum sum_g chi(g) e_(g k) / sqrt(|orbit|) over the orbit of its
+    least member k = members[b, 0], one term per orbit member; a member
+    that repeats in a row has weight 0.  norms[b] is sqrt(|orbit|).
+    """
+
+    members: np.ndarray  # (n_block, width) intp
+    weights: np.ndarray  # (n_block, width)
+    norms: np.ndarray  # (n_block,)
+
+    @classmethod
+    def identity(cls, n):
+        """The one block of the group {e}: unknown b alone, with weight 1."""
+        return cls(np.arange(n)[:, None], np.ones((n, 1)), np.ones(n))
+
+    def __len__(self):
+        return len(self.members)
+
+    def project(self, x):
+        """B^T x: the coordinates in this block of x over the unknowns."""
+        out = self.weights[:, 0] * x[self.members[:, 0]]
+        for t in range(1, self.members.shape[1]):
+            out += self.weights[:, t] * x[self.members[:, t]]
+        return out
+
+    def expand(self, coeffs, n):
+        """B c: the n unknowns of these block coordinates, zero off the block."""
+        x = np.zeros(n)
+        x[self.members[:, 0]] = self.weights[:, 0] * coeffs
+        for t in range(1, self.members.shape[1]):
+            x[self.members[:, t]] += self.weights[:, t] * coeffs
+        return x
+
+
+def reflection_blocks(problem, free=None):
+    """The unknowns' orthonormal basis, split into K's character blocks.
+
+    The unknowns are the target pattern's free values, or those in `free`
+    (ascending) alone, numbered in their order.  Returns a tuple of
+    SymmetryBlock, the trivial character's first: where K maps the problem
+    (LocalProblem.reflection_images) and the unknowns onto themselves,
+    four of them, each orbit sum in the blocks of the characters that are
+    1 on its stabilizer; else the one block of {e}.  A matrix that
+    commutes with K, as the normal matrix of a reflection-invariant state
+    does, is block diagonal in this basis (Faessler & Stiefel, Group
+    Theoretical Methods and Their Applications, 1992).
+    """
+    n = problem.target_pattern.n_entries if free is None else len(free)
+    images = problem.reflection_images
+    if images is not None and free is not None:
+        position = np.full(problem.target_pattern.n_entries, -1)
+        position[free] = np.arange(n)
+        images = position[images[:, free]]
+        if np.any(images < 0):  # the pins split an orbit
+            images = None
+    if images is None:
+        return (SymmetryBlock.identity(n),)
+    least = np.flatnonzero(images.min(axis=0) == np.arange(n))
+    members = images[:, least]
+    first = np.ones(members.shape, dtype=bool)  # member g is not one of g' < g
+    for g in range(1, len(members)):
+        first[g] = np.all(members[g] != members[:g], axis=0)
+    norms = np.sqrt(first.sum(axis=0))
+    stabilizer = members == least
+    blocks = []
+    for chi in CHARACTERS:
+        inside = ~np.any(stabilizer & (chi[:, None] < 0), axis=0)
+        weights = np.where(first, chi[:, None], 0.0)[:, inside] / norms[inside]
+        blocks.append(SymmetryBlock(np.ascontiguousarray(members[:, inside].T),
+                                    np.ascontiguousarray(weights.T), norms[inside]))
+    return tuple(blocks)
 
 
 def _stencil(coords, lam):

@@ -37,21 +37,37 @@ each interior diagonal with |A~_ii| above PIN_REL_TOL of max |A~|.  N is
 then assembled over the other free values only, solved with the same cut,
 and the solution, zero at the pins, is projected onto the orthogonal
 complement of the gauge basis (GaugePins.unpin).  Wherever the cut drops
-the gauge alone, that is the unpinned min-norm step in exact arithmetic,
-from an eigensolve 1 - ((n_pattern - n_I)/n_pattern)^3 cheaper (64% at
-scalar m = 10).  Where nothing is pinned (lambda = 4, where A~'s
-diagonal is near zero, and every other supernode region), the step is the
-unpinned one bit for bit.
+the gauge alone, that is the unpinned min-norm step in exact arithmetic.
+
+A scalar region, its pattern and A_LL are invariant under the reflections
+x -> -x and y -> -y about the decoupled node, and so are the iterates: the
+initial guess is, and a step from an invariant state is.  N then commutes
+with the reflection group K, and in the orthonormal basis of orbit sums
+that lattice.reflection_blocks builds it splits into four blocks, one per
+character of K, of about n/4 unknowns each (Faessler & Stiefel, 1992).
+The rhs is invariant, so it lies in the trivial character's block: dA is
+solved there alone, through that block's eigenvectors, and the other three
+blocks are solved for their eigenvalues only.  The cut and every
+SolveDiagnostics field read the four spectra merged, which is N's spectrum
+to rounding.  The unknowns are the pinned system's, or every free value
+where nothing is pinned (lambda = 4, where A~'s diagonal is near zero).
+Where K does not map the problem and the unknowns onto themselves (every
+supernode region, whose decoupled node is a supernode's corner, and a
+pinned set that splits an orbit) the basis is the one identity block, and
+the same code assembles and solves N itself, bit for bit the full system.
+The blocks' eigensolves cost about 1/16 of N's: a scalar m = 10 step's dA
+solve went from 24.5 to 3.9 ms (x86_64, one BLAS thread).
 
 A NormalSystem owns the buffers of the normal equations and holds the
 state last assembled into it (build_normal_system).  solve_for_da and
-analysis.spectrum_at each solve it in place (eigh(), LAPACK's dsyevd) and
-cut its spectrum with null_cut, the one place the cut is made, into the
-SolveDiagnostics the trace records as a state's `solve`: its null_dim
-counts the pins plus the cut, and its condition numbers are the pinned
-system's.  spectrum_at never pins.  A minimization makes one NormalSystem
-and assembles every step into it, and dsyevd's work array is the step's
-one n_pattern^2-sized scratch.
+analysis.spectrum_at each solve it in place (eigh() on the first block,
+LAPACK's dsyevd, and eigvals() on the others) and cut the merged spectrum
+with null_cut, the one place the cut is made, into the SolveDiagnostics
+the trace records as a state's `solve`: its null_dim counts the pins plus
+the cut, and its condition numbers are the pinned system's.  spectrum_at
+never pins.  A minimization makes one NormalSystem, in its state's
+blocks, and assembles every step into it, and the system's work array is
+the step's one scratch of the first block's size squared.
 
 The solver's rules are fixed module constants, not options: NULL_REL_TOL
 (the null cut), PIN_REL_TOL (the pins), RANK_TOL (the rank of K), ABS_TOL
@@ -94,7 +110,7 @@ import numpy as np
 
 from .blas import find_dsyevd, single_thread
 from .errors import NumericalFailure
-from .lattice import gauge_basis
+from .lattice import SymmetryBlock, gauge_basis, reflection_blocks
 from .transform import (initial_guess, objective_gradient, residual_and_error,
                         symmetrized)
 
@@ -144,9 +160,9 @@ class SolveDiagnostics:
 
     null_dim counts the free values the system was pinned at (gauge_pins)
     plus the eigenvalues the cut drops; the other fields read the solved
-    system's spectrum, so a pinned step reports the pinned system's
-    conditioning.  Every field is a Python scalar, so a record outlives
-    none of the system's arrays.
+    system's spectrum, its blocks' merged, so a pinned step reports the
+    pinned system's conditioning.  Every field is a Python scalar, so a
+    record outlives none of the system's arrays.
     """
 
     null_dim: int
@@ -224,41 +240,55 @@ def gauge_pins(problem, a_tilde):
 class NormalSystem:
     """The dA normal equations, in buffers made once and reused for each state.
 
-    NormalSystem(n, n_local) has n unknowns.  build_normal_system assembles
-    a state into the system, over the last one: N into matrix, and rhs,
-    pattern (the target SparsityPattern: it owns the map of the free values
-    into dA), pins (the GaugePins the state was assembled with, whose free
-    values are the unknowns; None when they all are) and expected_null (the
-    problem's gauge_dim when A~ had full rank, else None).  eigh() solves
-    it in place, so matrix holds N until then and the eigenvectors after;
-    nothing is cached, so call it once per assembly.
+    NormalSystem(n, n_local, blocks) has n unknowns, in the basis of blocks
+    (lattice.reflection_blocks: a tuple of SymmetryBlock, the trivial
+    character's first), or of the one identity block by default.
+    build_normal_system assembles a state into the system, over the last
+    one: each block's B^T N B into matrix (the first block) and others
+    (the rest), and rhs over the n unknowns, pattern (the target
+    SparsityPattern: it owns the map of the free values into dA), pins
+    (the GaugePins the state was assembled with, whose free values are the
+    unknowns; None when they all are) and expected_null (the problem's
+    gauge_dim when A~ had full rank, else None).  eigh() solves the first
+    block in place, so matrix holds it until then and its eigenvectors
+    after; eigvals() solves the others for their eigenvalues alone.
+    Nothing is cached, so call each once per assembly.
 
-    N is exactly symmetric, so the C-ordered matrix is N in column-major
-    order too.  eigh() runs numpy's own dsyevd (blas.find_dsyevd) on it, as
-    np.linalg.eigh calls it: the eigenvalues land in w, the eigenvectors
-    overwrite matrix, and the bits are eigh's.  The work arrays are sized
-    by dsyevd's own query, as eigh sizes them: the bits depend on the
-    blocking, and the blocking on lwork.  Without the binding, eigh() calls
-    np.linalg.eigh on matrix, and work has LAPACK's minimum size,
-    1 + 6n + 2n^2.
+    With the one identity block, matrix is N itself.  N is exactly
+    symmetric, so the C-ordered matrix is N in column-major order too; a
+    block of reflection blocks is symmetric to the state's symmetry defect,
+    and both solvers read the same triangle of it.  eigh() runs numpy's own
+    dsyevd (blas.find_dsyevd) on it, as np.linalg.eigh calls it: the
+    eigenvalues land in w, the eigenvectors overwrite matrix, and the bits
+    are eigh's.  The work arrays are sized by dsyevd's own query, as eigh
+    sizes them: the bits depend on the blocking, and the blocking on lwork.
+    Without the binding, eigh() calls np.linalg.eigh on matrix, and work
+    has LAPACK's minimum size, 1 + 6 n0 + 2 n0^2 for the n0 unknowns of
+    the first block.
 
-    work is the one n^2-sized scratch: it holds G's column gathers before
-    the solve, dsyevd's work during it and the sort's gather after it.  So
-    a system holds 3 n^2 doubles, matrix and work, on either path.  The
-    gathers of a region of n_local nodes, 2 n_local n doubles, fit in that
-    unless n is far below n_local; work is then made that long, and dsyevd
-    still gets the queried lwork.
+    work is the one n0^2-sized scratch: it holds G's column gathers for one
+    block at a time before the solve, dsyevd's work during it and the
+    sort's gather after it.  The gathers of a region of n_local nodes are
+    2 n_local doubles per term of the block (its size times its width); if
+    they do not fit, work is made that long, and dsyevd still gets the
+    queried lwork.
     """
 
-    def __init__(self, n, n_local=0):
-        self.matrix = np.empty((n, n))
+    def __init__(self, n, n_local=0, blocks=None):
+        self.n = n
+        self.blocks = (SymmetryBlock.identity(n),) if blocks is None else blocks
+        if sum(map(len, self.blocks)) != n:
+            raise ValueError(f"blocks of {[len(b) for b in self.blocks]} unknowns for {n}")
+        n0 = len(self.blocks[0])
+        self.matrix = np.empty((n0, n0))
+        self.others = [np.empty((len(b), len(b))) for b in self.blocks[1:]]
         self.rhs = self.pattern = self.expected_null = self.pins = None
-        gathers = 2 * n_local * n
+        gathers = 2 * n_local * max(b.members.size for b in self.blocks)
         self._dsyevd = find_dsyevd()
         if self._dsyevd is None:
-            self.work = np.empty(max(1 + 6 * n + 2 * n * n, gathers))
+            self.work = np.empty(max(1 + 6 * n0 + 2 * n0 * n0, gathers))
         else:
-            self.w = np.empty(n)
+            self.w = np.empty(n0)
             work, iwork = np.empty(1), np.empty(1, dtype=np.int64)
             self._run(self._args(work, -1, iwork, -1))  # the size query
             lwork = int(work[0])
@@ -276,7 +306,7 @@ class NormalSystem:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     def eigh(self):
-        """Solve in place; returns (u, s, sign), the eigenpairs by descending |w|.
+        """Solve the first block in place; returns its eigenpairs (u, s, sign) by descending |w|.
 
         This is the eigh that np.linalg.svd(hermitian=True) wraps, ordered as
         it orders it.  dsyevd leaves the vectors in matrix's rows, and the
@@ -298,30 +328,54 @@ class NormalSystem:
         np.copyto(self.matrix, head.T)
         return self.matrix, s[order], np.copysign(1.0, w)[order]
 
+    def eigvals(self):
+        """|eigenvalues| of the blocks after the first (np.linalg.eigvalsh); empty for one block.
 
-def null_cut(u, s, rhs, pinned=0):
-    """The SolveDiagnostics of a descending spectrum s with vectors u (NormalSystem.eigh).
+        eigvalsh reads the triangle eigh() reads, on either path.
+        """
+        return np.abs(np.concatenate([np.linalg.eigvalsh(b.T) for b in self.others]
+                                     or [np.empty(0)]))
 
-    Singular values below the fraction NULL_REL_TOL of s[0] are null, and
-    all are when s[0] <= 0; null_dim counts them and the `pinned` free
-    values the system was solved without.  The condition numbers are NaN
-    when everything is null.  rhs_null_component is the norm of rhs in the
-    null directions.
+
+def merged_spectrum(s, rest):
+    """The descending merge of one block's descending spectrum s and the others' values rest."""
+    return s if len(rest) == 0 else np.sort(np.concatenate((s, rest)))[::-1]
+
+
+def _null_count(s, top):
+    """How many values of s the null cut drops in a spectrum whose largest value is top."""
+    return len(s) if top <= 0.0 else int(np.sum(s < NULL_REL_TOL * top))
+
+
+def null_cut(u, s, rhs, pinned=0, rest=()):
+    """The SolveDiagnostics of a solved block's (u, s, rhs) and the other blocks' values rest.
+
+    s is descending with u's columns (NormalSystem.eigh) and rhs is in the
+    block's coordinates; rest holds the other blocks' |eigenvalues|
+    (NormalSystem.eigvals), empty for one block.  The cut reads the merged
+    spectrum of all blocks: values below the fraction NULL_REL_TOL of its
+    largest are null, and all are when that is <= 0; null_dim counts them
+    and the `pinned` free values the system was solved without, and the
+    condition numbers, NaN when everything is null, read the merged
+    spectrum too.  rhs_null_component is the norm of rhs in the block's
+    null directions: rhs lies in the trivial block.
     """
-    n = len(s)
-    cut = n if n == 0 or s[0] <= 0.0 else int(np.sum(s < NULL_REL_TOL * s[0]))
+    merged = merged_spectrum(s, rest)
+    n = len(merged)
+    cut = _null_count(merged, merged[0] if n else 0.0)
     retained = n - cut
     rhs_norm = float(np.linalg.norm(rhs))
     if retained == 0:
         return SolveDiagnostics(pinned + cut, 1.0 if cut else 0.0,
                                 math.nan, math.nan, rhs_norm, rhs_norm)
-    cond = float(s[0] / s[retained - 1])
+    cond = float(merged[0] / merged[retained - 1])
+    kept = len(s) - _null_count(s, merged[0])
     return SolveDiagnostics(
         null_dim=pinned + cut,
-        gap_ratio=float(s[retained] / s[retained - 1]) if cut else 0.0,
+        gap_ratio=float(merged[retained] / merged[retained - 1]) if cut else 0.0,
         cond_retained=cond,
         cond_eq7_estimate=math.sqrt(cond),
-        rhs_null_component=float(np.linalg.norm(u[:, retained:].T @ rhs)),
+        rhs_null_component=float(np.linalg.norm(u[:, kept:].T @ rhs)),
         rhs_norm=rhs_norm,
     )
 
@@ -339,7 +393,7 @@ def split_spaces(problem, report):
 
 
 def build_normal_system(problem, report, split, system, pins=None):
-    """Assemble the dA normal equations into `system` without forming the operator.
+    """Assemble the dA normal equations into `system`'s blocks without forming the operator.
 
     With G = Y Qn Qn^T Y^T and M = Y Qn (Qn^T R Qn) Qn^T Y^T, the entries are
 
@@ -349,13 +403,15 @@ def build_normal_system(problem, report, split, system, pins=None):
     for n unknowns.  Y and R are read from the state's report.  With pins
     (GaugePins), k and l run over the free values pins.free alone, and the
     system keeps pins for solve_for_da; without, over every free value.
+    rhs is over the unknowns; the blocks are gathered from G directly, and
+    N itself is formed only where it is the one block.
 
     G is symmetrized first, so G_ji = G_ij^T exactly and N comes out exactly
     symmetric: each entry and its mirror are the same two products, summed.
-    N is assembled into the system's matrix, and G's two column gathers,
-    2 n_local n doubles, go into its work array, which the last
-    eigensolve there has finished with.  A system of another size, or a
-    work array too small for the gathers, raises ValueError.
+    Each block's G column gathers, 2 n_local doubles per term, go into the
+    system's work array, which the last eigensolve there has finished with.
+    A system of another size, or a work array too small for the gathers,
+    raises ValueError.
     """
     pattern = problem.target_pattern
     if pattern.n_entries == 0:
@@ -365,12 +421,12 @@ def build_normal_system(problem, report, split, system, pins=None):
     if pins is not None:
         i_idx, j_idx, multiplicity = i_idx[pins.free], j_idx[pins.free], multiplicity[pins.free]
     n = len(i_idx)
-    gathers_shape = (2, problem.n_local, n)
-    if system.matrix.shape != (n, n):
-        raise ValueError(f"normal system of shape {system.matrix.shape} for "
+    if system.n != n:
+        raise ValueError(f"normal system of {system.n} unknowns for "
                          f"{n} unpinned pattern entries")
-    if math.prod(gathers_shape) > len(system.work):
-        raise ValueError(f"G's gathers of shape {gathers_shape} do not fit in a "
+    gathers_size = 2 * problem.n_local * max(b.members.size for b in system.blocks)
+    if gathers_size > len(system.work):
+        raise ValueError(f"G's gathers of {gathers_size} doubles do not fit in a "
                          f"work array of {len(system.work)}")
 
     z = report.y @ split.q_null
@@ -379,48 +435,66 @@ def build_normal_system(problem, report, split, system, pins=None):
     m = symmetrized(z @ t @ z.T)
     del z, t
 
-    col_scale = 0.5 * multiplicity
     system.rhs = multiplicity * m[i_idx, j_idx]
     system.pattern = pattern
     system.pins = pins
     system.expected_null = problem.gauge_dim if split.rank == problem.n_interior else None
     del m
 
-    gathers = system.work[: math.prod(gathers_shape)].reshape(gathers_shape)
-    # Columns first, then rows, one block of rows at a time into N itself:
-    # G is symmetric, so the column gathers are the rows G_i, G_j
-    # transposed, and every gather copies contiguous rows.  For free values
-    # k, l at (i, j), (i', j'), N_kl = c_k c_l (G_ii' G_jj' + G_ij' G_ji') / 2
-    # with c = multiplicity: powers of two, applied rows first, so the bytes
-    # are those of one multiplication by their product.
-    g_ti = g.take(i_idx, axis=1, out=gathers[0], mode="clip")
-    g_tj = g.take(j_idx, axis=1, out=gathers[1], mode="clip")
-    for start in range(0, n, BLOCK_ROWS):
-        rows = slice(start, start + BLOCK_ROWS)
-        block = system.matrix[rows]  # C-ordered, so the row blocks are contiguous
-        g_ti.take(i_idx[rows], axis=0, out=block)  # G_ii
-        block *= g_tj.take(j_idx[rows], axis=0)  # G_jj
-        cross = g_tj.take(i_idx[rows], axis=0)  # G_ij
-        cross *= g_ti.take(j_idx[rows], axis=0)  # G_ji, which is G_ij^T
-        block += cross
-        block *= multiplicity[rows, None]
-        block *= col_scale
+    # Block entry (a, b) is sqrt|O_a| sum_t w_bt N_(k_a, l_bt): the row of
+    # a's least member k_a against b's orbit members l_bt, since N commutes
+    # with K (Faessler & Stiefel).  Columns first, then rows, one block of
+    # rows at a time: G is symmetric, so the column gathers are the rows
+    # G_i, G_j transposed, and every gather copies contiguous rows.  For free
+    # values k, l at (i, j), (i', j'), N_kl = c_k c_l (G_ii' G_jj' + G_ij'
+    # G_ji') / 2 with c = multiplicity: powers of two, applied rows first,
+    # so the bytes are those of one multiplication by their product.  The
+    # identity block's weights and norms are 1, so there its terms are N's
+    # entries bit for bit.
+    for block, matrix in zip(system.blocks, [system.matrix] + system.others):
+        rows, cols = block.members[:, 0], block.members.ravel()
+        row_i, row_j = i_idx[rows], j_idx[rows]
+        row_scale = multiplicity[rows] * block.norms
+        col_scale = 0.5 * multiplicity[cols] * block.weights.ravel()
+        shape = (2, problem.n_local, len(cols))
+        gathers = system.work[: math.prod(shape)].reshape(shape)
+        g_ti = g.take(i_idx[cols], axis=1, out=gathers[0], mode="clip")
+        g_tj = g.take(j_idx[cols], axis=1, out=gathers[1], mode="clip")
+        width = block.members.shape[1]
+        for start in range(0, len(rows), BLOCK_ROWS):
+            band = slice(start, start + BLOCK_ROWS)
+            entries = matrix[band]  # C-ordered, so the row blocks are contiguous
+            # one term per entry, as in the identity block, goes in place
+            terms = g_ti.take(row_i[band], axis=0, out=entries if width == 1 else None)  # G_ii'
+            terms *= g_tj.take(row_j[band], axis=0)  # G_jj'
+            cross = g_tj.take(row_i[band], axis=0)  # G_ij'
+            cross *= g_ti.take(row_j[band], axis=0)  # G_ji', which is G_ij'^T
+            terms += cross
+            terms *= row_scale[band, None]
+            terms *= col_scale
+            if width > 1:
+                terms.reshape(len(terms), len(block), width).sum(axis=2, out=entries)
 
 
 def solve_for_da(system):
     """Solve the normal equations on their non-null eigenpairs; returns (dA, diagnostics).
 
-    The solution is dA's free values, which system.pattern embeds.
-    diagnostics is null_cut's reading of system.eigh(), whose null
-    directions are dropped from the solution; its null_dim counts the pins
-    too.  A pinned system's solution is zero at the pins and then projected
-    off the gauge (GaugePins.unpin).  A warning is emitted when the
-    detected null dimension disagrees with the gauge count expected_null
-    (only meaningful when A~ had full rank).
+    The solution is dA's free values, which system.pattern embeds.  It is
+    solved in the first block alone (system.eigh()): the state's rhs lies
+    in the trivial block.  diagnostics is null_cut's reading of every
+    block's spectrum merged (system.eigvals() gives the others'); the
+    first block's null directions are dropped from the solution, and
+    null_dim counts the pins too.  A pinned system's solution is zero at
+    the pins and then projected off the gauge (GaugePins.unpin).  A warning
+    is emitted when the detected null dimension disagrees with the gauge
+    count expected_null (only meaningful when A~ had full rank).
     """
     u, s, sign = system.eigh()
+    rest = system.eigvals()
+    trivial = system.blocks[0]
+    rhs = trivial.project(system.rhs)
     pinned = 0 if system.pins is None else len(system.pins.pinned)
-    diagnostics = null_cut(u, s, system.rhs, pinned)
+    diagnostics = null_cut(u, s, rhs, pinned, rest)
     if system.expected_null is not None and diagnostics.null_dim != system.expected_null:
         warnings.warn(
             f"detected null dimension {diagnostics.null_dim} != gauge count "
@@ -429,9 +503,10 @@ def solve_for_da(system):
             stacklevel=2,
         )
 
-    retained = len(s) + pinned - diagnostics.null_dim
-    proj = u[:, :retained].T @ system.rhs
-    coeffs = u[:, :retained] @ (proj / s[:retained] * sign[:retained])
+    retained = len(s) - _null_count(s, max(s.max(initial=0.0), rest.max(initial=0.0)))
+    proj = u[:, :retained].T @ rhs
+    coeffs = trivial.expand(u[:, :retained] @ (proj / s[:retained] * sign[:retained]),
+                            len(system.rhs))
     if system.pins is not None:
         coeffs = system.pins.unpin(coeffs)
     return system.pattern.embed(coeffs), diagnostics
@@ -630,27 +705,29 @@ def linearized_minimize(problem, opts=MinimizeOptions()):
     per visited state, including the last one, whose `solve` is that
     state's SolveDiagnostics; diagnostics lists those same objects.
 
-    Every step assembles and solves in one NormalSystem, sized for the
-    free values its state leaves unpinned (gauge_pins), so no step makes a
-    fresh n_pattern^2 array.  A step that leaves another number unpinned
-    than the last makes a new one; on the CLI's grids only (2,1) m=1 at
-    lambda = 3 and 5 do, where one diagonal drops below PIN_REL_TOL and
-    comes back (20, 21 and 20 unknowns).  The
-    rest of a step is n_local^2 temporaries, formed in place where that
+    Every step assembles and solves in one NormalSystem, made for the
+    free values its state leaves unpinned (gauge_pins), in their
+    reflection blocks (lattice.reflection_blocks), so no step makes a
+    fresh system-sized array.  A step that pins another set than the last
+    makes a new one; on the CLI's grids only (2,1) m=1 at lambda = 3 and 5
+    do, where one diagonal drops below PIN_REL_TOL and comes back (20, 21
+    and 20 unknowns).  The rest of a step is n_local^2 temporaries, formed in place where that
     keeps the bits, and no split outlives its step.  The system is made at
     the first step, after the first state's arrays: made before them, the
     same buffers left the large_region benchmark's peak RSS 0.5-2 MB higher
     (glibc's heap placed them worse; x86_64 Linux, 2 cores).
     """
-    system = None
+    system, pinned = None, None
 
     def step(problem, pair, report):
         """Pins, split, normal system (assembled into `system`), dA solve, dY."""
-        nonlocal system
+        nonlocal system, pinned
         pins = gauge_pins(problem, pair.a_tilde)
-        n = problem.target_pattern.n_entries if pins is None else len(pins.free)
-        if system is None or len(system.matrix) != n:
-            system = NormalSystem(n, problem.n_local)
+        now = np.empty(0, dtype=np.intp) if pins is None else pins.pinned
+        if system is None or not np.array_equal(now, pinned):
+            blocks = reflection_blocks(problem, None if pins is None else pins.free)
+            system = NormalSystem(sum(map(len, blocks)), problem.n_local, blocks)
+            pinned = now
         split = split_spaces(problem, report)
         build_normal_system(problem, report, split, system, pins)
         da, solve = solve_for_da(system)

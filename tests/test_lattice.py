@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsecoarsen.lattice import (
+    REFLECTIONS,
     SparsityPattern,
     StencilSpec,
     build_helmholtz,
@@ -14,6 +15,7 @@ from sparsecoarsen.lattice import (
     extract_local_scalar,
     extract_local_supernode,
     gauge_basis,
+    reflection_blocks,
     supernode_layout,
 )
 
@@ -24,6 +26,19 @@ def dense_gauge_basis(problem, a_tilde):
     basis = np.zeros((problem.target_pattern.n_entries, problem.gauge_dim))
     basis[rows, cols] = values
     return basis
+
+
+def node_reflections(problem):
+    """Each element of REFLECTIONS as a node permutation, looked up coordinate by coordinate."""
+    coords = [tuple(c) for c in problem.coords.tolist()]
+    index = {c: k for k, c in enumerate(coords)}
+    return [np.array([index[(sx * x, sy * y)] for x, y in coords]) for sx, sy in REFLECTIONS]
+
+
+def dense_blocks(blocks, n):
+    """Each SymmetryBlock as an n x len(block) array: its basis columns."""
+    return [np.column_stack([b.expand(e, n) for e in np.eye(len(b))]) if len(b)
+            else np.zeros((n, 0)) for b in blocks]
 
 
 def region_size(m):
@@ -395,3 +410,71 @@ class TestGaugeBasis:
         diagonal = np.flatnonzero((rows == cols) & (rows < problem.n_interior))
         np.testing.assert_array_equal(basis[diagonal],
                                       np.diag(2.0 * np.diag(problem.a_ll)[rows[diagonal]]))
+
+
+class TestReflectionBlocks:
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_images_are_the_reflected_free_values(self, m):
+        # each reflection maps free value (i, j) to the free value at (g i, g j)
+        problem = extract_local_scalar(m, 1.0)
+        positions = problem.target_pattern.positions()
+        index = {pos: k for k, pos in enumerate(positions)}
+        images = problem.reflection_images
+        assert images.shape == (4, len(positions)) and not images.flags.writeable
+        for perm, image in zip(node_reflections(problem), images):
+            assert np.all(perm[: problem.n_interior] < problem.n_interior)
+            assert np.array_equal(problem.a_ll[np.ix_(perm, perm)], problem.a_ll)
+            want = [index[tuple(sorted((int(perm[i]), int(perm[j]))))] for i, j in positions]
+            np.testing.assert_array_equal(image, want)
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    @pytest.mark.parametrize("pinned", [False, True])
+    def test_blocks_are_an_orthonormal_basis_of_the_unknowns(self, m, pinned):
+        problem = extract_local_scalar(m, 0.0)
+        rows, cols = problem.target_pattern.index_arrays
+        free = np.flatnonzero((rows != cols) | (rows >= problem.n_interior)) if pinned else None
+        n = problem.target_pattern.n_entries if free is None else len(free)
+        blocks = reflection_blocks(problem, free)
+        assert len(blocks) == 4
+        basis = np.column_stack(dense_blocks(blocks, n))
+        assert basis.shape == (n, n)
+        np.testing.assert_allclose(basis.T @ basis, np.eye(n), rtol=0.0, atol=4e-16)
+        for block, dense in zip(blocks, dense_blocks(blocks, n)):
+            assert block.members.shape[1] == 4
+            assert np.count_nonzero(dense, axis=0).max(initial=0) <= 4
+            np.testing.assert_allclose(block.project(np.arange(n, dtype=float)),
+                                       dense.T @ np.arange(n), rtol=0.0, atol=1e-12 * n)
+        # the trivial block's columns are the orbit sums, each reflection fixes them
+        images = problem.reflection_images if free is None else \
+            np.searchsorted(free, problem.reflection_images[:, free])
+        trivial = dense_blocks(blocks, n)[0]
+        for image in images:
+            np.testing.assert_array_equal(trivial[image], trivial)
+
+    @pytest.mark.parametrize("m,p,q", [(1, 2, 1), (3, 2, 1), (2, 1, 2), (2, 2, 2), (2, 3, 1)])
+    def test_supernode_regions_have_the_one_identity_block(self, m, p, q):
+        # the decoupled node is a supernode's corner: no reflection about it
+        # maps the region onto itself
+        problem = extract_local_supernode(m, p, q, 0.0)
+        n = problem.target_pattern.n_entries
+        assert problem.reflection_images is None
+        (block,) = reflection_blocks(problem)
+        np.testing.assert_array_equal(block.members, np.arange(n)[:, None])
+        assert np.all(block.weights == 1.0) and np.all(block.norms == 1.0)
+
+    def test_pins_that_split_an_orbit_leave_the_one_block(self):
+        problem = extract_local_scalar(3, 0.0)
+        n = problem.target_pattern.n_entries
+        one = np.flatnonzero(problem.reflection_images[1] != np.arange(n))[:1]
+        free = np.delete(np.arange(n), one)
+        (block,) = reflection_blocks(problem, free)
+        np.testing.assert_array_equal(block.members[:, 0], np.arange(n - 1))
+
+    def test_project_and_expand_are_transposes(self):
+        problem = extract_local_scalar(4, 2.0)
+        n = problem.target_pattern.n_entries
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal(n)
+        for block in reflection_blocks(problem):
+            c = rng.standard_normal(len(block))
+            assert block.project(x) @ c == pytest.approx(x @ block.expand(c, n), rel=1e-13)
