@@ -15,9 +15,10 @@ rule on supernode coordinates (stated there).  A
 SparsityPattern owns the free-value map: its free values, one per
 positions() entry, are the unknowns of A~ and dA, and embed and
 multiplicity say how they fill the symmetric matrix.  gauge_basis states
-the gauge directions of dA in those coordinates, and reflection_blocks
-splits them into the character blocks of the reflections about the
-decoupled node.
+the gauge directions of dA in those coordinates.  orbit_blocks splits
+items that the reflections about the decoupled node permute into the
+character blocks of that group: reflection_blocks applies it to the free
+values, and LocalProblem.node_blocks (NodeBlocks) to the region's nodes.
 """
 
 from collections import defaultdict
@@ -181,21 +182,18 @@ class LocalProblem:
         return support
 
     @cached_property
-    def reflection_images(self):
-        """The free-value permutations of the reflection group K, or None.
+    def node_reflections(self):
+        """The node permutations of the reflection group K, or None.
 
         K is {e, Fx, Fy, R180}: x -> -x, y -> -y and both, about the
         decoupled node at the origin of coords.  Row g of the read-only
-        (4, n_pattern) array, in REFLECTIONS' order, maps free value (i, j)
-        to the free value at (g i, g j).  Built once per problem, and None
-        unless Fx and Fy, and so R180, map the region's nodes, its interior,
-        A_LL and the target pattern onto themselves: so for scalar regions
-        alone, since a p x q supernode with p or q above 1 has the decoupled
-        node at a corner.
+        (4, n_local) array, in REFLECTIONS' order, maps node k to the node
+        at g coords[k].  Built once per problem, and None unless Fx and Fy,
+        and so R180, map the region's nodes, its interior and A_LL onto
+        themselves.
         """
         coords = self.coords
         n = self.n_local
-        rows, cols = self.target_pattern.index_arrays
         reach = int(np.abs(coords).max(initial=0))
 
         def keys(c):  # distinct integers for the points within reach
@@ -203,8 +201,7 @@ class LocalProblem:
 
         order = np.argsort(keys(coords))
         node_keys = keys(coords)[order]
-        pattern_keys = rows * n + cols  # ascending, as positions() is sorted
-        images = [np.arange(len(rows))]
+        perms = [np.arange(n)]
         for flip in REFLECTIONS[1:3]:
             image_keys = keys(coords * flip)
             at = np.searchsorted(node_keys, image_keys).clip(max=n - 1)
@@ -213,16 +210,49 @@ class LocalProblem:
                     and np.all(perm[: self.n_interior] < self.n_interior)
                     and np.array_equal(self.a_ll[np.ix_(perm, perm)], self.a_ll)):
                 return None
+            perms.append(perm)
+        perms.append(perms[1][perms[2]])  # R180 = Fx Fy
+        perms = np.array(perms)
+        perms.flags.writeable = False
+        return perms
+
+    @cached_property
+    def reflection_images(self):
+        """The free-value permutations of the reflection group K, or None.
+
+        Row g of the read-only (4, n_pattern) array, in REFLECTIONS' order,
+        maps free value (i, j) to the free value at (g i, g j).  Built once
+        per problem, and None unless K maps the nodes (node_reflections) and
+        the target pattern onto themselves: so for scalar regions alone,
+        since a p x q supernode with p or q above 1 has the decoupled node
+        at a corner.
+        """
+        perms = self.node_reflections
+        if perms is None:
+            return None
+        n = self.n_local
+        rows, cols = self.target_pattern.index_arrays
+        pattern_keys = rows * n + cols  # ascending, as positions() is sorted
+        images = []
+        for perm in perms:
             i, j = perm[rows], perm[cols]
             image_keys = np.minimum(i, j) * n + np.maximum(i, j)
             at = np.searchsorted(pattern_keys, image_keys).clip(max=max(len(rows) - 1, 0))
             if not np.array_equal(pattern_keys[at], image_keys):
                 return None
             images.append(at)
-        images.append(images[1][images[2]])  # R180 = Fx Fy
         images = np.array(images)
         images.flags.writeable = False
         return images
+
+    @cached_property
+    def node_blocks(self):
+        """The region's nodes in K's character blocks (NodeBlocks), built once per problem.
+
+        Four blocks where K maps the region onto itself (node_reflections),
+        else the one identity block.
+        """
+        return NodeBlocks(self.node_reflections, self.n_interior, self.a_ll)
 
 
 # The elements of the reflection group K as sign flips of (x, y) about the
@@ -236,12 +266,13 @@ CHARACTERS = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1,
 
 @dataclass(frozen=True, eq=False)
 class SymmetryBlock:
-    """One character block of an orthonormal basis of the unknowns (reflection_blocks).
+    """One character block of an orthonormal basis of n items (orbit_blocks).
 
-    Column b holds weights[b, t] at unknown members[b, t], t < width: the
-    orbit sum sum_g chi(g) e_(g k) / sqrt(|orbit|) over the orbit of its
-    least member k = members[b, 0], one term per orbit member; a member
-    that repeats in a row has weight 0.  norms[b] is sqrt(|orbit|).
+    The items are the unknowns (reflection_blocks) or the nodes
+    (NodeBlocks).  Column b holds weights[b, t] at item members[b, t],
+    t < width: the orbit sum sum_g chi(g) e_(g k) / sqrt(|orbit|) over the
+    orbit of its least member k = members[b, 0], one term per orbit member;
+    a member that repeats in a row has weight 0.  norms[b] is sqrt(|orbit|).
     """
 
     members: np.ndarray  # (n_block, width) intp
@@ -257,14 +288,14 @@ class SymmetryBlock:
         return len(self.members)
 
     def project(self, x):
-        """B^T x: the coordinates in this block of x over the unknowns."""
+        """B^T x: the coordinates in this block of x over the items."""
         out = self.weights[:, 0] * x[self.members[:, 0]]
         for t in range(1, self.members.shape[1]):
             out += self.weights[:, t] * x[self.members[:, t]]
         return out
 
     def expand(self, coeffs, n):
-        """B c: the n unknowns of these block coordinates, zero off the block."""
+        """B c: the n items of these block coordinates, zero off the block."""
         x = np.zeros(n)
         x[self.members[:, 0]] = self.weights[:, 0] * coeffs
         for t in range(1, self.members.shape[1]):
@@ -272,29 +303,19 @@ class SymmetryBlock:
         return x
 
 
-def reflection_blocks(problem, free=None):
-    """The unknowns' orthonormal basis, split into K's character blocks.
+def orbit_blocks(images):
+    """The orthonormal orbit-sum basis of n items under K, split into K's character blocks.
 
-    The unknowns are the target pattern's free values, or those in `free`
-    (ascending) alone, numbered in their order.  Returns a tuple of
-    SymmetryBlock, the trivial character's first: where K maps the problem
-    (LocalProblem.reflection_images) and the unknowns onto themselves,
-    four of them, each orbit sum in the blocks of the characters that are
-    1 on its stabilizer; else the one block of {e}.  A matrix that
-    commutes with K, as the normal matrix of a reflection-invariant state
-    does, is block diagonal in this basis (Faessler & Stiefel, Group
-    Theoretical Methods and Their Applications, 1992).
+    images is K's (4, n) permutation of the items, in REFLECTIONS' order.
+    Returns four SymmetryBlocks, the trivial character's first, each orbit
+    sum in the blocks of the characters that are 1 on its stabilizer; an
+    item fixed by a reflection, as a node on an axis is, lies in two
+    blocks, or in one where K fixes it.  Within a block, the orbits are in
+    the order of their least members.  A matrix that commutes with K is
+    block diagonal in this basis (Faessler & Stiefel, Group Theoretical
+    Methods and Their Applications, 1992).
     """
-    n = problem.target_pattern.n_entries if free is None else len(free)
-    images = problem.reflection_images
-    if images is not None and free is not None:
-        position = np.full(problem.target_pattern.n_entries, -1)
-        position[free] = np.arange(n)
-        images = position[images[:, free]]
-        if np.any(images < 0):  # the pins split an orbit
-            images = None
-    if images is None:
-        return (SymmetryBlock.identity(n),)
+    n = images.shape[1]
     least = np.flatnonzero(images.min(axis=0) == np.arange(n))
     members = images[:, least]
     first = np.ones(members.shape, dtype=bool)  # member g is not one of g' < g
@@ -309,6 +330,124 @@ def reflection_blocks(problem, free=None):
         blocks.append(SymmetryBlock(np.ascontiguousarray(members[:, inside].T),
                                     np.ascontiguousarray(weights.T), norms[inside]))
     return tuple(blocks)
+
+
+def reflection_blocks(problem, free=None):
+    """The unknowns' orthonormal basis, split into K's character blocks.
+
+    The unknowns are the target pattern's free values, or those in `free`
+    (ascending) alone, numbered in their order.  Returns a tuple of
+    SymmetryBlock, the trivial character's first: where K maps the problem
+    (LocalProblem.reflection_images) and the unknowns onto themselves,
+    orbit_blocks' four; else the one block of {e}.  The normal matrix of a
+    reflection-invariant state commutes with K, so it is block diagonal in
+    this basis.
+    """
+    n = problem.target_pattern.n_entries if free is None else len(free)
+    images = problem.reflection_images
+    if images is not None and free is not None:
+        position = np.full(problem.target_pattern.n_entries, -1)
+        position[free] = np.arange(n)
+        images = position[images[:, free]]
+        if np.any(images < 0):  # the pins split an orbit
+            images = None
+    if images is None:
+        return (SymmetryBlock.identity(n),)
+    return orbit_blocks(images)
+
+
+class NodeBlocks:
+    """The region's nodes in the character blocks of K, as zero-padded stacks.
+
+    NodeBlocks(perms, n_interior, a_ll) takes K's (4, n_local) node
+    permutations (LocalProblem.node_reflections), or None where K does not
+    map the region onto itself.  blocks is orbit_blocks over the nodes, or
+    the one identity block for None; interior[c] counts block c's interior
+    orbits, which come first, since the interior nodes do.
+
+    A K-invariant n_local x n_local matrix M is block diagonal in this
+    basis, and stack(M) holds its blocks M_c = B_c^T M B_c, zero-padded to
+    (n_blocks, n0, n0) for the largest block's n0.  Since M commutes with
+    K, entry (a, b) is sqrt|O_a| sqrt|O_b| / 4 sum_g chi_c(g) M[k_a, g k_b]
+    for the least members k_a, k_b of the orbits O_a, O_b of columns a
+    and b: stack gathers M[k, g k'] over every pair of orbits and each g,
+    forms K's four character sums from them, and picks each block's pairs.
+    With the one identity block, stack(M) is a view of M itself, as
+    expand's result is of its vectors.  at[c, k] and wt[c, k] are the
+    column of block c that node k lies in and its weight there (0 where it
+    lies in none), so B_c V = wt[c] * V[at[c]].
+    a_ll is stack(A_LL).  Every array is read-only.
+    """
+
+    def __init__(self, perms, n_interior, a_ll):
+        n = len(a_ll)
+        if perms is None:
+            self.blocks = (SymmetryBlock.identity(n),)
+            self.interior = (n_interior,)
+            self.at, self.wt = np.arange(n)[None], np.ones((1, n))
+            self.a_ll = a_ll[None]
+            self._read_only()
+            return
+        self.blocks = orbit_blocks(perms)
+        self.interior = tuple(int(np.sum(b.members[:, 0] < n_interior)) for b in self.blocks)
+        n0 = max(map(len, self.blocks))
+        least = self.blocks[0].members[:, 0]  # each orbit's least member: the trivial block has all
+        # stack's flat indices of M[k, g k'] and of each block's orbit pairs,
+        # as a row and a column term that broadcast, and sqrt|O_a| / 2 (0 in
+        # the padding)
+        self._rows, self._cols = least[:, None] * n, perms[:, least][:, None, :]
+        orbit = np.zeros((len(self.blocks), n0), dtype=np.intp)
+        self._half_norms = np.zeros((len(self.blocks), n0))
+        self.at = np.zeros((len(self.blocks), n), dtype=np.intp)
+        self.wt = np.zeros((len(self.blocks), n))
+        for c, block in enumerate(self.blocks):
+            orbit[c, : len(block)] = np.searchsorted(least, block.members[:, 0])
+            self._half_norms[c, : len(block)] = 0.5 * block.norms
+            column, t = np.nonzero(block.weights)  # a repeated member has weight 0
+            self.at[c, block.members[column, t]] = column
+            self.wt[c, block.members[column, t]] = block.weights[column, t]
+        self._pick_rows = (np.arange(len(self.blocks))[:, None, None] * len(least) ** 2
+                           + orbit[:, :, None] * len(least))
+        self._pick_cols = orbit[:, None, :]
+        self.a_ll = self.stack(a_ll)
+        self._read_only()
+
+    def _read_only(self):
+        for a in vars(self).values():
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
+
+    def __len__(self):
+        return len(self.blocks)
+
+    def stack(self, matrix):
+        """The blocks of a K-invariant n_local x n_local matrix, zero-padded."""
+        if len(self.blocks) == 1:
+            return matrix[None]
+        m = matrix.take(self._rows + self._cols)  # M[k, g k'] for g in REFLECTIONS' order
+        plus, minus = m[0::2] + m[1::2], m[0::2] - m[1::2]  # g and g Fx, for g = e and Fy
+        sums = np.stack((plus[0] + plus[1], minus[0] + minus[1],  # CHARACTERS' rows
+                         plus[0] - plus[1], minus[0] - minus[1]))
+        out = sums.take(self._pick_rows + self._pick_cols)
+        out *= self._half_norms[:, :, None]
+        out *= self._half_norms[:, None, :]
+        return out
+
+    def expand(self, c, vectors, n_rows=None):
+        """Rows of block c's coordinates, (k, len(block c)), in node coordinates.
+
+        Row r of the result is B_c vectors[r] at the first n_rows nodes, all
+        by default: the interior ones, for vectors over the block's
+        interior orbits alone.
+        """
+        if len(self.blocks) == 1:  # B is the identity: a view of vectors
+            return vectors[:, :n_rows]
+        at, wt = self.at[c, :n_rows], self.wt[c, :n_rows]
+        if not vectors.shape[1]:  # no coordinate to take from
+            return np.zeros((len(vectors), len(at)))
+        out = vectors.take(at, axis=1)
+        out *= wt
+        return out
 
 
 def _stencil(coords, lam):

@@ -58,6 +58,23 @@ the same code assembles and solves N itself, bit for bit the full system.
 The blocks' eigensolves cost about 1/16 of N's: a scalar m = 10 step's dA
 solve went from 24.5 to 3.9 ms (x86_64, one BLAS thread).
 
+The split and the line search work in the same way on the region's nodes.
+K maps the nodes and the interior onto themselves, so the orthonormal
+orbit sums of the nodes (LocalProblem.node_blocks, lattice.NodeBlocks)
+split them into four character blocks, and K = P_I A~ Y, Y, A~, dY, dA and
+A_LL of an invariant state are block diagonal there; the interior blocks
+are the interior orbits of the node blocks.  split_spaces decomposes each
+block of K on its own, reads the rank on the merged singular values, and
+expands q, q_null and u back to node coordinates, so the assembly and dY
+keep their formulas; a node on an axis lies in two blocks.  The line search
+gathers Y, dY, A~ and dA into zero-padded stacks of the blocks once, and
+each g(alpha) is one chain of stacked products, about a ninth of the
+node-coordinate flops at m = 8.  Its g(0) is then evaluated once, since
+sum(R**2) sums the same squares in another order.  Supernode regions get
+the one identity block, in which every operation is the node-coordinate one
+and keeps its bits.  A scalar m = 10 step's split went from 5.1 to 2.2 ms
+and its line search from 6.8 to 1.7 ms (x86_64, one BLAS thread).
+
 A NormalSystem owns the buffers of the normal equations and holds the
 state last assembled into it (build_normal_system).  solve_for_da and
 analysis.spectrum_at each solve it in place (eigh() on the first block,
@@ -94,12 +111,12 @@ trace at any smaller rel_tol.
 
 Every phase reads the state's one evaluation, its ErrorReport: the split
 takes K = (A~ Y)[:n_I], the assembly and dY take Y and R, the gradient and
-linearized_residual take Y, A~ Y and R, and the line search takes
-g(0) = sum(R**2).  The results are bit-for-bit those of the direct
-formulas, which the tests keep as a reference: near a stop, a change in the
-last bit can decide whether a minimization stops or runs on.  The phases
-are called by their module names at call time, so a tracer that replaces
-one sees every call.
+linearized_residual take Y, A~ Y and R, and the line search in node
+coordinates takes g(0) = sum(R**2).  In the one identity block the results
+are bit-for-bit those of the direct formulas, which the tests keep as a
+reference: near a stop, a change in the last bit can decide whether a
+minimization stops or runs on.  The phases are called by their module
+names at call time, so a tracer that replaces one sees every call.
 """
 
 import math
@@ -266,12 +283,12 @@ class NormalSystem:
     has LAPACK's minimum size, 1 + 6 n0 + 2 n0^2 for the n0 unknowns of
     the first block.
 
-    work is the one n0^2-sized scratch: it holds G's column gathers for one
-    block at a time before the solve, dsyevd's work during it and the
-    sort's gather after it.  The gathers of a region of n_local nodes are
-    2 n_local doubles per term of the block (its size times its width); if
-    they do not fit, work is made that long, and dsyevd still gets the
-    queried lwork.
+    work is the one n0^2-sized scratch: it holds G's gathers for one block
+    at a time before the solve, dsyevd's work during it and the sort's
+    gather after it.  The gathers of a region of n_local nodes are
+    2 n_local doubles per column of the block: G's columns for the identity
+    block, G's rows at the least members for the others.  If they do not
+    fit, work is made that long, and dsyevd still gets the queried lwork.
     """
 
     def __init__(self, n, n_local=0, blocks=None):
@@ -283,7 +300,7 @@ class NormalSystem:
         self.matrix = np.empty((n0, n0))
         self.others = [np.empty((len(b), len(b))) for b in self.blocks[1:]]
         self.rhs = self.pattern = self.expected_null = self.pins = None
-        gathers = 2 * n_local * max(b.members.size for b in self.blocks)
+        gathers = 2 * n_local * max(map(len, self.blocks))
         self._dsyevd = find_dsyevd()
         if self._dsyevd is None:
             self.work = np.empty(max(1 + 6 * n0 + 2 * n0 * n0, gathers))
@@ -381,14 +398,34 @@ def null_cut(u, s, rhs, pinned=0, rest=()):
 
 
 def split_spaces(problem, report):
-    """SVD split of the report's K = P_I A~ Y into span (q) and null space (q_null)."""
-    u, s, vt = np.linalg.svd(report.ay[: problem.n_interior], full_matrices=True)
-    rank = int(np.sum(s > RANK_TOL * s[0]))
+    """SVD split of the report's K = P_I A~ Y into span (q) and null space (q_null).
+
+    K is split in the problem's node blocks (LocalProblem.node_blocks):
+    each block's K_c, the interior orbits' rows of the block of A~ Y, is
+    decomposed on its own, and the rank is read on the blocks' singular
+    values merged, at RANK_TOL of the largest.  q, q_null and u are then
+    expanded to node coordinates, block by block, and sigma follows their
+    columns; with the one identity block they are svd(K)'s, bit for bit.
+    """
+    nodes = problem.node_blocks
+    k = nodes.stack(report.ay)
+    svds = [np.linalg.svd(k[c, :n_i, :len(block)], full_matrices=True)
+            for c, (n_i, block) in enumerate(zip(nodes.interior, nodes.blocks))]
+    top = max(s[0] for _, s, _ in svds if len(s))
+    ranks = [int(np.sum(s > RANK_TOL * top)) for _, s, _ in svds]
+    right = [nodes.expand(c, vt) for c, (_, _, vt) in enumerate(svds)]  # rows: the vectors B_c v
+
+    def columns(parts):
+        """The parts' columns side by side, C-ordered, as svd(K)'s .T.copy() is."""
+        out = np.empty((len(parts[0]), sum(part.shape[1] for part in parts)))
+        return np.concatenate(parts, axis=1, out=out)
+
     return SubspaceSplit(
-        q=vt[:rank].T.copy(),
-        q_null=vt[rank:].T.copy(),
-        sigma=s[:rank].copy(),
-        u=u[:, :rank].copy(),
+        q=columns([v[:r].T for v, r in zip(right, ranks)]),
+        q_null=columns([v[r:].T for v, r in zip(right, ranks)]),
+        sigma=np.concatenate([s[:r] for (_, s, _), r in zip(svds, ranks)]),
+        u=columns([nodes.expand(c, u[:, :r].T, problem.n_interior).T
+                   for c, ((u, _, _), r) in enumerate(zip(svds, ranks))]),
     )
 
 
@@ -408,10 +445,10 @@ def build_normal_system(problem, report, split, system, pins=None):
 
     G is symmetrized first, so G_ji = G_ij^T exactly and N comes out exactly
     symmetric: each entry and its mirror are the same two products, summed.
-    Each block's G column gathers, 2 n_local doubles per term, go into the
-    system's work array, which the last eigensolve there has finished with.
-    A system of another size, or a work array too small for the gathers,
-    raises ValueError.
+    Each block's gathers of G, 2 n_local doubles per column of the block, go
+    into the system's work array, which the last eigensolve there has
+    finished with.  A system of another size, or a work array too small for
+    the gathers, raises ValueError.
     """
     pattern = problem.target_pattern
     if pattern.n_entries == 0:
@@ -424,7 +461,7 @@ def build_normal_system(problem, report, split, system, pins=None):
     if system.n != n:
         raise ValueError(f"normal system of {system.n} unknowns for "
                          f"{n} unpinned pattern entries")
-    gathers_size = 2 * problem.n_local * max(b.members.size for b in system.blocks)
+    gathers_size = 2 * problem.n_local * max(map(len, system.blocks))
     if gathers_size > len(system.work):
         raise ValueError(f"G's gathers of {gathers_size} doubles do not fit in a "
                          f"work array of {len(system.work)}")
@@ -443,37 +480,50 @@ def build_normal_system(problem, report, split, system, pins=None):
 
     # Block entry (a, b) is sqrt|O_a| sum_t w_bt N_(k_a, l_bt): the row of
     # a's least member k_a against b's orbit members l_bt, since N commutes
-    # with K (Faessler & Stiefel).  Columns first, then rows, one block of
-    # rows at a time: G is symmetric, so the column gathers are the rows
-    # G_i, G_j transposed, and every gather copies contiguous rows.  For free
-    # values k, l at (i, j), (i', j'), N_kl = c_k c_l (G_ii' G_jj' + G_ij'
-    # G_ji') / 2 with c = multiplicity: powers of two, applied rows first,
-    # so the bytes are those of one multiplication by their product.  The
-    # identity block's weights and norms are 1, so there its terms are N's
-    # entries bit for bit.
+    # with K (Faessler & Stiefel).  For free values k, l at (i, j), (i', j'),
+    # N_kl = c_k c_l (G_ii' G_jj' + G_ij' G_ji') / 2 with c = multiplicity:
+    # powers of two, applied rows first, so the bytes are those of one
+    # multiplication by their product.  The four G factors are gathered one
+    # block of rows at a time.  The one identity block gathers G's columns
+    # first (G is symmetric, so they are the rows G_i, G_j transposed, and
+    # every gather copies contiguous rows), and its terms are N's entries
+    # bit for bit, in place; a block of orbit sums gathers G's rows at its
+    # least members first, then their orbits' columns.  Either way the
+    # products and sums are the same.
+    n_local = problem.n_local
     for block, matrix in zip(system.blocks, [system.matrix] + system.others):
-        rows, cols = block.members[:, 0], block.members.ravel()
-        row_i, row_j = i_idx[rows], j_idx[rows]
+        # member t of every column, t by t, so that the sum over t adds whole rows
+        rows, cols = block.members[:, 0], block.members.T.ravel()
+        row_idx, col_idx = (i_idx[rows], j_idx[rows]), (i_idx[cols], j_idx[cols])
         row_scale = multiplicity[rows] * block.norms
-        col_scale = 0.5 * multiplicity[cols] * block.weights.ravel()
-        shape = (2, problem.n_local, len(cols))
-        gathers = system.work[: math.prod(shape)].reshape(shape)
-        g_ti = g.take(i_idx[cols], axis=1, out=gathers[0], mode="clip")
-        g_tj = g.take(j_idx[cols], axis=1, out=gathers[1], mode="clip")
+        col_scale = 0.5 * multiplicity[cols] * block.weights.T.ravel()
         width = block.members.shape[1]
+        shape = (2, len(rows), n_local) if width > 1 else (2, n_local, len(cols))
+        gathers = system.work[: math.prod(shape)].reshape(shape)
+        if width > 1:
+            by_row = [g.take(r, axis=0, out=out, mode="clip") for r, out in zip(row_idx, gathers)]
+        else:
+            by_col = [g.take(c, axis=1, out=out, mode="clip") for c, out in zip(col_idx, gathers)]
+
+        def factor(r, c, band, out=None):
+            """G at rows row_idx[r][band] and columns col_idx[c]; 0 is i, 1 is j."""
+            if width > 1:
+                return by_row[r][band].take(col_idx[c], axis=1, out=out)
+            return by_col[c].take(row_idx[r][band], axis=0, out=out)
+
         for start in range(0, len(rows), BLOCK_ROWS):
             band = slice(start, start + BLOCK_ROWS)
             entries = matrix[band]  # C-ordered, so the row blocks are contiguous
             # one term per entry, as in the identity block, goes in place
-            terms = g_ti.take(row_i[band], axis=0, out=entries if width == 1 else None)  # G_ii'
-            terms *= g_tj.take(row_j[band], axis=0)  # G_jj'
-            cross = g_tj.take(row_i[band], axis=0)  # G_ij'
-            cross *= g_ti.take(row_j[band], axis=0)  # G_ji', which is G_ij'^T
+            terms = factor(0, 0, band, out=entries if width == 1 else None)  # G_ii'
+            terms *= factor(1, 1, band)  # G_jj'
+            cross = factor(0, 1, band)  # G_ij'
+            cross *= factor(1, 0, band)  # G_ji', which is G_ij'^T
             terms += cross
             terms *= row_scale[band, None]
             terms *= col_scale
             if width > 1:
-                terms.reshape(len(terms), len(block), width).sum(axis=2, out=entries)
+                terms.reshape(len(terms), width, len(block)).sum(axis=1, out=entries)
 
 
 def solve_for_da(system):
@@ -536,21 +586,31 @@ def linearized_residual(problem, report, dy, da):
 def line_objective(problem, pair, report, dy, da):
     """Squared error norm along the step, g(alpha), a degree-6 polynomial.
 
-    Returns g as a function of alpha, starting from the report's Y.
+    Returns g as a function of alpha, starting from the report's Y.  g
+    reads the problem's node blocks (LocalProblem.node_blocks): Y, dY, A~
+    and dA are gathered into their zero-padded stacks once, A_LL's are the
+    problem's, and each g(alpha) is one chain of stacked products.  The
+    error of an invariant state is the sum of its blocks' errors; with the
+    one identity block g is the node-coordinate formula, bit for bit.
     """
-    n_i = problem.n_interior
+    nodes = problem.node_blocks
+    step_y = np.zeros_like(report.y)
+    step_y[: problem.n_interior] = dy
+    y, dy_blocks = nodes.stack(report.y), nodes.stack(step_y)
+    a_tilde, da_blocks = nodes.stack(pair.a_tilde), nodes.stack(da)
+    del step_y
 
     def g(alpha):
-        y = report.y.copy()
-        y[:n_i] += alpha * dy
-        at = alpha * da
-        at += pair.a_tilde
-        ay = at @ y
+        y_at = alpha * dy_blocks
+        y_at += y
+        at = alpha * da_blocks
+        at += a_tilde
+        ay = at @ y_at
         del at
-        s = y.T @ ay
-        del y, ay
+        s = y_at.swapaxes(-1, -2) @ ay
+        del y_at, ay
         s = symmetrized(s)
-        np.subtract(problem.a_ll, s, out=s)
+        np.subtract(nodes.a_ll, s, out=s)
         s *= s
         return float(np.sum(s))
 
@@ -576,13 +636,15 @@ def fit_line_polynomial(g, g0):
 def line_search(problem, pair, report, dy, da):
     """Exact line search on the degree-6 polynomial g; returns (alpha, error).
 
-    g(0) is sum(R**2) of the report, as g forms it.  Candidates are the real
-    critical points in (0, ALPHA_MAX]; the best one that improves on g(0)
-    wins, otherwise alpha = 0.  The returned error is the (non-squared) norm
-    at the chosen alpha, never above the current one.
+    g(0) is sum(R**2) of the report where g reads node coordinates, as g
+    forms it, and g(0) itself where g reads the node blocks, whose sum takes
+    the squares in another order: so the fit's g(0) is g's, bit for bit.
+    Candidates are the real critical points in (0, ALPHA_MAX]; the best one
+    that improves on g(0) wins, otherwise alpha = 0.  The returned error is
+    the (non-squared) norm at the chosen alpha, never above the current one.
     """
     g_of = line_objective(problem, pair, report, dy, da)
-    g0 = float(np.sum(report.residual**2))
+    g0 = float(np.sum(report.residual**2)) if len(problem.node_blocks) == 1 else g_of(0.0)
     coeffs, scale = fit_line_polynomial(g_of, g0)
 
     best_alpha, best_g = 0.0, g0
@@ -647,6 +709,10 @@ def _descend(problem, step, opts):
     `solve`: (dY, dA, solve).  A NumericalFailure leaves with the partial
     trace attached.
     """
+    # The node blocks are made before the first state's arrays: made among a
+    # step's temporaries, they left the large_region benchmark's peak RSS
+    # about 3 MB higher (glibc placed the next global_verify's arrays worse).
+    _ = problem.node_blocks
     pair = initial_guess(problem)
     trace = ConvergenceTrace()
     alpha = 0.0

@@ -73,8 +73,11 @@ def initial_guess(problem):
 
 
 def symmetrized(x):
-    """0.5 (x + x^T), formed with one temporary: the bits of the plain expression."""
-    s = x + x.T
+    """0.5 (x + x^T), formed with one temporary: the bits of the plain expression.
+
+    A stack of matrices, as NodeBlocks holds, is symmetrized matrix by matrix.
+    """
+    s = x + x.swapaxes(-1, -2)
     s *= 0.5
     return s
 

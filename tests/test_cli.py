@@ -570,6 +570,22 @@ class TestCommittedFigures:
             assert read_rows(tmp_path / name) == rows_at(FIGURES / run / name, ms), name
 
 
+    @pytest.mark.filterwarnings(
+        "ignore:detected null dimension:RuntimeWarning")
+    def test_supernode_rows_regenerate_byte_for_byte(self, tmp_path):
+        # Supernode regions run the shared phases in the one identity
+        # block: a change there that moves their bits fails here.
+        figures = FIGURES / "supernode_sweep"
+        sidecar = json.loads((figures / "lambda_sweep_blas.json").read_text())
+        control = blas.find_openblas()
+        if control is None or control.config != sidecar["library"]:
+            pytest.skip("the committed figures come from another BLAS build")
+        assert main(["lambda-sweep", "--p", "2", "--q", "1", "--m", "1,2,3",
+                     "--out", str(tmp_path)]) == 0
+        for name in ("lambda_sweep.csv", "lambda_sweep_symmetry.csv"):
+            assert read_rows(tmp_path / name) == rows_at(figures / name, (1, 2, 3)), name
+
+
 NO_SCIPY_SCRIPT = """
 import sys
 import sparsecoarsen

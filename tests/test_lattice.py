@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsecoarsen.lattice import (
+    CHARACTERS,
     REFLECTIONS,
     SparsityPattern,
     StencilSpec,
@@ -478,3 +479,79 @@ class TestReflectionBlocks:
         for block in reflection_blocks(problem):
             c = rng.standard_normal(len(block))
             assert block.project(x) @ c == pytest.approx(x @ block.expand(c, n), rel=1e-13)
+
+
+def invariant_matrix(problem, seed):
+    """A random n_local x n_local matrix averaged over the reflections: K maps it onto itself."""
+    x = np.random.default_rng(seed).standard_normal((problem.n_local,) * 2)
+    return sum(x[np.ix_(perm, perm)] for perm in node_reflections(problem)) / 4
+
+
+class TestNodeBlocks:
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_scalar_nodes_split_into_four_orthonormal_blocks(self, m):
+        problem = extract_local_scalar(m, 0.0)
+        n, n_i = problem.n_local, problem.n_interior
+        perms = problem.node_reflections
+        assert perms.shape == (4, n) and not perms.flags.writeable
+        np.testing.assert_array_equal(perms, node_reflections(problem))
+        nodes = problem.node_blocks
+        assert len(nodes) == 4 and nodes.stack(problem.a_ll).shape[0] == 4
+        dense = dense_blocks(nodes.blocks, n)
+        basis = np.column_stack(dense)
+        assert basis.shape == (n, n)
+        np.testing.assert_allclose(basis.T @ basis, np.eye(n), rtol=0.0, atol=4e-16)
+        for block, interior, b, chi in zip(nodes.blocks, nodes.interior, dense, CHARACTERS):
+            # the interior orbits come first, and span the interior's rows of the block
+            assert np.all(block.members[:interior] < n_i)
+            assert np.all(block.members[interior:] >= n_i)
+            assert not b[n_i:, :interior].any() and not b[:n_i, interior:].any()
+            for perm, sign in zip(node_reflections(problem), chi):  # P_g B_c = chi(g) B_c
+                np.testing.assert_array_equal(b[perm], sign * b)
+        # a node off the axes lies in four blocks, one on an axis in two, the decoupled node in one
+        zero_coords = np.count_nonzero(problem.coords == 0, axis=1)
+        np.testing.assert_array_equal(np.count_nonzero(basis, axis=1),
+                                      np.array([4, 2, 1])[zero_coords])
+
+    @pytest.mark.parametrize("m,p,q", [(1, 2, 1), (3, 2, 1), (2, 1, 2), (2, 3, 1), (2, 2, 2)])
+    def test_supernode_regions_have_the_one_identity_block(self, m, p, q):
+        problem = extract_local_supernode(m, p, q, 0.0)
+        assert problem.node_reflections is None
+        nodes = problem.node_blocks
+        (block,) = nodes.blocks
+        np.testing.assert_array_equal(block.members, np.arange(problem.n_local)[:, None])
+        assert nodes.interior == (problem.n_interior,)
+        x = np.random.default_rng(1).standard_normal((problem.n_local,) * 2)
+        assert np.shares_memory(nodes.stack(x), x) and np.array_equal(nodes.stack(x)[0], x)
+        assert np.array_equal(nodes.a_ll[0], problem.a_ll)
+        assert np.array_equal(nodes.expand(0, x), x)
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 8])
+    def test_stack_holds_the_blocks_of_an_invariant_matrix(self, m):
+        problem = extract_local_scalar(m, 2.0)
+        nodes = problem.node_blocks
+        dense = dense_blocks(nodes.blocks, problem.n_local)
+        for x in (problem.a_ll, invariant_matrix(problem, m)):
+            stacked = nodes.stack(x)
+            n0 = max(map(len, nodes.blocks))
+            assert stacked.shape == (4, n0, n0)
+            for c, b in enumerate(dense):
+                k = b.shape[1]
+                np.testing.assert_allclose(stacked[c, :k, :k], b.T @ x @ b,
+                                           rtol=0.0, atol=1e-15 * np.abs(x).max())
+                assert not stacked[c, k:].any() and not stacked[c, :, k:].any()
+        np.testing.assert_array_equal(nodes.a_ll, nodes.stack(problem.a_ll))
+        assert not nodes.a_ll.flags.writeable
+
+    @pytest.mark.parametrize("m", [1, 3, 6])
+    def test_expand_applies_each_block_to_rows(self, m):
+        problem = extract_local_scalar(m, 0.0)
+        nodes = problem.node_blocks
+        rng = np.random.default_rng(m)
+        for c, b in enumerate(dense_blocks(nodes.blocks, problem.n_local)):
+            v = rng.standard_normal((3, b.shape[1]))
+            np.testing.assert_array_equal(nodes.expand(c, v), v @ b.T)
+            interior = v[:, : nodes.interior[c]]
+            np.testing.assert_array_equal(
+                nodes.expand(c, interior, problem.n_interior),
+                interior @ b[: problem.n_interior, : nodes.interior[c]].T)
