@@ -250,7 +250,8 @@ class LocalProblem:
         """The region's nodes in K's character blocks (NodeBlocks), built once per problem.
 
         Four blocks where K maps the region onto itself (node_reflections),
-        else the one identity block.
+        else the one identity block; the phases read them where they are
+        active.
         """
         return NodeBlocks(self.node_reflections, self.n_interior, self.a_ll)
 
@@ -262,6 +263,14 @@ REFLECTIONS = np.array([[1, 1], [-1, 1], [1, -1], [-1, -1]])
 # trivial one first, then the ones odd under Fx, under Fy, and under both.
 CHARACTERS = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]],
                       dtype=float)
+# NodeBlocks.invariant's tolerance: the states and steps of scalar
+# minimizations read at most 1.3e-15 (m = 1..10, lambda from 0 to 8).
+INVARIANCE_TOL = 1e-12
+# The fewest nodes whose split and line search read K's node blocks: they
+# save flops but cost numpy calls.  A scalar minimization (best of 5 at
+# lambda in {0, 1, 3.5}, x86_64) took 13 -> 20 ms with them at m = 3 (25
+# nodes), 21 -> 22 ms at m = 5 (61) and 45 -> 38 ms at m = 6 (85).
+BLOCKS_MIN_NODES = 80
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,12 +303,22 @@ class SymmetryBlock:
             out += self.weights[:, t] * x[self.members[:, t]]
         return out
 
+    @cached_property
+    def _pairs(self):
+        """(column, item, weight) of each nonzero term, by column: each item's one term."""
+        column, t = np.nonzero(self.weights)  # a repeated member has weight 0
+        return column, self.members[column, t], self.weights[column, t]
+
     def expand(self, coeffs, n):
-        """B c: the n items of these block coordinates, zero off the block."""
-        x = np.zeros(n)
-        x[self.members[:, 0]] = self.weights[:, 0] * coeffs
-        for t in range(1, self.members.shape[1]):
-            x[self.members[:, t]] += self.weights[:, t] * coeffs
+        """B c: the n items of these block coordinates, zero off the block.
+
+        coeffs may be a stack of coordinate rows, (..., k), over the block's
+        first k columns; each row is expanded.
+        """
+        column, item, weight = self._pairs
+        end = np.searchsorted(column, coeffs.shape[-1])  # the first k columns' terms
+        x = np.zeros(coeffs.shape[:-1] + (n,))
+        x[..., item[:end]] = coeffs[..., column[:end]] * weight[:end]
         return x
 
 
@@ -365,88 +384,103 @@ class NodeBlocks:
     the one identity block for None; interior[c] counts block c's interior
     orbits, which come first, since the interior nodes do.
 
-    A K-invariant n_local x n_local matrix M is block diagonal in this
-    basis, and stack(M) holds its blocks M_c = B_c^T M B_c, zero-padded to
-    (n_blocks, n0, n0) for the largest block's n0.  Since M commutes with
-    K, entry (a, b) is sqrt|O_a| sqrt|O_b| / 4 sum_g chi_c(g) M[k_a, g k_b]
-    for the least members k_a, k_b of the orbits O_a, O_b of columns a
-    and b: stack gathers M[k, g k'] over every pair of orbits and each g,
-    forms K's four character sums from them, and picks each block's pairs.
-    With the one identity block, stack(M) is a view of M itself, as
-    expand's result is of its vectors.  at[c, k] and wt[c, k] are the
-    column of block c that node k lies in and its weight there (0 where it
-    lies in none), so B_c V = wt[c] * V[at[c]].
-    a_ll is stack(A_LL).  Every array is read-only.
+    An n_local x n_local matrix M that K maps onto itself, M[g k, g k'] =
+    M[k, k'], is block diagonal in this basis, and stack holds its blocks
+    M_c = B_c^T M B_c, zero-padded to (n_blocks, n0, n0) for the largest
+    block's n0.  Since M commutes with K, entry (a, b) is
+    sqrt|O_a| sqrt|O_b| / 4 sum_g chi_c(g) M[k_a, g k_b] for the least
+    members k_a, k_b of the orbits O_a, O_b of columns a and b: stack
+    gathers M[k, g k'] over every pair of orbits and each g, forms K's four
+    character sums from them, and picks each block's pairs.  As that reads
+    only the rows at least members, stack returns None, for the caller to
+    read node coordinates, where a matrix is not invariant, and where the
+    blocks are not active: four of them and BLOCKS_MIN_NODES nodes or more.
+    a_ll is A_LL's blocks, or None.  Every array is read-only.
     """
 
     def __init__(self, perms, n_interior, a_ll):
         n = len(a_ll)
+        self.active = perms is not None and n >= BLOCKS_MIN_NODES
+        self.a_ll = None
         if perms is None:
             self.blocks = (SymmetryBlock.identity(n),)
             self.interior = (n_interior,)
-            self.at, self.wt = np.arange(n)[None], np.ones((1, n))
-            self.a_ll = a_ll[None]
-            self._read_only()
             return
         self.blocks = orbit_blocks(perms)
         self.interior = tuple(int(np.sum(b.members[:, 0] < n_interior)) for b in self.blocks)
+        # invariant's probe v_k = sin(k + 1) as columns (v, Fx v, Fy v)
+        v = np.sin(np.arange(1.0, n + 1))
+        self._probe = np.column_stack((v, v[perms[1]], v[perms[2]]))
+        self._flips = perms[1:3]
+        self._probe.flags.writeable = False
+        if not self.active:
+            return
         n0 = max(map(len, self.blocks))
         least = self.blocks[0].members[:, 0]  # each orbit's least member: the trivial block has all
-        # stack's flat indices of M[k, g k'] and of each block's orbit pairs,
-        # as a row and a column term that broadcast, and sqrt|O_a| / 2 (0 in
-        # the padding)
-        self._rows, self._cols = least[:, None] * n, perms[:, least][:, None, :]
-        orbit = np.zeros((len(self.blocks), n0), dtype=np.intp)
+        # the orbits of a matrix's rows: of all nodes, or the interior
+        self._row_orbits = {n: len(least), n_interior: self.interior[0]}
+        # stack's flat indices: of M[k, g k'] for least members k, k', and of
+        # each block's orbit pairs among the character sums (0 in the
+        # padding), with their sqrt|O| / 2 (0 in the padding)
+        self._gather = least[:, None] * n + perms[:, least][:, None, :]
+        orbits = np.zeros((len(self.blocks), n0), dtype=np.intp)
         self._half_norms = np.zeros((len(self.blocks), n0))
-        self.at = np.zeros((len(self.blocks), n), dtype=np.intp)
-        self.wt = np.zeros((len(self.blocks), n))
         for c, block in enumerate(self.blocks):
-            orbit[c, : len(block)] = np.searchsorted(least, block.members[:, 0])
+            orbits[c, : len(block)] = np.searchsorted(least, block.members[:, 0])
             self._half_norms[c, : len(block)] = 0.5 * block.norms
-            column, t = np.nonzero(block.weights)  # a repeated member has weight 0
-            self.at[c, block.members[column, t]] = column
-            self.wt[c, block.members[column, t]] = block.weights[column, t]
-        self._pick_rows = (np.arange(len(self.blocks))[:, None, None] * len(least) ** 2
-                           + orbit[:, :, None] * len(least))
-        self._pick_cols = orbit[:, None, :]
-        self.a_ll = self.stack(a_ll)
-        self._read_only()
-
-    def _read_only(self):
-        for a in vars(self).values():
-            if isinstance(a, np.ndarray):
-                a.flags.writeable = False
+        self._pick = ((np.arange(len(self.blocks))[:, None, None] * len(least) + orbits[:, :, None])
+                      * len(least) + orbits[:, None, :])
+        self.a_ll = self.stack((a_ll,))[0]  # node_reflections checked A_LL's invariance
+        for a in [self.a_ll, self._gather, self._half_norms, self._pick]:
+            a.flags.writeable = False
 
     def __len__(self):
         return len(self.blocks)
 
-    def stack(self, matrix):
-        """The blocks of a K-invariant n_local x n_local matrix, zero-padded."""
+    def invariant(self, matrices):
+        """Whether K maps each matrix over the nodes onto itself (true with one block).
+
+        A matrix is n_local x n_local, or the interior rows of one, as dY
+        is.  M[g k, g k'] = M[k, k'] where M commutes with Fx and Fy, which
+        is probed on one fixed vector v without symmetry or zero entries:
+        M F v against F M v, to INVARIANCE_TOL of the largest entry of the
+        products.  A commutator passes only if v lies in its null space.
+        """
         if len(self.blocks) == 1:
-            return matrix[None]
-        m = matrix.take(self._rows + self._cols)  # M[k, g k'] for g in REFLECTIONS' order
-        plus, minus = m[0::2] + m[1::2], m[0::2] - m[1::2]  # g and g Fx, for g = e and Fy
-        sums = np.stack((plus[0] + plus[1], minus[0] + minus[1],  # CHARACTERS' rows
-                         plus[0] - plus[1], minus[0] - minus[1]))
-        out = sums.take(self._pick_rows + self._pick_cols)
+            return True
+        spread = size = 0.0
+        for matrix in matrices:
+            w = matrix @ self._probe  # M v, M Fx v, M Fy v
+            moved = w[:, 1:].T - w[:, 0].take(self._flips[:, : len(matrix)])
+            spread = max(spread, float(np.abs(moved).max(initial=0.0)))
+            size = max(size, float(np.abs(w).max(initial=0.0)))
+        return spread <= INVARIANCE_TOL * size
+
+    def stack(self, matrices):
+        """The (len(matrices), n_blocks, n0, n0) blocks of invariant's matrices, or None."""
+        if not self.active or not self.invariant(matrices):
+            return None
+        out = np.empty((len(matrices),) + self._pick.shape)
+        for matrix, blocks in zip(matrices, out):
+            rows = self._row_orbits[len(matrix)]
+            if rows == len(self._gather[0]):
+                m = matrix.take(self._gather)  # M[k, g k'], g in REFLECTIONS' order
+            else:  # the other orbits' rows are zero
+                m = np.zeros(self._gather.shape)
+                m[:, :rows] = matrix.take(self._gather[:, :rows])
+            # CHARACTERS' sums in place: plus_e + plus_Fy, minus_e + minus_Fy,
+            # plus_e - plus_Fy and minus_e - minus_Fy, where plus_g and
+            # minus_g are M[., g .] +- M[., g Fx .]
+            minus = m[0::2] - m[1::2]
+            np.add(m[0::2], m[1::2], out=m[0::2])
+            np.add(minus[0], minus[1], out=m[1])
+            np.subtract(minus[0], minus[1], out=m[3])
+            np.subtract(m[0], m[2], out=minus[0])
+            np.add(m[0], m[2], out=m[0])
+            m[2] = minus[0]
+            m.take(self._pick, out=blocks)
         out *= self._half_norms[:, :, None]
         out *= self._half_norms[:, None, :]
-        return out
-
-    def expand(self, c, vectors, n_rows=None):
-        """Rows of block c's coordinates, (k, len(block c)), in node coordinates.
-
-        Row r of the result is B_c vectors[r] at the first n_rows nodes, all
-        by default: the interior ones, for vectors over the block's
-        interior orbits alone.
-        """
-        if len(self.blocks) == 1:  # B is the identity: a view of vectors
-            return vectors[:, :n_rows]
-        at, wt = self.at[c, :n_rows], self.wt[c, :n_rows]
-        if not vectors.shape[1]:  # no coordinate to take from
-            return np.zeros((len(vectors), len(at)))
-        out = vectors.take(at, axis=1)
-        out *= wt
         return out
 
 

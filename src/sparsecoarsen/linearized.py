@@ -69,11 +69,14 @@ expands q, q_null and u back to node coordinates, so the assembly and dY
 keep their formulas; a node on an axis lies in two blocks.  The line search
 gathers Y, dY, A~ and dA into zero-padded stacks of the blocks once, and
 each g(alpha) is one chain of stacked products, about a ninth of the
-node-coordinate flops at m = 8.  Its g(0) is then evaluated once, since
-sum(R**2) sums the same squares in another order.  Supernode regions get
-the one identity block, in which every operation is the node-coordinate one
-and keeps its bits.  A scalar m = 10 step's split went from 5.1 to 2.2 ms
-and its line search from 6.8 to 1.7 ms (x86_64, one BLAS thread).
+node-coordinate flops at m = 8; its g(0) is evaluated once, since the
+blocks' sum(R**2) squares other numbers.  Both phases read node coordinates
+where the reflections do not map what they read onto itself
+(NodeBlocks.invariant; every state of a minimization passes), and in
+regions under lattice.BLOCKS_MIN_NODES nodes (scalar m <= 5, and every
+supernode region), where the blocks cost more numpy calls than they save.
+A scalar m = 10 step's split went from 5.1 to 2.3 ms and its line search
+from 6.8 to 2.1 ms (x86_64, one BLAS thread).
 
 A NormalSystem owns the buffers of the normal equations and holds the
 state last assembled into it (build_normal_system).  solve_for_da and
@@ -112,8 +115,8 @@ trace at any smaller rel_tol.
 Every phase reads the state's one evaluation, its ErrorReport: the split
 takes K = (A~ Y)[:n_I], the assembly and dY take Y and R, the gradient and
 linearized_residual take Y, A~ Y and R, and the line search in node
-coordinates takes g(0) = sum(R**2).  In the one identity block the results
-are bit-for-bit those of the direct formulas, which the tests keep as a
+coordinates takes g(0) = sum(R**2).  In node coordinates the results are
+bit-for-bit those of the direct formulas, which the tests keep as a
 reference: near a stop, a change in the last bit can decide whether a
 minimization stops or runs on.  The phases are called by their module
 names at call time, so a tracer that replaces one sees every call.
@@ -400,20 +403,31 @@ def null_cut(u, s, rhs, pinned=0, rest=()):
 def split_spaces(problem, report):
     """SVD split of the report's K = P_I A~ Y into span (q) and null space (q_null).
 
-    K is split in the problem's node blocks (LocalProblem.node_blocks):
-    each block's K_c, the interior orbits' rows of the block of A~ Y, is
-    decomposed on its own, and the rank is read on the blocks' singular
-    values merged, at RANK_TOL of the largest.  q, q_null and u are then
-    expanded to node coordinates, block by block, and sigma follows their
-    columns; with the one identity block they are svd(K)'s, bit for bit.
+    Where the problem's node blocks hold A~ Y's blocks (NodeBlocks.stack),
+    each block's K_c, the interior orbits' rows, is decomposed on its own,
+    the rank is read on the merged singular values at RANK_TOL of the
+    largest, and q, q_null and u are expanded to node coordinates block by
+    block, sigma following their columns.  Elsewhere they are svd(K)'s.
     """
+    n_i = problem.n_interior
     nodes = problem.node_blocks
-    k = nodes.stack(report.ay)
-    svds = [np.linalg.svd(k[c, :n_i, :len(block)], full_matrices=True)
-            for c, (n_i, block) in enumerate(zip(nodes.interior, nodes.blocks))]
+    k = nodes.stack((report.ay,))
+    if k is None:  # node coordinates
+        u, s, vt = np.linalg.svd(report.ay[:n_i], full_matrices=True)
+        rank = int(np.sum(s > RANK_TOL * s[0]))
+        return SubspaceSplit(
+            q=vt[:rank].T.copy(),
+            q_null=vt[rank:].T.copy(),
+            sigma=s[:rank].copy(),
+            u=u[:, :rank].copy(),
+        )
+    svds = [np.linalg.svd(k[0, c, :n_ic, :len(block)], full_matrices=True)
+            for c, (n_ic, block) in enumerate(zip(nodes.interior, nodes.blocks))]
     top = max(s[0] for _, s, _ in svds if len(s))
     ranks = [int(np.sum(s > RANK_TOL * top)) for _, s, _ in svds]
-    right = [nodes.expand(c, vt) for c, (_, _, vt) in enumerate(svds)]  # rows: the vectors B_c v
+    # rows: the vectors B_c v over the nodes, and B_c u over the interior
+    right = [block.expand(vt, problem.n_local) for block, (_, _, vt) in zip(nodes.blocks, svds)]
+    left = [block.expand(u[:, :r].T, n_i) for block, (u, _, _), r in zip(nodes.blocks, svds, ranks)]
 
     def columns(parts):
         """The parts' columns side by side, C-ordered, as svd(K)'s .T.copy() is."""
@@ -424,8 +438,7 @@ def split_spaces(problem, report):
         q=columns([v[:r].T for v, r in zip(right, ranks)]),
         q_null=columns([v[r:].T for v, r in zip(right, ranks)]),
         sigma=np.concatenate([s[:r] for (_, s, _), r in zip(svds, ranks)]),
-        u=columns([nodes.expand(c, u[:, :r].T, problem.n_interior).T
-                   for c, ((u, _, _), r) in enumerate(zip(svds, ranks))]),
+        u=columns([w.T for w in left]),
     )
 
 
@@ -586,19 +599,32 @@ def linearized_residual(problem, report, dy, da):
 def line_objective(problem, pair, report, dy, da):
     """Squared error norm along the step, g(alpha), a degree-6 polynomial.
 
-    Returns g as a function of alpha, starting from the report's Y.  g
-    reads the problem's node blocks (LocalProblem.node_blocks): Y, dY, A~
-    and dA are gathered into their zero-padded stacks once, A_LL's are the
-    problem's, and each g(alpha) is one chain of stacked products.  The
-    error of an invariant state is the sum of its blocks' errors; with the
-    one identity block g is the node-coordinate formula, bit for bit.
+    Returns g as a function of alpha, starting from the report's Y.  Where
+    the problem's node blocks hold the blocks of Y, dY, A~ and dA
+    (NodeBlocks.stack), g sums the blocks' errors, each g(alpha) one chain
+    of stacked products; elsewhere g reads node coordinates.
     """
     nodes = problem.node_blocks
-    step_y = np.zeros_like(report.y)
-    step_y[: problem.n_interior] = dy
-    y, dy_blocks = nodes.stack(report.y), nodes.stack(step_y)
-    a_tilde, da_blocks = nodes.stack(pair.a_tilde), nodes.stack(da)
-    del step_y
+    blocks = nodes.stack((report.y, dy, pair.a_tilde, da))
+    if blocks is None:  # node coordinates
+        n_i = problem.n_interior
+
+        def g(alpha):
+            y = report.y.copy()
+            y[:n_i] += alpha * dy
+            at = alpha * da
+            at += pair.a_tilde
+            ay = at @ y
+            del at
+            s = y.T @ ay
+            del y, ay
+            s = symmetrized(s)
+            np.subtract(problem.a_ll, s, out=s)
+            s *= s
+            return float(np.sum(s))
+
+        return g
+    y, dy_blocks, a_tilde, da_blocks = blocks
 
     def g(alpha):
         y_at = alpha * dy_blocks
@@ -636,15 +662,16 @@ def fit_line_polynomial(g, g0):
 def line_search(problem, pair, report, dy, da):
     """Exact line search on the degree-6 polynomial g; returns (alpha, error).
 
-    g(0) is sum(R**2) of the report where g reads node coordinates, as g
-    forms it, and g(0) itself where g reads the node blocks, whose sum takes
-    the squares in another order: so the fit's g(0) is g's, bit for bit.
+    g(0) is the report's sum(R**2), as g forms it in node coordinates, where
+    the problem's node blocks are not active, and is evaluated where they
+    are, as the blocks square other numbers: the fit's g(0) is g's, bit for
+    bit.
     Candidates are the real critical points in (0, ALPHA_MAX]; the best one
     that improves on g(0) wins, otherwise alpha = 0.  The returned error is
     the (non-squared) norm at the chosen alpha, never above the current one.
     """
     g_of = line_objective(problem, pair, report, dy, da)
-    g0 = float(np.sum(report.residual**2)) if len(problem.node_blocks) == 1 else g_of(0.0)
+    g0 = g_of(0.0) if problem.node_blocks.active else float(np.sum(report.residual**2))
     coeffs, scale = fit_line_polynomial(g_of, g0)
 
     best_alpha, best_g = 0.0, g0

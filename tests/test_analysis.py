@@ -27,8 +27,10 @@ from sparsecoarsen.lattice import (
     build_helmholtz,
     extract_local_scalar,
     extract_local_supernode,
+    reflection_blocks,
 )
-from sparsecoarsen.linearized import MinimizeOptions, linearized_minimize, split_spaces
+from sparsecoarsen.linearized import (MinimizeOptions, NormalSystem, build_normal_system,
+                                      linearized_minimize, merged_spectrum, split_spaces)
 from sparsecoarsen.transform import initial_guess, residual_and_error
 
 from test_transform import random_state
@@ -75,6 +77,25 @@ class TestSpectrum:
             assert first == diag
         else:
             assert lam != 4.0 and diag.null_dim == problem.n_interior
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_state_the_reflections_move_is_solved_whole(self, m):
+        # A random state's N does not commute with the reflections, so its
+        # reflection blocks' spectra are not N's: the one identity block is.
+        problem = extract_local_scalar(m, 0.0)
+        pair = random_state(problem, seed=m)
+        sigma, _ = spectrum_at(problem, pair)
+        report = residual_and_error(problem, pair)
+        split = split_spaces(problem, report)
+        n = problem.target_pattern.n_entries
+        whole = NormalSystem(n, problem.n_local)
+        build_normal_system(problem, report, split, whole)
+        want = np.linalg.eigvalsh(whole.matrix)[::-1]
+        np.testing.assert_allclose(sigma, want, rtol=0.0, atol=1e-12 * want[0])
+        blocked = NormalSystem(n, problem.n_local, reflection_blocks(problem))
+        build_normal_system(problem, report, split, blocked)
+        wrong = merged_spectrum(blocked.eigh()[1], blocked.eigvals())
+        assert np.abs(wrong - want).max() > 1e-3 * want[0]
 
     @pytest.mark.parametrize("m,p,q", [(8, 1, 1), (4, 2, 1)])
     def test_holds_under_four_point_three_pattern_squared_arrays(self, m, p, q):

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparsecoarsen import lattice
 from sparsecoarsen.lattice import (
+    BLOCKS_MIN_NODES,
     CHARACTERS,
+    INVARIANCE_TOL,
     REFLECTIONS,
     SparsityPattern,
     StencilSpec,
@@ -487,16 +490,22 @@ def invariant_matrix(problem, seed):
     return sum(x[np.ix_(perm, perm)] for perm in node_reflections(problem)) / 4
 
 
+@pytest.fixture
+def active_blocks(monkeypatch):
+    """The problems a test makes stack their node blocks at every size."""
+    monkeypatch.setattr(lattice, "BLOCKS_MIN_NODES", 0)
+
+
 class TestNodeBlocks:
     @pytest.mark.parametrize("m", range(1, 11))
-    def test_scalar_nodes_split_into_four_orthonormal_blocks(self, m):
+    def test_scalar_nodes_split_into_four_orthonormal_blocks(self, active_blocks, m):
         problem = extract_local_scalar(m, 0.0)
         n, n_i = problem.n_local, problem.n_interior
         perms = problem.node_reflections
         assert perms.shape == (4, n) and not perms.flags.writeable
         np.testing.assert_array_equal(perms, node_reflections(problem))
         nodes = problem.node_blocks
-        assert len(nodes) == 4 and nodes.stack(problem.a_ll).shape[0] == 4
+        assert len(nodes) == 4 and nodes.stack((problem.a_ll,)).shape[:2] == (1, 4)
         dense = dense_blocks(nodes.blocks, n)
         basis = np.column_stack(dense)
         assert basis.shape == (n, n)
@@ -515,6 +524,7 @@ class TestNodeBlocks:
 
     @pytest.mark.parametrize("m,p,q", [(1, 2, 1), (3, 2, 1), (2, 1, 2), (2, 3, 1), (2, 2, 2)])
     def test_supernode_regions_have_the_one_identity_block(self, m, p, q):
+        # and their matrices are read in node coordinates: stack gives None
         problem = extract_local_supernode(m, p, q, 0.0)
         assert problem.node_reflections is None
         nodes = problem.node_blocks
@@ -522,36 +532,89 @@ class TestNodeBlocks:
         np.testing.assert_array_equal(block.members, np.arange(problem.n_local)[:, None])
         assert nodes.interior == (problem.n_interior,)
         x = np.random.default_rng(1).standard_normal((problem.n_local,) * 2)
-        assert np.shares_memory(nodes.stack(x), x) and np.array_equal(nodes.stack(x)[0], x)
-        assert np.array_equal(nodes.a_ll[0], problem.a_ll)
-        assert np.array_equal(nodes.expand(0, x), x)
+        assert nodes.invariant((x,)) and nodes.stack((x,)) is None and nodes.a_ll is None
+        assert np.array_equal(block.expand(x, problem.n_local), x)
 
     @pytest.mark.parametrize("m", [1, 2, 5, 8])
-    def test_stack_holds_the_blocks_of_an_invariant_matrix(self, m):
+    def test_stack_holds_the_blocks_of_invariant_matrices(self, active_blocks, m):
+        # each matrix's blocks, one matrix at a time or several, and a
+        # matrix of the interior rows alone as the n_local x n_local one
+        # with zeros below them
         problem = extract_local_scalar(m, 2.0)
         nodes = problem.node_blocks
+        n_i = problem.n_interior
         dense = dense_blocks(nodes.blocks, problem.n_local)
-        for x in (problem.a_ll, invariant_matrix(problem, m)):
-            stacked = nodes.stack(x)
-            n0 = max(map(len, nodes.blocks))
-            assert stacked.shape == (4, n0, n0)
+        n0 = max(map(len, nodes.blocks))
+        x = invariant_matrix(problem, m)
+        interior_rows = np.zeros_like(x)
+        interior_rows[:n_i] = x[:n_i]
+        stacked = nodes.stack((problem.a_ll, x, x[:n_i]))
+        assert stacked.shape == (3, 4, n0, n0)
+        for got, want in zip(stacked, (problem.a_ll, x, interior_rows)):
+            np.testing.assert_array_equal(got, nodes.stack((want,))[0])
             for c, b in enumerate(dense):
                 k = b.shape[1]
-                np.testing.assert_allclose(stacked[c, :k, :k], b.T @ x @ b,
-                                           rtol=0.0, atol=1e-15 * np.abs(x).max())
-                assert not stacked[c, k:].any() and not stacked[c, :, k:].any()
-        np.testing.assert_array_equal(nodes.a_ll, nodes.stack(problem.a_ll))
+                np.testing.assert_allclose(got[c, :k, :k], b.T @ want @ b,
+                                           rtol=0.0, atol=1e-15 * np.abs(want).max())
+                assert not got[c, k:].any() and not got[c, :, k:].any()
+        np.testing.assert_array_equal(nodes.a_ll, stacked[0])
         assert not nodes.a_ll.flags.writeable
 
     @pytest.mark.parametrize("m", [1, 3, 6])
-    def test_expand_applies_each_block_to_rows(self, m):
+    def test_matrices_the_reflections_move_are_not_stacked(self, active_blocks, m):
+        # Rounding-level strays from invariance are stacked; a matrix that
+        # strays further, by one entry, whole or in its interior rows, is
+        # left to node coordinates, whatever the others in the call.  The
+        # entry couples the decoupled node to (1, 0), which Fx moves and Fy
+        # fixes, or to (0, 1), which Fy moves and Fx fixes.
         problem = extract_local_scalar(m, 0.0)
         nodes = problem.node_blocks
+        n_i = problem.n_interior
+        x = invariant_matrix(problem, m)
+        coords = problem.coords.tolist()
+        bumps = []
+        for axis_node in ([1, 0], [0, 1]):
+            bump = np.zeros_like(x)
+            bump[coords.index([0, 0]), coords.index(axis_node)] = np.abs(x).max()
+            bumps.append(bump)
+        bump = bumps[0]
+        assert nodes.invariant((x, x[:n_i], x + 1e-3 * INVARIANCE_TOL * bump))
+        assert nodes.stack((x, x + 1e-3 * INVARIANCE_TOL * bump)) is not None
+        random = np.random.default_rng(m).standard_normal(x.shape)
+        for moved in (*(x + 1e4 * INVARIANCE_TOL * b for b in bumps), x + bump, random,
+                      random[:n_i]):
+            assert not nodes.invariant((x, moved)) and not nodes.invariant((moved,))
+            assert nodes.stack((x, moved)) is None
+        # the tolerance scales with the largest of the matrices
+        assert nodes.invariant((1e8 * x, x + 1e4 * INVARIANCE_TOL * bump))
+        assert nodes.invariant((np.zeros_like(x),))
+
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_blocks_are_active_from_the_fewest_nodes(self, m):
+        # Scalar regions from BLOCKS_MIN_NODES nodes (m = 6, 85 nodes) stack
+        # their matrices; smaller ones have the four blocks, and invariant,
+        # but stack nothing.
+        problem = extract_local_scalar(m, 0.0)
+        nodes = problem.node_blocks
+        assert len(nodes) == 4 and nodes.active == (problem.n_local >= BLOCKS_MIN_NODES)
+        assert nodes.active == (m >= 6)
+        assert nodes.invariant((problem.a_ll,))
+        stacked = nodes.stack((problem.a_ll,))
+        assert (stacked is None) != nodes.active and (nodes.a_ll is None) != nodes.active
+
+    @pytest.mark.parametrize("m", [1, 3, 6])
+    def test_block_expand_applies_the_basis_to_rows(self, m):
+        # B c of each row of a stack, over all the block's columns or its
+        # first ones: the interior orbits' columns reach the interior nodes alone
+        problem = extract_local_scalar(m, 0.0)
+        nodes = problem.node_blocks
+        n, n_i = problem.n_local, problem.n_interior
         rng = np.random.default_rng(m)
-        for c, b in enumerate(dense_blocks(nodes.blocks, problem.n_local)):
+        for block, interior, b in zip(nodes.blocks, nodes.interior,
+                                      dense_blocks(nodes.blocks, n)):
             v = rng.standard_normal((3, b.shape[1]))
-            np.testing.assert_array_equal(nodes.expand(c, v), v @ b.T)
-            interior = v[:, : nodes.interior[c]]
-            np.testing.assert_array_equal(
-                nodes.expand(c, interior, problem.n_interior),
-                interior @ b[: problem.n_interior, : nodes.interior[c]].T)
+            np.testing.assert_array_equal(block.expand(v, n), v @ b.T)
+            for row, want in zip(v, v @ b.T):
+                np.testing.assert_array_equal(block.expand(row, n), want)
+            np.testing.assert_array_equal(block.expand(v[:, :interior], n_i),
+                                          v[:, :interior] @ b[:n_i, :interior].T)

@@ -36,30 +36,13 @@ from sparsecoarsen.linearized import (
     split_spaces,
     steepest_descent,
 )
-from sparsecoarsen import linearized, transform
+from sparsecoarsen import lattice, linearized, transform
 from sparsecoarsen.analysis import spectrum_at
 from sparsecoarsen.errors import NumericalFailure
-from sparsecoarsen.transform import TransformPair, initial_guess, residual_and_error
+from sparsecoarsen.transform import initial_guess, residual_and_error
 
 from test_lattice import dense_blocks, dense_gauge_basis, node_reflections
 from test_transform import random_state
-
-
-def symmetric_state(problem, seed):
-    """random_state, averaged over the reflections where they map the region onto itself.
-
-    The split and the line search read a state in the node blocks, which
-    holds for a reflection-invariant state, as every state of a
-    minimization from the initial guess is (TestReflectionPremise).
-    """
-    pair = random_state(problem, seed)
-    if problem.node_reflections is None:
-        return pair
-    y = pair.full_y()
-    perms = [np.ix_(perm, perm) for perm in node_reflections(problem)]
-    y = sum(y[at] for at in perms) / len(perms)
-    a_tilde = sum(pair.a_tilde[at] for at in perms) / len(perms)
-    return TransformPair(y[: problem.n_interior].copy(), a_tilde)
 
 
 def basis_matrix(i, j, n):
@@ -164,8 +147,8 @@ def outer_weighted_normal_system(problem, report, split):
 def columns_first_blocks(problem, report, split, blocks, pins=None):
     """Each block's B^T N B, whole, from G's columns at every orbit member, then its rows.
 
-    The columns-first order the assembly used for every block; the
-    rows-first gathers of the orbit blocks must reproduce its bits.
+    The columns-first order, which the identity block keeps; the rows-first
+    gathers of the orbit blocks must reproduce its bits.
     """
     z = report.y @ split.q_null
     g = z @ z.T
@@ -311,7 +294,23 @@ def case_problem(kind, m, dims, lam=0.0):
 
 
 def case_state(problem, state, m):
-    return initial_guess(problem) if state == "initial" else symmetric_state(problem, seed=10 + m)
+    return initial_guess(problem) if state == "initial" else random_state(problem, seed=10 + m)
+
+
+def reads_node_coordinates(problem, state):
+    """Whether the split and g read case_state's state in node coordinates.
+
+    Active node blocks read the initial state of a scalar problem; a random
+    one, which the reflections do not map onto itself, is read in node
+    coordinates, as every state is where the blocks are not active.
+    """
+    return not problem.node_blocks.active or state == "random"
+
+
+@pytest.fixture
+def active_blocks(monkeypatch):
+    """The problems a test makes read their node blocks at every size."""
+    monkeypatch.setattr(lattice, "BLOCKS_MIN_NODES", 0)
 
 
 def linearized_phases(problem, pair, pins=None):
@@ -366,8 +365,12 @@ class TestByteIdentity:
 
     @pytest.mark.parametrize("kind,m,dims", BYTE_IDENTITY_CASES)
     @pytest.mark.parametrize("state", ["initial", "random"])
-    def test_report_holds_what_the_phases_formed(self, kind, m, dims, state):
+    @pytest.mark.parametrize("active", [False, True], ids=["as_made", "active"])
+    def test_report_holds_what_the_phases_formed(self, monkeypatch, kind, m, dims, state,
+                                                 active):
         # The phases read Y, K and g(0) from the one report of a state.
+        if active:
+            monkeypatch.setattr(lattice, "BLOCKS_MIN_NODES", 0)
         problem = case_problem(kind, m, dims)
         pair = case_state(problem, state, m)
         report, split, system = linearized_phases(problem, pair)
@@ -379,18 +382,25 @@ class TestByteIdentity:
         assert np.array_equal(report.ay[: problem.n_interior],
                               (pair.a_tilde @ pair.full_y())[: problem.n_interior])
         g0 = line_objective(problem, pair, report, dy, da)(0.0)
-        if len(problem.node_blocks) == 1:  # node coordinates: g(0) is sum(R**2) itself
+        if reads_node_coordinates(problem, state):  # g(0) is sum(R**2) itself
             assert float(np.sum(report.residual**2)) == g0
-        else:  # the node blocks' g(0) sums the same squares in another order
+        else:  # the node blocks' g(0) sums their squares, which are others
             assert g0 == pytest.approx(float(np.sum(report.residual**2)), rel=1e-13)
 
-    @pytest.mark.parametrize("kind,m,dims", [case for case in BYTE_IDENTITY_CASES
-                                             if case[0] == "supernode"])
-    @pytest.mark.parametrize("state", ["initial", "random"])
-    def test_identity_block_split_and_g_are_the_node_formulas(self, kind, m, dims, state):
-        # Where the node basis is the one identity block, the split and g
-        # keep the node-coordinate formulas' bits, and their layout.
+    @pytest.mark.parametrize("kind,m,dims,state,active", [
+        (*case, state, active) for case in BYTE_IDENTITY_CASES
+        for state in ("initial", "random") for active in (False, True)
+        if not (active and case[0] == "scalar" and state == "initial")],
+        ids=lambda x: {False: "as_made", True: "active"}.get(x) if isinstance(x, bool) else None)
+    def test_node_coordinate_split_and_g_are_the_node_formulas(self, monkeypatch, kind, m,
+                                                                dims, state, active):
+        # Where the node blocks are not active, and where the reflections
+        # do not map the state onto itself, the split and g keep the
+        # node-coordinate formulas' bits, and their layout.
+        if active:
+            monkeypatch.setattr(lattice, "BLOCKS_MIN_NODES", 0)
         problem = case_problem(kind, m, dims)
+        assert reads_node_coordinates(problem, state)
         pair = case_state(problem, state, m)
         report, split, system = linearized_phases(problem, pair)
         want = direct_split(problem, report)
@@ -431,7 +441,10 @@ def two_step_line_search(problem, pair, dy, da):
 class TestLineSearchReadsG0:
     @pytest.mark.parametrize("kind,m,dims", BYTE_IDENTITY_CASES)
     @pytest.mark.parametrize("state", ["initial", "random"])
-    def test_g0_from_report_and_same_bits(self, monkeypatch, kind, m, dims, state):
+    @pytest.mark.parametrize("active", [False, True], ids=["as_made", "active"])
+    def test_g0_from_report_and_same_bits(self, monkeypatch, kind, m, dims, state, active):
+        if active:
+            monkeypatch.setattr(lattice, "BLOCKS_MIN_NODES", 0)
         problem = case_problem(kind, m, dims)
         pair = case_state(problem, state, m)
         report, split, system = linearized_phases(problem, pair)
@@ -460,11 +473,13 @@ class TestLineSearchReadsG0:
         monkeypatch.setattr(linearized, "line_objective", counted)
         monkeypatch.setattr(linearized, "fit_line_polynomial", recorded_fit)
         got = line_search(problem, pair, report, dy, da)
-        # the fit's g0 is g(0) bit for bit; in node coordinates it is read
-        # from the report, and g is never evaluated at 0
+        # The fit's g0 is g(0) bit for bit.  Where the node blocks are not
+        # active it is read from the report, and g is never evaluated at 0;
+        # where they are, g(0) is evaluated once, and in node coordinates,
+        # for a state the reflections move, it is sum(R**2) again.
         assert fitted_g0 == [original(problem, pair, report, dy, da)(0.0)]
-        assert at_zero and sum(at_zero) == (len(problem.node_blocks) > 1)
-        if len(problem.node_blocks) == 1:
+        assert at_zero and sum(at_zero) == problem.node_blocks.active
+        if reads_node_coordinates(problem, state):
             assert fitted_g0 == [float(np.sum(report.residual**2))]
         assert got == expected  # alpha and error, bit for bit
 
@@ -489,10 +504,11 @@ class TestSplitSpaces:
     @KNOWN_MISCOUNT
     @pytest.mark.parametrize("lam", [0.0, 1.0, 3.5, 4.0])
     @pytest.mark.parametrize("m", [1, 2, 4, 6, 8])
-    def test_block_split_is_the_svd_split(self, monkeypatch, m, lam):
+    def test_block_split_is_the_svd_split(self, monkeypatch, active_blocks, m, lam):
         # At every state of a minimization, rank 0 included (lambda = 4,
         # m = 1, where the initial K is zero)
         problem = extract_local_scalar(m, lam)
+        assert problem.node_blocks.active
         for _, report in minimization_states(problem, monkeypatch):
             split, want = split_spaces(problem, report), direct_split(problem, report)
             assert split.rank == want.rank
@@ -519,7 +535,7 @@ class TestNormalSystem:
     @pytest.mark.parametrize("m,lam", [(1, 0.0), (2, 0.0), (2, 3.5)])
     def test_matches_materialized_operator(self, m, lam):
         problem = extract_local_scalar(m, lam)
-        for pair in (initial_guess(problem), symmetric_state(problem, seed=m)):
+        for pair in (initial_guess(problem), random_state(problem, seed=m)):
             _, split, system = linearized_phases(problem, pair)
             ref_matrix, ref_rhs = materialized_system(problem, pair, split)
             scale = np.abs(ref_matrix).max()
@@ -530,7 +546,7 @@ class TestNormalSystem:
 
     def test_matches_materialized_operator_supernode(self):
         problem = extract_local_supernode(1, 2, 1, 0.0)
-        pair = symmetric_state(problem, seed=4)
+        pair = random_state(problem, seed=4)
         _, split, system = linearized_phases(problem, pair)
         ref_matrix, ref_rhs = materialized_system(problem, pair, split)
         scale = np.abs(ref_matrix).max()
@@ -603,7 +619,7 @@ class TestBlockedAssembly:
     @pytest.mark.parametrize("pinned", [False, True])
     def test_reflection_blocks_match_the_columns_first_assembly(self, m, pinned):
         problem = extract_local_scalar(m, 0.0)
-        pair = symmetric_state(problem, seed=m)
+        pair = random_state(problem, seed=m)
         report = residual_and_error(problem, pair)
         split = split_spaces(problem, report)
         pins = gauge_pins(problem, pair.a_tilde) if pinned else None
@@ -621,7 +637,7 @@ class TestBlockedAssembly:
         # The matrix and G's gathers are the system's, made before the
         # trace starts; what the assembly makes is G, M and row blocks.
         problem = case_problem(kind, m, dims)
-        pair = symmetric_state(problem, seed=m)
+        pair = random_state(problem, seed=m)
         report = residual_and_error(problem, pair)
         split = split_spaces(problem, report)
         n_pattern = problem.target_pattern.n_entries
@@ -755,7 +771,7 @@ class TestSolveForDa:
 
     def test_da_symmetric_and_patterned(self):
         problem = extract_local_scalar(2, 3.5)
-        pair = symmetric_state(problem, seed=6)
+        pair = random_state(problem, seed=6)
         system = linearized_phases(problem, pair)[2]
         da, _ = solve_for_da(system)
         assert np.array_equal(da, da.T)
@@ -772,7 +788,7 @@ class TestSolveForDa:
 
     def test_returns_the_null_cut_of_the_systems_eigenpairs(self):
         problem = extract_local_scalar(2, 0.0)
-        pair = symmetric_state(problem, seed=5)
+        pair = random_state(problem, seed=5)
         system, twin = (linearized_phases(problem, pair)[2] for _ in range(2))
         _, diag = solve_for_da(system)
         u, s, _ = twin.eigh()
@@ -780,7 +796,7 @@ class TestSolveForDa:
 
     def test_everything_truncated_gives_zero(self):
         problem = extract_local_scalar(1, 0.0)
-        pair = symmetric_state(problem, seed=1)
+        pair = random_state(problem, seed=1)
         system = linearized_phases(problem, pair)[2]
         system.matrix[...] = 0.0  # before eigh(), which solves what matrix holds
         with warnings.catch_warnings():
@@ -841,7 +857,7 @@ class TestInPlaceEigensolve:
     @pytest.mark.parametrize("lam", [0.0, 2.0, 4.0])
     def test_normal_systems(self, binding, kind, m, dims, lam):
         problem = case_problem(kind, m, dims, lam)
-        report = residual_and_error(problem, symmetric_state(problem, seed=m))
+        report = residual_and_error(problem, random_state(problem, seed=m))
         split = split_spaces(problem, report)
         system = NormalSystem(problem.target_pattern.n_entries)
         build_normal_system(problem, report, split, system)
@@ -855,7 +871,7 @@ class TestInPlaceEigensolve:
         if linearized.find_dsyevd() is None:
             pytest.skip("numpy's OpenBLAS exports no LAPACKE dsyevd here")
         problem = case_problem(kind, m, dims, 2.0)
-        pair = symmetric_state(problem, seed=m)
+        pair = random_state(problem, seed=m)
         bound = linearized_phases(problem, pair)[2]
         monkeypatch.setattr(linearized, "find_dsyevd", lambda: None)
         fallback = linearized_phases(problem, pair)[2]
@@ -886,7 +902,7 @@ class TestInPlaceEigensolve:
 
     def test_assembly_gathers_g_into_the_work_array(self, binding):
         problem = extract_local_scalar(8, 0.0)
-        report = residual_and_error(problem, symmetric_state(problem, seed=8))
+        report = residual_and_error(problem, random_state(problem, seed=8))
         split = split_spaces(problem, report)
         n_pattern = problem.target_pattern.n_entries
         system = NormalSystem(n_pattern)
@@ -909,7 +925,7 @@ class TestInPlaceEigensolve:
         # work; none of it may leak in.
         problem = case_problem(kind, m, dims)
         n_pattern = problem.target_pattern.n_entries
-        states = [residual_and_error(problem, symmetric_state(problem, seed=seed))
+        states = [residual_and_error(problem, random_state(problem, seed=seed))
                   for seed in (m, m + 1)]
         splits = [split_spaces(problem, report) for report in states]
         reused, fresh = NormalSystem(n_pattern), NormalSystem(n_pattern)
@@ -1055,7 +1071,7 @@ class TestGaugePins:
         # off the diagonal: pinning diagonals alone does not fix it
         problem = extract_local_supernode(m, 2, 1, lam)
         assert problem.gauge_dim != problem.n_interior
-        for pair in (initial_guess(problem), symmetric_state(problem, seed=m)):
+        for pair in (initial_guess(problem), random_state(problem, seed=m)):
             assert gauge_pins(problem, pair.a_tilde) is None
 
     def test_two_node_supernodes_pin_at_m1(self):
@@ -1065,7 +1081,7 @@ class TestGaugePins:
 
     def test_unpin_zeroes_the_pins_then_projects_off_the_gauge(self):
         problem = extract_local_scalar(3, 1.0)
-        pair = symmetric_state(problem, seed=7)
+        pair = random_state(problem, seed=7)
         pins = gauge_pins(problem, pair.a_tilde)
         coeffs = np.random.default_rng(7).standard_normal(len(pins.free))
         start = np.zeros(problem.target_pattern.n_entries)
@@ -1260,9 +1276,10 @@ class TestMinimizationMemory:
     def test_pinned_scalar_holds_under_two_point_zero_five_pattern_squared_arrays(self):
         # The pinned system's four reflection blocks hold about
         # (n_pattern - n_I)^2 / 4 doubles, and G's gathers for one block,
-        # rows first, 2 n_local n0 for its n0 unknowns: the peak read 1.98
-        # n_pattern^2 at m = 8, where the one full pinned system read 3.03
-        # and the columns-first gathers 2.23.
+        # rows first, 2 n_local n0 for its n0 unknowns: the peak read 2.01
+        # n_pattern^2 at m = 8, in the assembly, with the node blocks' index
+        # arrays held, where the one full pinned system read 3.03 and the
+        # columns-first gathers 2.23.
         if linearized.find_dsyevd() is None:
             pytest.skip("numpy's OpenBLAS exports no LAPACKE dsyevd here")
         problem = extract_local_scalar(8, 0.0)
@@ -1282,7 +1299,7 @@ class TestComputeDy:
         # after the optimal (dA, dY), only the null/null block may remain
         for m, lam in ((1, 0.0), (2, 0.0), (2, 3.5)):
             problem = extract_local_scalar(m, lam)
-            pair = symmetric_state(problem, seed=m + 40)
+            pair = random_state(problem, seed=m + 40)
             report, split, system = linearized_phases(problem, pair)
             da, _ = solve_for_da(system)
             dy = compute_dy(problem, report, da, split)
@@ -1294,7 +1311,7 @@ class TestComputeDy:
 
     def test_block_norms_sum_to_residual(self):
         problem = extract_local_scalar(2, 0.0)
-        pair = symmetric_state(problem, seed=12)
+        pair = random_state(problem, seed=12)
         split = linearized_phases(problem, pair)[1]
         rng = np.random.default_rng(0)
         dy = 0.1 * rng.standard_normal((problem.n_interior, problem.n_local))
@@ -1320,7 +1337,7 @@ class TestLineSearch:
 
     def test_polynomial_reproduces_g(self):
         problem = extract_local_scalar(2, 0.0)
-        pair = symmetric_state(problem, seed=3)
+        pair = random_state(problem, seed=3)
         report, split, system = linearized_phases(problem, pair)
         da, _ = solve_for_da(system)
         dy = compute_dy(problem, report, da, split)
@@ -1336,11 +1353,12 @@ class TestLineSearch:
     @KNOWN_MISCOUNT
     @pytest.mark.parametrize("lam", [0.0, 3.5, 4.0])
     @pytest.mark.parametrize("m", [1, 3, 5, 8])
-    def test_block_g_is_the_node_g(self, monkeypatch, m, lam):
+    def test_block_g_is_the_node_g(self, monkeypatch, active_blocks, m, lam):
         # At every line search of a minimization, at the seven abscissae.
         # The absolute floor is the residual's own rounding, eps ||A_LL||^2:
         # near convergence g is small, and both forms of it carry that much.
         problem = extract_local_scalar(m, lam)
+        assert problem.node_blocks.active
         searches, search = [], linearized.line_search
 
         def recorded(problem, pair, *args):
@@ -1517,6 +1535,7 @@ class TestSharedLoop:
     @pytest.mark.parametrize("minimize", [linearized_minimize, steepest_descent],
                              ids=["linearized", "steepest"])
     @pytest.mark.parametrize("kind,m,dims", [("scalar", 3, None),
+                                             pytest.param("scalar", 6, None, marks=KNOWN_MISCOUNT),
                                              pytest.param("supernode", 2, (2, 1),
                                                           marks=KNOWN_MISCOUNT)])
     def test_one_residual_per_state(self, monkeypatch, minimize, kind, m, dims):
@@ -1547,9 +1566,10 @@ class TestSharedLoop:
         trace = minimize(problem, MinimizeOptions(max_iter=30))[1]
         assert trace.n_steps > 3
         assert len(calls) == len(trace.iterations)
-        # In node coordinates g(0) is read from the report, never evaluated
-        # again; the node blocks evaluate it once per line search.
-        assert alphas and alphas.count(0.0) == (len(problem.node_blocks) > 1) * len(searches)
+        # Where the node blocks are not active (m = 3 and the supernode),
+        # g(0) is read from the report, never evaluated again; active ones
+        # (m = 6) evaluate it once per line search.
+        assert alphas and alphas.count(0.0) == problem.node_blocks.active * len(searches)
 
 
 class TestOneBlasThread:
