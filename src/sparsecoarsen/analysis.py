@@ -93,8 +93,9 @@ def spectrum_at(problem, pair):
     of it.  The state is assembled, with no pins, into a NormalSystem of
     its own over lattice.reflection_blocks and solved there, so the gauge's
     null values stay in sigma.  N is block diagonal there only where the
-    reflections map the state onto itself (NodeBlocks.invariant); any
-    other state is solved in the one identity block.  Where the step at
+    reflections map the state onto itself (LocalProblem.reflection_invariant);
+    any other state is solved in the one identity block.  The split reads
+    node coordinates where problem.node_blocks is None.  Where the step at
     this state pins nothing (linearized.gauge_pins), diagnostics is the
     record it puts in its trace; where it pins, the null_dim is the same
     wherever the cut drops the gauge alone, but the other fields read the
@@ -103,7 +104,7 @@ def spectrum_at(problem, pair):
     report = residual_and_error(problem, pair)
     split = split_spaces(problem, report)
     n = problem.target_pattern.n_entries
-    invariant = problem.node_blocks.invariant((report.y, pair.a_tilde))
+    invariant = problem.reflection_invariant((report.y, pair.a_tilde))
     system = NormalSystem(n, problem.n_local, reflection_blocks(problem) if invariant else None)
     build_normal_system(problem, report, split, system)
     u, s, _ = system.eigh()

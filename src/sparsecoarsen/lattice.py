@@ -19,6 +19,8 @@ the gauge directions of dA in those coordinates.  orbit_blocks splits
 items that the reflections about the decoupled node permute into the
 character blocks of that group: reflection_blocks applies it to the free
 values, and LocalProblem.node_blocks (NodeBlocks) to the region's nodes.
+Node blocks exist only where the split and the line search read them: in
+scalar regions of BLOCKS_MIN_NODES nodes or more.  Elsewhere node_blocks is None.
 """
 
 from collections import defaultdict
@@ -246,14 +248,45 @@ class LocalProblem:
         return images
 
     @cached_property
-    def node_blocks(self):
-        """The region's nodes in K's character blocks (NodeBlocks), built once per problem.
+    def reflection_invariant(self):
+        """The check invariant(matrices): whether K maps each matrix onto itself.
 
-        Four blocks where K maps the region onto itself (node_reflections),
-        else the one identity block; the phases read them where they are
-        active.
+        Built once per problem; false for every matrix where K does not map
+        the region onto itself (node_reflections).  A matrix is n_local x
+        n_local, or the interior rows of one, as dY is.  M[g k, g k'] =
+        M[k, k'] where M commutes with Fx and Fy, which is probed on one
+        fixed vector v_k = sin(k + 1) without symmetry or zero entries: M F v
+        against F M v, to INVARIANCE_TOL of the largest entry of the
+        products.  A commutator passes only if v lies in its null space.
         """
-        return NodeBlocks(self.node_reflections, self.n_interior, self.a_ll)
+        perms = self.node_reflections
+        if perms is None:
+            return lambda matrices: False
+        v = np.sin(np.arange(1.0, self.n_local + 1))
+        probe = np.column_stack((v, v[perms[1]], v[perms[2]]))
+
+        def invariant(matrices, probe=probe, perms=perms):  # defaults: less memory than cells
+            spread = size = 0.0
+            for matrix in matrices:
+                w = matrix @ probe  # M v, M Fx v, M Fy v
+                moved = w[:, 1:].T - w[:, 0].take(perms[1:3, : len(matrix)])
+                spread = max(spread, float(np.abs(moved).max(initial=0.0)))
+                size = max(size, float(np.abs(w).max(initial=0.0)))
+            return spread <= INVARIANCE_TOL * size
+
+        return invariant
+
+    @cached_property
+    def node_blocks(self):
+        """The region's nodes in K's four character blocks (NodeBlocks), or None.
+
+        Built once per problem where K maps the region onto itself
+        (node_reflections) and it has BLOCKS_MIN_NODES nodes or more.
+        """
+        if self.n_local < BLOCKS_MIN_NODES or self.node_reflections is None:
+            return None
+        return NodeBlocks(self.node_reflections, self.n_interior, self.a_ll,
+                          self.reflection_invariant)
 
 
 # The elements of the reflection group K as sign flips of (x, y) about the
@@ -263,10 +296,10 @@ REFLECTIONS = np.array([[1, 1], [-1, 1], [1, -1], [-1, -1]])
 # trivial one first, then the ones odd under Fx, under Fy, and under both.
 CHARACTERS = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]],
                       dtype=float)
-# NodeBlocks.invariant's tolerance: the states and steps of scalar
+# LocalProblem.reflection_invariant's tolerance: the states and steps of scalar
 # minimizations read at most 1.3e-15 (m = 1..10, lambda from 0 to 8).
 INVARIANCE_TOL = 1e-12
-# The fewest nodes whose split and line search read K's node blocks: they
+# The fewest nodes that have K's node blocks (LocalProblem.node_blocks): they
 # save flops but cost numpy calls.  A scalar minimization (best of 5 at
 # lambda in {0, 1, 3.5}, x86_64) took 13 -> 20 ms with them at m = 3 (25
 # nodes), 21 -> 22 ms at m = 5 (61) and 45 -> 38 ms at m = 6 (85).
@@ -376,49 +409,35 @@ def reflection_blocks(problem, free=None):
 
 
 class NodeBlocks:
-    """The region's nodes in the character blocks of K, as zero-padded stacks.
+    """The region's nodes in the four character blocks of K, as zero-padded stacks.
 
-    NodeBlocks(perms, n_interior, a_ll) takes K's (4, n_local) node
-    permutations (LocalProblem.node_reflections), or None where K does not
-    map the region onto itself.  blocks is orbit_blocks over the nodes, or
-    the one identity block for None; interior[c] counts block c's interior
-    orbits, which come first, since the interior nodes do.
+    NodeBlocks(perms, n_interior, a_ll, invariant) takes K's (4, n_local)
+    node permutations and check (LocalProblem.node_reflections and
+    reflection_invariant).  blocks is orbit_blocks over the nodes;
+    interior[c] counts block c's interior orbits, which come first, since
+    the interior nodes do.
 
     An n_local x n_local matrix M that K maps onto itself, M[g k, g k'] =
     M[k, k'], is block diagonal in this basis, and stack holds its blocks
-    M_c = B_c^T M B_c, zero-padded to (n_blocks, n0, n0) for the largest
-    block's n0.  Since M commutes with K, entry (a, b) is
+    M_c = B_c^T M B_c, zero-padded to (4, n0, n0) for the largest block's
+    n0.  Since M commutes with K, entry (a, b) is
     sqrt|O_a| sqrt|O_b| / 4 sum_g chi_c(g) M[k_a, g k_b] for the least
     members k_a, k_b of the orbits O_a, O_b of columns a and b: stack
     gathers M[k, g k'] over every pair of orbits and each g, forms K's four
     character sums from them, and picks each block's pairs.  As that reads
     only the rows at least members, stack returns None, for the caller to
-    read node coordinates, where a matrix is not invariant, and where the
-    blocks are not active: four of them and BLOCKS_MIN_NODES nodes or more.
-    a_ll is A_LL's blocks, or None.  Every array is read-only.
+    read node coordinates, where invariant rejects a matrix.  a_ll is A_LL's
+    blocks.  Every array is read-only.
     """
 
-    def __init__(self, perms, n_interior, a_ll):
+    def __init__(self, perms, n_interior, a_ll, invariant):
         n = len(a_ll)
-        self.active = perms is not None and n >= BLOCKS_MIN_NODES
-        self.a_ll = None
-        if perms is None:
-            self.blocks = (SymmetryBlock.identity(n),)
-            self.interior = (n_interior,)
-            return
+        self.invariant = invariant
         self.blocks = orbit_blocks(perms)
         self.interior = tuple(int(np.sum(b.members[:, 0] < n_interior)) for b in self.blocks)
-        # invariant's probe v_k = sin(k + 1) as columns (v, Fx v, Fy v)
-        v = np.sin(np.arange(1.0, n + 1))
-        self._probe = np.column_stack((v, v[perms[1]], v[perms[2]]))
-        self._flips = perms[1:3]
-        self._probe.flags.writeable = False
-        if not self.active:
-            return
         n0 = max(map(len, self.blocks))
         least = self.blocks[0].members[:, 0]  # each orbit's least member: the trivial block has all
-        # the orbits of a matrix's rows: of all nodes, or the interior
-        self._row_orbits = {n: len(least), n_interior: self.interior[0]}
+        self._n_interior = n_interior
         # stack's flat indices: of M[k, g k'] for least members k, k', and of
         # each block's orbit pairs among the character sums (0 in the
         # padding), with their sqrt|O| / 2 (0 in the padding)
@@ -434,38 +453,16 @@ class NodeBlocks:
         for a in [self.a_ll, self._gather, self._half_norms, self._pick]:
             a.flags.writeable = False
 
-    def __len__(self):
-        return len(self.blocks)
-
-    def invariant(self, matrices):
-        """Whether K maps each matrix over the nodes onto itself (true with one block).
-
-        A matrix is n_local x n_local, or the interior rows of one, as dY
-        is.  M[g k, g k'] = M[k, k'] where M commutes with Fx and Fy, which
-        is probed on one fixed vector v without symmetry or zero entries:
-        M F v against F M v, to INVARIANCE_TOL of the largest entry of the
-        products.  A commutator passes only if v lies in its null space.
-        """
-        if len(self.blocks) == 1:
-            return True
-        spread = size = 0.0
-        for matrix in matrices:
-            w = matrix @ self._probe  # M v, M Fx v, M Fy v
-            moved = w[:, 1:].T - w[:, 0].take(self._flips[:, : len(matrix)])
-            spread = max(spread, float(np.abs(moved).max(initial=0.0)))
-            size = max(size, float(np.abs(w).max(initial=0.0)))
-        return spread <= INVARIANCE_TOL * size
-
     def stack(self, matrices):
-        """The (len(matrices), n_blocks, n0, n0) blocks of invariant's matrices, or None."""
-        if not self.active or not self.invariant(matrices):
+        """The (len(matrices), 4, n0, n0) blocks of the matrices, or None for one not invariant."""
+        if not self.invariant(matrices):
             return None
         out = np.empty((len(matrices),) + self._pick.shape)
         for matrix, blocks in zip(matrices, out):
-            rows = self._row_orbits[len(matrix)]
-            if rows == len(self._gather[0]):
+            if len(matrix) > self._n_interior:
                 m = matrix.take(self._gather)  # M[k, g k'], g in REFLECTIONS' order
-            else:  # the other orbits' rows are zero
+            else:  # the interior rows: the other orbits' rows are zero
+                rows = self.interior[0]
                 m = np.zeros(self._gather.shape)
                 m[:, :rows] = matrix.take(self._gather[:, :rows])
             # CHARACTERS' sums in place: plus_e + plus_Fy, minus_e + minus_Fy,

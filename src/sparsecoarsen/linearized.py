@@ -66,15 +66,16 @@ A_LL of an invariant state are block diagonal there; the interior blocks
 are the interior orbits of the node blocks.  split_spaces decomposes each
 block of K on its own, reads the rank on the merged singular values, and
 expands q, q_null and u back to node coordinates, so the assembly and dY
-keep their formulas; a node on an axis lies in two blocks.  The line search
+keep their formulas; a node on an axis lies in two blocks.  line_objective
 gathers Y, dY, A~ and dA into zero-padded stacks of the blocks once, and
 each g(alpha) is one chain of stacked products, about a ninth of the
-node-coordinate flops at m = 8; its g(0) is evaluated once, since the
-blocks' sum(R**2) squares other numbers.  Both phases read node coordinates
-where the reflections do not map what they read onto itself
-(NodeBlocks.invariant; every state of a minimization passes), and in
-regions under lattice.BLOCKS_MIN_NODES nodes (scalar m <= 5, and every
-supernode region), where the blocks cost more numpy calls than they save.
+node-coordinate flops at m = 8; it evaluates g(0) once and hands it to the
+line search, since the blocks' sum(R**2) squares other numbers.  Node
+blocks exist only in scalar regions of lattice.BLOCKS_MIN_NODES nodes or
+more (m >= 6), where they save more than their numpy calls cost.  Both
+phases read node coordinates where problem.node_blocks is None, and where
+the reflections do not map what they read onto itself
+(LocalProblem.reflection_invariant; every state of a minimization passes).
 A scalar m = 10 step's split went from 5.1 to 2.3 ms and its line search
 from 6.8 to 2.1 ms (x86_64, one BLAS thread).
 
@@ -114,7 +115,7 @@ trace at any smaller rel_tol.
 
 Every phase reads the state's one evaluation, its ErrorReport: the split
 takes K = (A~ Y)[:n_I], the assembly and dY take Y and R, the gradient and
-linearized_residual take Y, A~ Y and R, and the line search in node
+linearized_residual take Y, A~ Y and R, and line_objective in node
 coordinates takes g(0) = sum(R**2).  In node coordinates the results are
 bit-for-bit those of the direct formulas, which the tests keep as a
 reference: near a stop, a change in the last bit can decide whether a
@@ -411,7 +412,7 @@ def split_spaces(problem, report):
     """
     n_i = problem.n_interior
     nodes = problem.node_blocks
-    k = nodes.stack((report.ay,))
+    k = None if nodes is None else nodes.stack((report.ay,))
     if k is None:  # node coordinates
         u, s, vt = np.linalg.svd(report.ay[:n_i], full_matrices=True)
         rank = int(np.sum(s > RANK_TOL * s[0]))
@@ -575,7 +576,7 @@ def solve_for_da(system):
     return system.pattern.embed(coeffs), diagnostics
 
 
-def compute_dy(problem, report, da, split):
+def compute_dy(report, da, split):
     """dY = 1/2 (K^+)^T (R - Y^T dA Y)(I + Qn Qn^T) at the report's Y, R; zero at rank 0."""
     y = report.y
     w = y.T @ da @ y
@@ -599,13 +600,14 @@ def linearized_residual(problem, report, dy, da):
 def line_objective(problem, pair, report, dy, da):
     """Squared error norm along the step, g(alpha), a degree-6 polynomial.
 
-    Returns g as a function of alpha, starting from the report's Y.  Where
+    Returns (g, g(0)), g as a function of alpha from the report's Y.  Where
     the problem's node blocks hold the blocks of Y, dY, A~ and dA
     (NodeBlocks.stack), g sums the blocks' errors, each g(alpha) one chain
-    of stacked products; elsewhere g reads node coordinates.
+    of stacked products, and g(0) is evaluated; elsewhere g reads node
+    coordinates, and g(0) is the report's sum(R**2), bit for bit.
     """
     nodes = problem.node_blocks
-    blocks = nodes.stack((report.y, dy, pair.a_tilde, da))
+    blocks = None if nodes is None else nodes.stack((report.y, dy, pair.a_tilde, da))
     if blocks is None:  # node coordinates
         n_i = problem.n_interior
 
@@ -623,7 +625,7 @@ def line_objective(problem, pair, report, dy, da):
             s *= s
             return float(np.sum(s))
 
-        return g
+        return g, float(np.sum(report.residual**2))
     y, dy_blocks, a_tilde, da_blocks = blocks
 
     def g(alpha):
@@ -640,7 +642,7 @@ def line_objective(problem, pair, report, dy, da):
         s *= s
         return float(np.sum(s))
 
-    return g
+    return g, g(0.0)
 
 
 def fit_line_polynomial(g, g0):
@@ -662,16 +664,13 @@ def fit_line_polynomial(g, g0):
 def line_search(problem, pair, report, dy, da):
     """Exact line search on the degree-6 polynomial g; returns (alpha, error).
 
-    g(0) is the report's sum(R**2), as g forms it in node coordinates, where
-    the problem's node blocks are not active, and is evaluated where they
-    are, as the blocks square other numbers: the fit's g(0) is g's, bit for
-    bit.
+    g and its g(0) are line_objective's, so the fit's g(0) is g's, bit for
+    bit, and g is never evaluated at 0 here.
     Candidates are the real critical points in (0, ALPHA_MAX]; the best one
     that improves on g(0) wins, otherwise alpha = 0.  The returned error is
     the (non-squared) norm at the chosen alpha, never above the current one.
     """
-    g_of = line_objective(problem, pair, report, dy, da)
-    g0 = g_of(0.0) if problem.node_blocks.active else float(np.sum(report.residual**2))
+    g_of, g0 = line_objective(problem, pair, report, dy, da)
     coeffs, scale = fit_line_polynomial(g_of, g0)
 
     best_alpha, best_g = 0.0, g0
@@ -736,7 +735,7 @@ def _descend(problem, step, opts):
     `solve`: (dY, dA, solve).  A NumericalFailure leaves with the partial
     trace attached.
     """
-    # The node blocks are made before the first state's arrays: made among a
+    # Any node blocks are made before the first state's arrays: made among a
     # step's temporaries, they left the large_region benchmark's peak RSS
     # about 3 MB higher (glibc placed the next global_verify's arrays worse).
     _ = problem.node_blocks
@@ -824,7 +823,7 @@ def linearized_minimize(problem, opts=MinimizeOptions()):
         split = split_spaces(problem, report)
         build_normal_system(problem, report, split, system, pins)
         da, solve = solve_for_da(system)
-        return compute_dy(problem, report, da, split), da, solve
+        return compute_dy(report, da, split), da, solve
 
     pair, trace = _descend(problem, step, opts)
     return pair, trace, [rec.solve for rec in trace.iterations]

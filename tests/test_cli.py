@@ -80,6 +80,15 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             read_config(cfg)
 
+    def test_line_without_equals_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("m=1\nlambda 0\n")
+        out = tmp_path / "o"
+        assert main(["lambda-sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {cfg}:2: expected key=value, got 'lambda 0'\n"
+        assert not out.exists()  # nothing solved or written
+
     def test_flags_override_config(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("m=1,2,3\nmax_iter=7\n")
@@ -173,6 +182,9 @@ class TestExitCodes:
         ("tol", "nan", "tol must be a positive finite number"),
         ("tol", "x", "bad tol value 'x'"),
         ("format", "pdf", "format must be 'csv' or 'csv+svg', got 'pdf'"),
+        ("m", "0", "m values must be integers >= 1, got '0'"),
+        ("lambda", "nan", "lambda values must be finite, got 'nan'"),
+        ("lambda", "inf", "lambda values must be finite, got 'inf'"),
     ])
     @pytest.mark.parametrize("via", ["flag", "config"])
     def test_bad_scalar_values_rejected(self, tmp_path, capsys, key, text,

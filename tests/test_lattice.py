@@ -492,7 +492,7 @@ def invariant_matrix(problem, seed):
 
 @pytest.fixture
 def active_blocks(monkeypatch):
-    """The problems a test makes stack their node blocks at every size."""
+    """The scalar problems a test makes have node blocks at every size."""
     monkeypatch.setattr(lattice, "BLOCKS_MIN_NODES", 0)
 
 
@@ -505,7 +505,7 @@ class TestNodeBlocks:
         assert perms.shape == (4, n) and not perms.flags.writeable
         np.testing.assert_array_equal(perms, node_reflections(problem))
         nodes = problem.node_blocks
-        assert len(nodes) == 4 and nodes.stack((problem.a_ll,)).shape[:2] == (1, 4)
+        assert len(nodes.blocks) == 4 and nodes.stack((problem.a_ll,)).shape[:2] == (1, 4)
         dense = dense_blocks(nodes.blocks, n)
         basis = np.column_stack(dense)
         assert basis.shape == (n, n)
@@ -523,17 +523,17 @@ class TestNodeBlocks:
                                       np.array([4, 2, 1])[zero_coords])
 
     @pytest.mark.parametrize("m,p,q", [(1, 2, 1), (3, 2, 1), (2, 1, 2), (2, 3, 1), (2, 2, 2)])
-    def test_supernode_regions_have_the_one_identity_block(self, m, p, q):
-        # and their matrices are read in node coordinates: stack gives None
+    def test_supernode_regions_have_no_node_blocks(self, active_blocks, m, p, q):
+        # at any size: their matrices are read in node coordinates, and the
+        # free values' basis is the one identity block
         problem = extract_local_supernode(m, p, q, 0.0)
         assert problem.node_reflections is None
-        nodes = problem.node_blocks
-        (block,) = nodes.blocks
-        np.testing.assert_array_equal(block.members, np.arange(problem.n_local)[:, None])
-        assert nodes.interior == (problem.n_interior,)
-        x = np.random.default_rng(1).standard_normal((problem.n_local,) * 2)
-        assert nodes.invariant((x,)) and nodes.stack((x,)) is None and nodes.a_ll is None
-        assert np.array_equal(block.expand(x, problem.n_local), x)
+        assert problem.node_blocks is None and not problem.reflection_invariant((problem.a_ll,))
+        n = problem.target_pattern.n_entries
+        (block,) = reflection_blocks(problem)
+        np.testing.assert_array_equal(block.members, np.arange(n)[:, None])
+        x = np.random.default_rng(1).standard_normal((3, n))
+        assert np.array_equal(block.expand(x, n), x)
 
     @pytest.mark.parametrize("m", [1, 2, 5, 8])
     def test_stack_holds_the_blocks_of_invariant_matrices(self, active_blocks, m):
@@ -568,7 +568,8 @@ class TestNodeBlocks:
         # entry couples the decoupled node to (1, 0), which Fx moves and Fy
         # fixes, or to (0, 1), which Fy moves and Fx fixes.
         problem = extract_local_scalar(m, 0.0)
-        nodes = problem.node_blocks
+        nodes, invariant = problem.node_blocks, problem.reflection_invariant
+        assert nodes.invariant is invariant
         n_i = problem.n_interior
         x = invariant_matrix(problem, m)
         coords = problem.coords.tolist()
@@ -578,32 +579,33 @@ class TestNodeBlocks:
             bump[coords.index([0, 0]), coords.index(axis_node)] = np.abs(x).max()
             bumps.append(bump)
         bump = bumps[0]
-        assert nodes.invariant((x, x[:n_i], x + 1e-3 * INVARIANCE_TOL * bump))
+        assert invariant((x, x[:n_i], x + 1e-3 * INVARIANCE_TOL * bump))
         assert nodes.stack((x, x + 1e-3 * INVARIANCE_TOL * bump)) is not None
         random = np.random.default_rng(m).standard_normal(x.shape)
         for moved in (*(x + 1e4 * INVARIANCE_TOL * b for b in bumps), x + bump, random,
                       random[:n_i]):
-            assert not nodes.invariant((x, moved)) and not nodes.invariant((moved,))
+            assert not invariant((x, moved)) and not invariant((moved,))
             assert nodes.stack((x, moved)) is None
         # the tolerance scales with the largest of the matrices
-        assert nodes.invariant((1e8 * x, x + 1e4 * INVARIANCE_TOL * bump))
-        assert nodes.invariant((np.zeros_like(x),))
+        assert invariant((1e8 * x, x + 1e4 * INVARIANCE_TOL * bump))
+        assert invariant((np.zeros_like(x),))
 
     @pytest.mark.parametrize("m", range(1, 11))
-    def test_blocks_are_active_from_the_fewest_nodes(self, m):
-        # Scalar regions from BLOCKS_MIN_NODES nodes (m = 6, 85 nodes) stack
-        # their matrices; smaller ones have the four blocks, and invariant,
-        # but stack nothing.
+    def test_blocks_exist_from_the_fewest_nodes(self, m):
+        # Scalar regions from BLOCKS_MIN_NODES nodes (m = 6, 85 nodes) have
+        # the four blocks, which stack their matrices; smaller ones have
+        # none.  Every scalar region has the invariance check, made once.
         problem = extract_local_scalar(m, 0.0)
         nodes = problem.node_blocks
-        assert len(nodes) == 4 and nodes.active == (problem.n_local >= BLOCKS_MIN_NODES)
-        assert nodes.active == (m >= 6)
-        assert nodes.invariant((problem.a_ll,))
-        stacked = nodes.stack((problem.a_ll,))
-        assert (stacked is None) != nodes.active and (nodes.a_ll is None) != nodes.active
+        assert (nodes is not None) == (problem.n_local >= BLOCKS_MIN_NODES) == (m >= 6)
+        invariant = problem.reflection_invariant
+        assert invariant is problem.reflection_invariant and invariant((problem.a_ll,))
+        if nodes is not None:
+            assert len(nodes.blocks) == 4 and nodes.invariant is invariant
+            np.testing.assert_array_equal(nodes.stack((problem.a_ll,))[0], nodes.a_ll)
 
     @pytest.mark.parametrize("m", [1, 3, 6])
-    def test_block_expand_applies_the_basis_to_rows(self, m):
+    def test_block_expand_applies_the_basis_to_rows(self, active_blocks, m):
         # B c of each row of a stack, over all the block's columns or its
         # first ones: the interior orbits' columns reach the interior nodes alone
         problem = extract_local_scalar(m, 0.0)

@@ -300,16 +300,16 @@ def case_state(problem, state, m):
 def reads_node_coordinates(problem, state):
     """Whether the split and g read case_state's state in node coordinates.
 
-    Active node blocks read the initial state of a scalar problem; a random
-    one, which the reflections do not map onto itself, is read in node
-    coordinates, as every state is where the blocks are not active.
+    Node blocks read the initial state of a scalar problem; a random one,
+    which the reflections do not map onto itself, is read in node
+    coordinates, as every state is where the problem has no node blocks.
     """
-    return not problem.node_blocks.active or state == "random"
+    return problem.node_blocks is None or state == "random"
 
 
 @pytest.fixture
 def active_blocks(monkeypatch):
-    """The problems a test makes read their node blocks at every size."""
+    """The scalar problems a test makes have node blocks at every size."""
     monkeypatch.setattr(lattice, "BLOCKS_MIN_NODES", 0)
 
 
@@ -332,7 +332,7 @@ def full_system_step(problem, pair, report):
     system = NormalSystem(problem.target_pattern.n_entries, problem.n_local)
     build_normal_system(problem, report, split, system)
     da, solve = solve_for_da(system)
-    return compute_dy(problem, report, da, split), da, solve
+    return compute_dy(report, da, split), da, solve
 
 
 class TestByteIdentity:
@@ -368,7 +368,8 @@ class TestByteIdentity:
     @pytest.mark.parametrize("active", [False, True], ids=["as_made", "active"])
     def test_report_holds_what_the_phases_formed(self, monkeypatch, kind, m, dims, state,
                                                  active):
-        # The phases read Y, K and g(0) from the one report of a state.
+        # The phases read Y, K and g(0) from the one report of a state; g(0)
+        # comes with g, bit for bit.
         if active:
             monkeypatch.setattr(lattice, "BLOCKS_MIN_NODES", 0)
         problem = case_problem(kind, m, dims)
@@ -377,11 +378,12 @@ class TestByteIdentity:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             da, _ = solve_for_da(system)
-        dy = compute_dy(problem, report, da, split)
+        dy = compute_dy(report, da, split)
         assert np.array_equal(report.y, pair.full_y())
         assert np.array_equal(report.ay[: problem.n_interior],
                               (pair.a_tilde @ pair.full_y())[: problem.n_interior])
-        g0 = line_objective(problem, pair, report, dy, da)(0.0)
+        g, g0 = line_objective(problem, pair, report, dy, da)
+        assert g(0.0) == g0
         if reads_node_coordinates(problem, state):  # g(0) is sum(R**2) itself
             assert float(np.sum(report.residual**2)) == g0
         else:  # the node blocks' g(0) sums their squares, which are others
@@ -394,7 +396,7 @@ class TestByteIdentity:
         ids=lambda x: {False: "as_made", True: "active"}.get(x) if isinstance(x, bool) else None)
     def test_node_coordinate_split_and_g_are_the_node_formulas(self, monkeypatch, kind, m,
                                                                 dims, state, active):
-        # Where the node blocks are not active, and where the reflections
+        # Where the problem has no node blocks, and where the reflections
         # do not map the state onto itself, the split and g keep the
         # node-coordinate formulas' bits, and their layout.
         if active:
@@ -410,16 +412,17 @@ class TestByteIdentity:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             da, _ = solve_for_da(system)
-        dy = compute_dy(problem, report, da, split)
-        g = line_objective(problem, pair, report, dy, da)
+        dy = compute_dy(report, da, split)
+        g, g0 = line_objective(problem, pair, report, dy, da)
         ref_g = direct_line_objective(problem, pair, report, dy, da)
+        assert g0 == ref_g(0.0)
         for alpha in LINE_SEARCH_ABSCISSAE:
             assert g(alpha) == ref_g(alpha)
 
 
 def two_step_line_search(problem, pair, dy, da):
     """The line search with g(0) evaluated at alpha = 0, twice."""
-    g_of = line_objective(problem, pair, residual_and_error(problem, pair), dy, da)
+    g_of, _ = line_objective(problem, pair, residual_and_error(problem, pair), dy, da)
     vals = np.array([g_of(t) for t in LINE_SEARCH_ABSCISSAE])
     coeffs = np.linalg.solve(np.vander(LINE_SEARCH_ABSCISSAE, 7), vals)
     g0 = g_of(0.0)
@@ -451,34 +454,43 @@ class TestLineSearchReadsG0:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             da, _ = solve_for_da(system)
-        dy = compute_dy(problem, report, da, split)
+        dy = compute_dy(report, da, split)
         expected = two_step_line_search(problem, pair, dy, da)
 
-        at_zero, fitted_g0 = [], []
+        at_zero, fitted_g0, evaluations = [], [], []
         original, fit = linearized.line_objective, linearized.fit_line_polynomial
+        symmetrized = linearized.symmetrized  # once per evaluation of g, in either basis
 
         def counted(*args):
-            g = original(*args)
+            g, g0 = original(*args)
 
             def wrapped(alpha):
                 at_zero.append(alpha == 0.0)
                 return g(alpha)
 
-            return wrapped
+            return wrapped, g0
 
         def recorded_fit(g, g0):
             fitted_g0.append(g0)
             return fit(g, g0)
 
+        def counted_symmetrized(x):
+            evaluations.append(1)
+            return symmetrized(x)
+
         monkeypatch.setattr(linearized, "line_objective", counted)
         monkeypatch.setattr(linearized, "fit_line_polynomial", recorded_fit)
+        monkeypatch.setattr(linearized, "symmetrized", counted_symmetrized)
         got = line_search(problem, pair, report, dy, da)
-        # The fit's g0 is g(0) bit for bit.  Where the node blocks are not
-        # active it is read from the report, and g is never evaluated at 0;
-        # where they are, g(0) is evaluated once, and in node coordinates,
-        # for a state the reflections move, it is sum(R**2) again.
-        assert fitted_g0 == [original(problem, pair, report, dy, da)(0.0)]
-        assert at_zero and sum(at_zero) == problem.node_blocks.active
+        # The fit's g0 is g(0) bit for bit, and line_search never evaluates
+        # g at 0.  Where g reads node coordinates g0 is read from the
+        # report, and g is never evaluated at 0: in a problem without node
+        # blocks, and for a state the reflections move.  Where g reads the
+        # blocks, line_objective evaluates g(0) once.
+        in_blocks = not reads_node_coordinates(problem, state)
+        assert at_zero and not any(at_zero)
+        assert len(evaluations) == len(at_zero) + in_blocks
+        assert fitted_g0 == [original(problem, pair, report, dy, da)[0](0.0)]
         if reads_node_coordinates(problem, state):
             assert fitted_g0 == [float(np.sum(report.residual**2))]
         assert got == expected  # alpha and error, bit for bit
@@ -508,7 +520,7 @@ class TestSplitSpaces:
         # At every state of a minimization, rank 0 included (lambda = 4,
         # m = 1, where the initial K is zero)
         problem = extract_local_scalar(m, lam)
-        assert problem.node_blocks.active
+        assert problem.node_blocks is not None
         for _, report in minimization_states(problem, monkeypatch):
             split, want = split_spaces(problem, report), direct_split(problem, report)
             assert split.rank == want.rank
@@ -1205,8 +1217,10 @@ class TestReflectionPremise:
         assert images is not None
         bases = {}
         states = minimization_states(problem, monkeypatch)
-        nodes = problem.node_blocks
-        assert len(nodes) == 4
+        # the node blocks at every size, as regions of BLOCKS_MIN_NODES have them
+        nodes = lattice.NodeBlocks(problem.node_reflections, problem.n_interior, problem.a_ll,
+                                   problem.reflection_invariant)
+        assert len(nodes.blocks) == 4
         node_basis = dense_blocks(nodes.blocks, problem.n_local)
         interior = np.column_stack([b[: problem.n_interior, :k]
                                     for b, k in zip(node_basis, nodes.interior)])
@@ -1248,6 +1262,34 @@ class TestReflectionPremise:
                                                rtol=0.0, atol=1e-12 * scale)
                     rotated[inside, inside] = 0.0
                 assert np.abs(rotated).max() <= 1e-12 * scale
+
+
+class TestNodeBlocksWhereRead:
+    @pytest.mark.parametrize("kind,m,dims", [
+        *[("scalar", m, None) for m in range(1, 6)],
+        pytest.param("scalar", 6, None, marks=KNOWN_MISCOUNT),
+        *[pytest.param("supernode", m, (2, 1), marks=KNOWN_MISCOUNT) for m in range(1, 5)]])
+    def test_minimization_builds_node_blocks_only_where_read(self, monkeypatch, kind, m, dims):
+        # Node blocks, and the invariance check they read, are built only
+        # for a scalar region of BLOCKS_MIN_NODES nodes (m = 6): once per
+        # problem.  spectrum_at reads the problem's one check.
+        made = []
+
+        def counted(*args):
+            made.append(1)
+            return node_blocks(*args)
+
+        node_blocks = lattice.NodeBlocks
+        monkeypatch.setattr(lattice, "NodeBlocks", counted)
+        problem = case_problem(kind, m, dims)
+        pair = linearized_minimize(problem, MinimizeOptions(max_iter=5))[0]
+        read = kind == "scalar" and m >= 6
+        assert len(made) == read
+        assert ("reflection_invariant" in vars(problem)) == read
+        check = problem.reflection_invariant
+        spectrum_at(problem, pair)
+        spectrum_at(problem, pair)
+        assert len(made) == read and problem.reflection_invariant is check
 
 
 class TestMinimizationMemory:
@@ -1302,7 +1344,7 @@ class TestComputeDy:
             pair = random_state(problem, seed=m + 40)
             report, split, system = linearized_phases(problem, pair)
             da, _ = solve_for_da(system)
-            dy = compute_dy(problem, report, da, split)
+            dy = compute_dy(report, da, split)
             r_norm = report.norm
             span_span, span_null, _ = rotated_block_norms(problem, pair,
                                                           split, dy, da)
@@ -1326,7 +1368,7 @@ class TestComputeDy:
         problem = extract_local_scalar(1, 4.0)
         pair = initial_guess(problem)
         report, split, _ = linearized_phases(problem, pair)
-        dy = compute_dy(problem, report, np.zeros((5, 5)), split)
+        dy = compute_dy(report, np.zeros((5, 5)), split)
         assert np.all(dy == 0.0)
 
 
@@ -1340,9 +1382,9 @@ class TestLineSearch:
         pair = random_state(problem, seed=3)
         report, split, system = linearized_phases(problem, pair)
         da, _ = solve_for_da(system)
-        dy = compute_dy(problem, report, da, split)
-        g = line_objective(problem, pair, report, dy, da)
-        coeffs, scale = fit_line_polynomial(g, g(0.0))
+        dy = compute_dy(report, da, split)
+        g, g0 = line_objective(problem, pair, report, dy, da)
+        coeffs, scale = fit_line_polynomial(g, g0)
         rng = np.random.default_rng(19)
         for alpha in rng.uniform(-2.0, 2.0, size=20):
             direct = g(alpha)
@@ -1358,7 +1400,7 @@ class TestLineSearch:
         # The absolute floor is the residual's own rounding, eps ||A_LL||^2:
         # near convergence g is small, and both forms of it carry that much.
         problem = extract_local_scalar(m, lam)
-        assert problem.node_blocks.active
+        assert problem.node_blocks is not None
         searches, search = [], linearized.line_search
 
         def recorded(problem, pair, *args):
@@ -1371,8 +1413,9 @@ class TestLineSearch:
         assert searches
         floor = 1e-15 * np.linalg.norm(problem.a_ll) ** 2
         for args in searches:
-            g = line_objective(problem, *args)
+            g, g0 = line_objective(problem, *args)
             want = direct_line_objective(problem, *args)
+            assert g0 == g(0.0)
             for alpha in LINE_SEARCH_ABSCISSAE:
                 assert g(alpha) == pytest.approx(want(alpha), rel=1e-12, abs=floor)
 
@@ -1381,7 +1424,7 @@ class TestLineSearch:
         pair = initial_guess(problem)
         report, split, system = linearized_phases(problem, pair)
         da, _ = solve_for_da(system)
-        dy = compute_dy(problem, report, da, split)
+        dy = compute_dy(report, da, split)
         alpha, err = line_search(problem, pair, report, dy, da)
         assert 0.0 < alpha <= 4.0
         assert err < report.norm
@@ -1548,28 +1591,38 @@ class TestSharedLoop:
                 return original(*args)
 
             monkeypatch.setattr(module, "residual_and_error", counted)
-        alphas, searches = [], []
-        line_objective = linearized.line_objective
+        alphas, at_zero = [], []
+        line_objective, symmetrized = linearized.line_objective, linearized.symmetrized
+        evaluations = []  # symmetrized runs once per evaluation of g
 
         def recorded(*args):
-            g = line_objective(*args)
-            searches.append(1)
+            before = len(evaluations)
+            g, g0 = line_objective(*args)
+            at_zero.append(len(evaluations) - before)
 
             def wrapped(alpha):
                 alphas.append(alpha)
                 return g(alpha)
 
-            return wrapped
+            return wrapped, g0
+
+        def counted_symmetrized(x):
+            evaluations.append(1)
+            return symmetrized(x)
 
         monkeypatch.setattr(linearized, "line_objective", recorded)
+        monkeypatch.setattr(linearized, "symmetrized", counted_symmetrized)
         problem = case_problem(kind, m, dims)
         trace = minimize(problem, MinimizeOptions(max_iter=30))[1]
         assert trace.n_steps > 3
         assert len(calls) == len(trace.iterations)
-        # Where the node blocks are not active (m = 3 and the supernode),
-        # g(0) is read from the report, never evaluated again; active ones
-        # (m = 6) evaluate it once per line search.
-        assert alphas and alphas.count(0.0) == problem.node_blocks.active * len(searches)
+        # Where the problem has no node blocks (m = 3 and the supernode),
+        # g(0) is read from the report, never evaluated again; where it has
+        # them (m = 6), line_objective evaluates it once per line search,
+        # and the line search never does.
+        has_blocks = problem.node_blocks is not None
+        assert alphas and alphas.count(0.0) == 0
+        assert at_zero == [has_blocks] * len(at_zero)
 
 
 class TestOneBlasThread:
