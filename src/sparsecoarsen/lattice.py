@@ -252,9 +252,9 @@ class LocalProblem:
         """The check invariant(matrices): whether K maps each matrix onto itself.
 
         Built once per problem; false for every matrix where K does not map
-        the region onto itself (node_reflections).  A matrix is n_local x
-        n_local, or the interior rows of one, as dY is.  M[g k, g k'] =
-        M[k, k'] where M commutes with Fx and Fy, which is probed on one
+        the region onto itself (node_reflections).  Each matrix is n_local x
+        n_local: dY's interior rows are read zero-padded to one.  M[g k, g k']
+        = M[k, k'] where M commutes with Fx and Fy, which is probed on one
         fixed vector v_k = sin(k + 1) without symmetry or zero entries: M F v
         against F M v, to INVARIANCE_TOL of the largest entry of the
         products.  A commutator passes only if v lies in its null space.
@@ -269,7 +269,7 @@ class LocalProblem:
             spread = size = 0.0
             for matrix in matrices:
                 w = matrix @ probe  # M v, M Fx v, M Fy v
-                moved = w[:, 1:].T - w[:, 0].take(perms[1:3, : len(matrix)])
+                moved = w[:, 1:].T - w[:, 0].take(perms[1:3])
                 spread = max(spread, float(np.abs(moved).max(initial=0.0)))
                 size = max(size, float(np.abs(w).max(initial=0.0)))
             return spread <= INVARIANCE_TOL * size
@@ -426,8 +426,10 @@ class NodeBlocks:
     gathers M[k, g k'] over every pair of orbits and each g, forms K's four
     character sums from them, and picks each block's pairs.  As that reads
     only the rows at least members, stack returns None, for the caller to
-    read node coordinates, where invariant rejects a matrix.  a_ll is A_LL's
-    blocks.  Every array is read-only.
+    read node coordinates, where invariant rejects a matrix.  Every matrix
+    is n_local x n_local: dY's interior rows are stacked zero-padded to one
+    (linearized.line_objective).  a_ll is A_LL's blocks.  Every array is
+    read-only.
     """
 
     def __init__(self, perms, n_interior, a_ll, invariant):
@@ -437,7 +439,6 @@ class NodeBlocks:
         self.interior = tuple(int(np.sum(b.members[:, 0] < n_interior)) for b in self.blocks)
         n0 = max(map(len, self.blocks))
         least = self.blocks[0].members[:, 0]  # each orbit's least member: the trivial block has all
-        self._n_interior = n_interior
         # stack's flat indices: of M[k, g k'] for least members k, k', and of
         # each block's orbit pairs among the character sums (0 in the
         # padding), with their sqrt|O| / 2 (0 in the padding)
@@ -454,17 +455,12 @@ class NodeBlocks:
             a.flags.writeable = False
 
     def stack(self, matrices):
-        """The (len(matrices), 4, n0, n0) blocks of the matrices, or None for one not invariant."""
+        """The (len(matrices), 4, n0, n0) blocks of square matrices, or None for one not invariant."""
         if not self.invariant(matrices):
             return None
         out = np.empty((len(matrices),) + self._pick.shape)
         for matrix, blocks in zip(matrices, out):
-            if len(matrix) > self._n_interior:
-                m = matrix.take(self._gather)  # M[k, g k'], g in REFLECTIONS' order
-            else:  # the interior rows: the other orbits' rows are zero
-                rows = self.interior[0]
-                m = np.zeros(self._gather.shape)
-                m[:, :rows] = matrix.take(self._gather[:, :rows])
+            m = matrix.take(self._gather)  # M[k, g k'], g in REFLECTIONS' order
             # CHARACTERS' sums in place: plus_e + plus_Fy, minus_e + minus_Fy,
             # plus_e - plus_Fy and minus_e - minus_Fy, where plus_g and
             # minus_g are M[., g .] +- M[., g Fx .]

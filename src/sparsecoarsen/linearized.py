@@ -63,21 +63,24 @@ K maps the nodes and the interior onto themselves, so the orthonormal
 orbit sums of the nodes (LocalProblem.node_blocks, lattice.NodeBlocks)
 split them into four character blocks, and K = P_I A~ Y, Y, A~, dY, dA and
 A_LL of an invariant state are block diagonal there; the interior blocks
-are the interior orbits of the node blocks.  split_spaces decomposes each
-block of K on its own, reads the rank on the merged singular values, and
-expands q, q_null and u back to node coordinates, so the assembly and dY
-keep their formulas; a node on an axis lies in two blocks.  line_objective
-gathers Y, dY, A~ and dA into zero-padded stacks of the blocks once, and
-each g(alpha) is one chain of stacked products, about a ninth of the
-node-coordinate flops at m = 8; it evaluates g(0) once and hands it to the
-line search, since the blocks' sum(R**2) squares other numbers.  Node
-blocks exist only in scalar regions of lattice.BLOCKS_MIN_NODES nodes or
-more (m >= 6), where they save more than their numpy calls cost.  Both
-phases read node coordinates where problem.node_blocks is None, and where
-the reflections do not map what they read onto itself
-(LocalProblem.reflection_invariant; every state of a minimization passes).
-A scalar m = 10 step's split went from 5.1 to 2.3 ms and its line search
-from 6.8 to 2.1 ms (x86_64, one BLAS thread).
+are the interior orbits of the node blocks.  Node coordinates are the
+one-part case of both phases, so each has one body.  split_spaces
+decomposes each part of K on its own (a block K_c, or K itself), reads the
+rank once on the merged singular values, and expands q, q_null and u back
+to node coordinates, so the assembly and dY keep their formulas; a node on
+an axis lies in two blocks.  line_objective reads dY zero-padded to
+n_local x n_local, gathers Y, dY, A~ and dA into zero-padded stacks of the
+blocks once, and each g(alpha) is one chain of stacked products, about a
+ninth of the node-coordinate flops at m = 8; the same chain takes the four
+matrices themselves in node coordinates.  In the blocks it evaluates g(0)
+once and hands it to the line search, since the blocks' sum(R**2) squares
+other numbers.  Node blocks exist only in scalar regions of
+lattice.BLOCKS_MIN_NODES nodes or more (m >= 6), where they save more than
+their numpy calls cost.  Both phases read node coordinates where
+problem.node_blocks is None, and where the reflections do not map what
+they read onto itself (LocalProblem.reflection_invariant; every state of a
+minimization passes).  A scalar m = 10 step's split went from 5.1 to 2.3 ms
+and its line search from 6.8 to 2.1 ms (x86_64, one BLAS thread).
 
 A NormalSystem owns the buffers of the normal equations and holds the
 state last assembled into it (build_normal_system).  solve_for_da and
@@ -114,13 +117,14 @@ tightening rel_tol only extends a trace: the default trace is a prefix of the
 trace at any smaller rel_tol.
 
 Every phase reads the state's one evaluation, its ErrorReport: the split
-takes K = (A~ Y)[:n_I], the assembly and dY take Y and R, the gradient and
-linearized_residual take Y, A~ Y and R, and line_objective in node
-coordinates takes g(0) = sum(R**2).  In node coordinates the results are
-bit-for-bit those of the direct formulas, which the tests keep as a
-reference: near a stop, a change in the last bit can decide whether a
-minimization stops or runs on.  The phases are called by their module
-names at call time, so a tracer that replaces one sees every call.
+takes K = (A~ Y)[:n_I] (or its node blocks), the assembly and dY take Y
+and R, the gradient and linearized_residual take Y, A~ Y and R, and
+line_objective takes Y (or its node blocks) and, in node coordinates,
+g(0) = sum(R**2).  In node coordinates the results are bit-for-bit those
+of the direct formulas, which the tests keep as a reference: near a stop,
+a change in the last bit can decide whether a minimization stops or runs
+on.  The phases are called by their module names at call time, so a
+tracer that replaces one sees every call.
 """
 
 import math
@@ -404,36 +408,33 @@ def null_cut(u, s, rhs, pinned=0, rest=()):
 def split_spaces(problem, report):
     """SVD split of the report's K = P_I A~ Y into span (q) and null space (q_null).
 
-    Where the problem's node blocks hold A~ Y's blocks (NodeBlocks.stack),
-    each block's K_c, the interior orbits' rows, is decomposed on its own,
-    the rank is read on the merged singular values at RANK_TOL of the
-    largest, and q, q_null and u are expanded to node coordinates block by
-    block, sigma following their columns.  Elsewhere they are svd(K)'s.
+    One body over the parts of K, each with the map of its singular vectors
+    to node coordinates: where the problem's node blocks hold A~ Y's blocks
+    (NodeBlocks.stack), each block's K_c, its interior orbits' rows, with
+    block.expand; elsewhere K itself, the one part, with no map.  Each part
+    is decomposed on its own, the rank is read once on the merged singular
+    values at RANK_TOL of the largest, and q, q_null and u hold the parts'
+    mapped columns side by side, sigma following them.
     """
     n_i = problem.n_interior
     nodes = problem.node_blocks
     k = None if nodes is None else nodes.stack((report.ay,))
     if k is None:  # node coordinates
-        u, s, vt = np.linalg.svd(report.ay[:n_i], full_matrices=True)
-        rank = int(np.sum(s > RANK_TOL * s[0]))
-        return SubspaceSplit(
-            q=vt[:rank].T.copy(),
-            q_null=vt[rank:].T.copy(),
-            sigma=s[:rank].copy(),
-            u=u[:, :rank].copy(),
-        )
-    svds = [np.linalg.svd(k[0, c, :n_ic, :len(block)], full_matrices=True)
-            for c, (n_ic, block) in enumerate(zip(nodes.interior, nodes.blocks))]
+        parts = [(report.ay[:n_i], lambda rows, n: rows)]
+    else:
+        parts = [(k[0, c, :n_ic, :len(block)], block.expand)
+                 for c, (n_ic, block) in enumerate(zip(nodes.interior, nodes.blocks))]
+    svds = [np.linalg.svd(k_c, full_matrices=True) for k_c, _ in parts]
     top = max(s[0] for _, s, _ in svds if len(s))
     ranks = [int(np.sum(s > RANK_TOL * top)) for _, s, _ in svds]
     # rows: the vectors B_c v over the nodes, and B_c u over the interior
-    right = [block.expand(vt, problem.n_local) for block, (_, _, vt) in zip(nodes.blocks, svds)]
-    left = [block.expand(u[:, :r].T, n_i) for block, (u, _, _), r in zip(nodes.blocks, svds, ranks)]
+    right = [expand(vt, problem.n_local) for (_, expand), (_, _, vt) in zip(parts, svds)]
+    left = [expand(u[:, :r].T, n_i) for (_, expand), (u, _, _), r in zip(parts, svds, ranks)]
 
-    def columns(parts):
-        """The parts' columns side by side, C-ordered, as svd(K)'s .T.copy() is."""
-        out = np.empty((len(parts[0]), sum(part.shape[1] for part in parts)))
-        return np.concatenate(parts, axis=1, out=out)
+    def columns(arrays):
+        """The arrays' columns side by side, C-ordered, as svd(K)'s .T.copy() is."""
+        out = np.empty((len(arrays[0]), sum(a.shape[1] for a in arrays)))
+        return np.concatenate(arrays, axis=1, out=out)
 
     return SubspaceSplit(
         q=columns([v[:r].T for v, r in zip(right, ranks)]),
@@ -600,49 +601,38 @@ def linearized_residual(problem, report, dy, da):
 def line_objective(problem, pair, report, dy, da):
     """Squared error norm along the step, g(alpha), a degree-6 polynomial.
 
-    Returns (g, g(0)), g as a function of alpha from the report's Y.  Where
-    the problem's node blocks hold the blocks of Y, dY, A~ and dA
-    (NodeBlocks.stack), g sums the blocks' errors, each g(alpha) one chain
-    of stacked products, and g(0) is evaluated; elsewhere g reads node
-    coordinates, and g(0) is the report's sum(R**2), bit for bit.
+    Returns (g, g(0)), g as a function of alpha from the report's Y.  dY is
+    read as the n_local x n_local matrix with zero boundary rows.  Where the
+    problem's node blocks hold the blocks of Y, dY, A~ and dA
+    (NodeBlocks.stack), g reads their stacks, summing the blocks' errors,
+    and g(0) is evaluated; elsewhere g reads the four matrices themselves,
+    and g(0) is the report's sum(R**2), bit for bit.  Either way one body
+    makes each g(alpha), a chain of products.
     """
+    padded = np.zeros_like(report.y)
+    padded[: problem.n_interior] = dy
+    matrices = (report.y, padded, pair.a_tilde, da)
     nodes = problem.node_blocks
-    blocks = None if nodes is None else nodes.stack((report.y, dy, pair.a_tilde, da))
-    if blocks is None:  # node coordinates
-        n_i = problem.n_interior
-
-        def g(alpha):
-            y = report.y.copy()
-            y[:n_i] += alpha * dy
-            at = alpha * da
-            at += pair.a_tilde
-            ay = at @ y
-            del at
-            s = y.T @ ay
-            del y, ay
-            s = symmetrized(s)
-            np.subtract(problem.a_ll, s, out=s)
-            s *= s
-            return float(np.sum(s))
-
-        return g, float(np.sum(report.residual**2))
-    y, dy_blocks, a_tilde, da_blocks = blocks
+    stacks = None if nodes is None else nodes.stack(matrices)
+    y, dy, a_tilde, da = matrices if stacks is None else stacks  # None: node coordinates
+    a_ll = problem.a_ll if stacks is None else nodes.a_ll
+    del matrices, padded  # the padded dY is dropped once stacked
 
     def g(alpha):
-        y_at = alpha * dy_blocks
+        y_at = alpha * dy
         y_at += y
-        at = alpha * da_blocks
+        at = alpha * da
         at += a_tilde
         ay = at @ y_at
         del at
         s = y_at.swapaxes(-1, -2) @ ay
         del y_at, ay
         s = symmetrized(s)
-        np.subtract(nodes.a_ll, s, out=s)
+        np.subtract(a_ll, s, out=s)
         s *= s
         return float(np.sum(s))
 
-    return g, g(0.0)
+    return g, float(np.sum(report.residual**2)) if stacks is None else g(0.0)
 
 
 def fit_line_polynomial(g, g0):

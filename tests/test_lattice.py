@@ -81,8 +81,12 @@ class TestBuildHelmholtz:
         assert np.count_nonzero(a[center]) == 5
 
     def test_invalid_dims_rejected(self):
+        # by the stencil's grid and by the checkerboard of the lambda <-> 8 - lambda map
         with pytest.raises(ValueError):
             StencilSpec(lam=0.0, width=0, height=3)
+        for width, height in [(0, 3), (3, 0)]:
+            with pytest.raises(ValueError, match="grid dimensions"):
+                checkerboard_diagonal(width, height)
 
 
 class TestCheckerboard:
@@ -490,6 +494,13 @@ def invariant_matrix(problem, seed):
     return sum(x[np.ix_(perm, perm)] for perm in node_reflections(problem)) / 4
 
 
+def interior_rows(x, n_interior):
+    """x's interior rows zero-padded to n_local x n_local, as line_objective reads dY."""
+    out = np.zeros_like(x)
+    out[:n_interior] = x[:n_interior]
+    return out
+
+
 @pytest.fixture
 def active_blocks(monkeypatch):
     """The scalar problems a test makes have node blocks at every size."""
@@ -537,20 +548,17 @@ class TestNodeBlocks:
 
     @pytest.mark.parametrize("m", [1, 2, 5, 8])
     def test_stack_holds_the_blocks_of_invariant_matrices(self, active_blocks, m):
-        # each matrix's blocks, one matrix at a time or several, and a
-        # matrix of the interior rows alone as the n_local x n_local one
-        # with zeros below them
+        # each matrix's blocks, one matrix at a time or several, and those
+        # of a matrix's interior rows with zeros below them, as dY is read
         problem = extract_local_scalar(m, 2.0)
         nodes = problem.node_blocks
-        n_i = problem.n_interior
         dense = dense_blocks(nodes.blocks, problem.n_local)
         n0 = max(map(len, nodes.blocks))
         x = invariant_matrix(problem, m)
-        interior_rows = np.zeros_like(x)
-        interior_rows[:n_i] = x[:n_i]
-        stacked = nodes.stack((problem.a_ll, x, x[:n_i]))
+        matrices = (problem.a_ll, x, interior_rows(x, problem.n_interior))
+        stacked = nodes.stack(matrices)
         assert stacked.shape == (3, 4, n0, n0)
-        for got, want in zip(stacked, (problem.a_ll, x, interior_rows)):
+        for got, want in zip(stacked, matrices):
             np.testing.assert_array_equal(got, nodes.stack((want,))[0])
             for c, b in enumerate(dense):
                 k = b.shape[1]
@@ -563,10 +571,10 @@ class TestNodeBlocks:
     @pytest.mark.parametrize("m", [1, 3, 6])
     def test_matrices_the_reflections_move_are_not_stacked(self, active_blocks, m):
         # Rounding-level strays from invariance are stacked; a matrix that
-        # strays further, by one entry, whole or in its interior rows, is
-        # left to node coordinates, whatever the others in the call.  The
-        # entry couples the decoupled node to (1, 0), which Fx moves and Fy
-        # fixes, or to (0, 1), which Fy moves and Fx fixes.
+        # strays further, by one entry, whole or in its zero-padded interior
+        # rows, is left to node coordinates, whatever the others in the
+        # call.  The entry couples the decoupled node to (1, 0), which Fx
+        # moves and Fy fixes, or to (0, 1), which Fy moves and Fx fixes.
         problem = extract_local_scalar(m, 0.0)
         nodes, invariant = problem.node_blocks, problem.reflection_invariant
         assert nodes.invariant is invariant
@@ -579,11 +587,11 @@ class TestNodeBlocks:
             bump[coords.index([0, 0]), coords.index(axis_node)] = np.abs(x).max()
             bumps.append(bump)
         bump = bumps[0]
-        assert invariant((x, x[:n_i], x + 1e-3 * INVARIANCE_TOL * bump))
+        assert invariant((x, interior_rows(x, n_i), x + 1e-3 * INVARIANCE_TOL * bump))
         assert nodes.stack((x, x + 1e-3 * INVARIANCE_TOL * bump)) is not None
         random = np.random.default_rng(m).standard_normal(x.shape)
         for moved in (*(x + 1e4 * INVARIANCE_TOL * b for b in bumps), x + bump, random,
-                      random[:n_i]):
+                      interior_rows(random, n_i)):
             assert not invariant((x, moved)) and not invariant((moved,))
             assert nodes.stack((x, moved)) is None
         # the tolerance scales with the largest of the matrices

@@ -892,6 +892,14 @@ class TestInPlaceEigensolve:
         assert_eig_equal(got, want)
         assert got[0] is bound.matrix and want[0] is fallback.matrix
 
+    def test_nan_matrix_raises(self, binding):
+        # dsyevd's nonzero info, or np.linalg.eigh's own LinAlgError on the
+        # fallback; the QL iteration of a small matrix reports NaN (from 26
+        # unknowns, divide and conquer returns NaN without an error)
+        system = matrix_system(np.full((7, 7), np.nan))
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            system.eigh()
+
     def test_eigh_sorts_in_place(self, binding):
         n = 200
         x = np.random.default_rng(1).standard_normal((n, n))
@@ -985,12 +993,16 @@ class TestInPlaceEigensolve:
             build_normal_system(problem, report, split, system)
 
     def test_wrong_system_size_rejected(self):
+        # a system of another size than the pattern's, or than its blocks'
         problem = extract_local_scalar(2, 0.0)
         report = residual_and_error(problem, initial_guess(problem))
         split = split_spaces(problem, report)
-        system = NormalSystem(problem.target_pattern.n_entries + 1)
+        n = problem.target_pattern.n_entries
+        system = NormalSystem(n + 1)
         with pytest.raises(ValueError, match="pattern entries"):
             build_normal_system(problem, report, split, system)
+        with pytest.raises(ValueError, match=f"unknowns for {n + 1}"):
+            NormalSystem(n + 1, problem.n_local, reflection_blocks(problem))
 
 
 class TestOneNormalSystemPerMinimization:
@@ -1318,10 +1330,11 @@ class TestMinimizationMemory:
     def test_pinned_scalar_holds_under_two_point_zero_five_pattern_squared_arrays(self):
         # The pinned system's four reflection blocks hold about
         # (n_pattern - n_I)^2 / 4 doubles, and G's gathers for one block,
-        # rows first, 2 n_local n0 for its n0 unknowns: the peak read 2.01
-        # n_pattern^2 at m = 8, in the assembly, with the node blocks' index
-        # arrays held, where the one full pinned system read 3.03 and the
-        # columns-first gathers 2.23.
+        # rows first, 2 n_local n0 for its n0 unknowns: the assembly's peak
+        # read 2.01 n_pattern^2 at m = 8, with the node blocks' index arrays
+        # held, where the one full pinned system read 3.03 and the
+        # columns-first gathers 2.23.  The line search's, which stacks dY
+        # zero-padded to n_local x n_local, reads 2.02.
         if linearized.find_dsyevd() is None:
             pytest.skip("numpy's OpenBLAS exports no LAPACKE dsyevd here")
         problem = extract_local_scalar(8, 0.0)
