@@ -17,8 +17,8 @@ import numpy as np
 from .blas import single_thread
 from .errors import NumericalFailure
 # extract_local_scalar is unused here, but perfbench/tracing.py wraps this name.
-from .lattice import (StencilSpec, build_helmholtz, extract_local_scalar,
-                      extract_local_supernode, reflection_blocks)
+from .lattice import (StencilSpec, extract_local_scalar,
+                      extract_local_supernode, reflection_blocks, stencil)
 from .linearized import (
     MinimizeOptions,
     NormalSystem,
@@ -145,11 +145,15 @@ def global_verify(spec, center, problem, pair):
     X^T A X minus (A with its local block replaced by A~) is supported on the
     local block and its norm equals the locally computed error
     || X_L^T A_LL X_L - A~ ||_F.  Also reports the largest off-diagonal
-    magnitude left in the decoupled row/column.  The grid is dense: a call
-    holds about three (w h)^2 float64 arrays at a time.  B = X^T A X is
-    formed left to right, as (X^T A) X, with A dropped once X^T A is
-    formed and X^T A and X dropped once B is; A is then built again for
-    B - A.
+    magnitude left in the decoupled row/column.  Everything is formed on
+    the sub-grid of the region's nodes and their grid neighbours, the ring:
+    X is the identity beyond the region, and A's rows beyond the ring do not
+    reach it, so there X^T A X - A is exactly zero and every maximum reads
+    the sub-grid alone.  The local and objective errors are formed first;
+    then B = X^T A X, left to right, as (X^T A) X, from the stencil of the
+    sub-grid's nodes, region first, with A dropped once X^T A is formed and
+    built again for B - A, which is formed in B: about three sub-grid
+    arrays at a time.
     """
     cx, cy = center
     w, h = spec.width, spec.height
@@ -157,48 +161,51 @@ def global_verify(spec, center, problem, pair):
     ys = problem.coords[:, 1] + cy
     if xs.min() < 0 or ys.min() < 0 or xs.max() >= w or ys.max() >= h:
         raise ValueError("local region does not fit inside the grid at this center")
-    gidx = ys * w + xs
+    region = list(zip(xs.tolist(), ys.tolist()))
+    ring = sorted({(x + dx, y + dy) for x, y in region
+                   for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))
+                   if 0 <= x + dx < w and 0 <= y + dy < h} - set(region),
+                  key=lambda c: (c[1], c[0]))
 
-    a = build_helmholtz(spec)
-    y_full = pair.full_y()
     try:
-        x_local = np.linalg.inv(y_full)
+        x_local = np.linalg.inv(pair.full_y())
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure("Y is singular; cannot embed its inverse") from exc
+    local = x_local.T @ problem.a_ll @ x_local - pair.a_tilde
+    local_error = float(np.linalg.norm(local))
+    del local
+    objective_error = residual_and_error(problem, pair).norm
 
-    n = w * h
-    x = np.eye(n)
-    x[np.ix_(gidx, gidx)] = x_local
+    n_l = problem.n_local
+    a = stencil(region + ring, spec.lam)
+    x = np.eye(len(a))
+    x[:n_l, :n_l] = x_local
+    del x_local
     xt_a = x.T @ a
     del a
     b = xt_a @ x
     del xt_a, x
-    a = build_helmholtz(spec)
-    c_glob = gidx[problem.decoupled]
-    row = np.abs(b[c_glob])
-    col = np.abs(b[:, c_glob])
-    row[c_glob] = 0.0
-    col[c_glob] = 0.0
-    b_ll = b[np.ix_(gidx, gidx)]
+    c = problem.decoupled
+    row = np.abs(b[c])
+    col = np.abs(b[:, c])
+    row[c] = 0.0
+    col[c] = 0.0
+    b_ll = b[:n_l, :n_l].copy()
 
     # B - A, formed in B's memory, holds what X changed: outside the local
     # block it must vanish; the local block is then compared with A~.
     diff = b
-    diff -= a
-    del a
-    ext = np.setdiff1d(np.arange(n), gidx)
-    coupling_max = float(np.abs(diff[np.ix_(gidx, ext)]).max())
-    external_max = float(np.abs(diff[np.ix_(ext, ext)]).max())
-    diff[np.ix_(gidx, gidx)] = b_ll - pair.a_tilde
-
-    local = x_local.T @ problem.a_ll @ x_local - pair.a_tilde
+    diff -= stencil(region + ring, spec.lam)
+    coupling_max = float(np.abs(diff[:n_l, n_l:]).max(initial=0.0))
+    external_max = float(np.abs(diff[n_l:, n_l:]).max(initial=0.0))
+    diff[:n_l, :n_l] = b_ll - pair.a_tilde
     return GlobalVerifyReport(
-        local_error=float(np.linalg.norm(local)),
+        local_error=local_error,
         global_error=float(np.linalg.norm(diff)),
         max_decoupled_offdiag=float(max(row.max(), col.max())),
         coupling_block_max=coupling_max,
         external_block_max=external_max,
-        objective_error=residual_and_error(problem, pair).norm,
+        objective_error=objective_error,
     )
 
 

@@ -2,9 +2,10 @@
 
 The model operator is the five-point stencil: diagonal value lambda - 4 and
 unit couplings to the four axis neighbors, truncated where a neighbor is
-missing.  One constructor builds it as a dense numpy array on any set of
-integer nodes: the local region of a problem, or the explicit row-major grid
-(build_helmholtz) that is only needed to check an embedding.  Decoupling a
+missing.  One constructor (stencil) builds it as a dense numpy array on any
+set of integer nodes: the local region of a problem, the region and its ring
+of grid neighbours that analysis.global_verify checks an embedding on, or
+the explicit row-major grid (build_helmholtz).  Decoupling a
 node is a local operation, so local problems are built intrinsically.
 supernode_layout is the one place that derives a region: the p x q
 supernodes within m hops of the decoupled node's supernode (a scalar region
@@ -300,9 +301,11 @@ CHARACTERS = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1,
 # minimizations read at most 1.3e-15 (m = 1..10, lambda from 0 to 8).
 INVARIANCE_TOL = 1e-12
 # The fewest nodes that have K's node blocks (LocalProblem.node_blocks): they
-# save flops but cost numpy calls.  A scalar minimization (best of 5 at
-# lambda in {0, 1, 3.5}, x86_64) took 13 -> 20 ms with them at m = 3 (25
-# nodes), 21 -> 22 ms at m = 5 (61) and 45 -> 38 ms at m = 6 (85).
+# save flops but cost numpy calls.  With every product of a step in the
+# blocks, a scalar minimization (best of 5, mean over lambda in {0, 1, 3.5},
+# x86_64, one BLAS thread) took 16.1 -> 23.1 ms with them at m = 3 (25
+# nodes), 22.4 -> 27.8 ms at m = 4 (41), 35.3 -> 36.1 ms at m = 5 (61),
+# 60.9 -> 55.0 ms at m = 6 (85) and 128 -> 82 ms at m = 7 (113).
 BLOCKS_MIN_NODES = 80
 
 
@@ -426,10 +429,11 @@ class NodeBlocks:
     gathers M[k, g k'] over every pair of orbits and each g, forms K's four
     character sums from them, and picks each block's pairs.  As that reads
     only the rows at least members, stack returns None, for the caller to
-    read node coordinates, where invariant rejects a matrix.  Every matrix
-    is n_local x n_local: dY's interior rows are stacked zero-padded to one
-    (linearized.line_objective).  a_ll is A_LL's blocks.  Every array is
-    read-only.
+    read node coordinates, where invariant rejects a matrix.  unstack is
+    its inverse: the character sums of the blocks' entries, over
+    sqrt|O_a| sqrt|O_b|, give M[k_a, g k_b] (the four characters are
+    orthogonal), and M[h k_a, k'] = M[k_a, h k'] every other entry.  a_ll
+    is A_LL's blocks.  Every array is read-only.
     """
 
     def __init__(self, perms, n_interior, a_ll, invariant):
@@ -439,45 +443,95 @@ class NodeBlocks:
         self.interior = tuple(int(np.sum(b.members[:, 0] < n_interior)) for b in self.blocks)
         n0 = max(map(len, self.blocks))
         least = self.blocks[0].members[:, 0]  # each orbit's least member: the trivial block has all
+        n_orbits = len(least)
         # stack's flat indices: of M[k, g k'] for least members k, k', and of
-        # each block's orbit pairs among the character sums (0 in the
-        # padding), with their sqrt|O| / 2 (0 in the padding)
+        # each block's orbit pairs among the character sums, with their
+        # sqrt|O| / 2; the padding picks one past the sums, where unstack
+        # puts it, and its sqrt|O| / 2 is 0
         self._gather = least[:, None] * n + perms[:, least][:, None, :]
         orbits = np.zeros((len(self.blocks), n0), dtype=np.intp)
         self._half_norms = np.zeros((len(self.blocks), n0))
         for c, block in enumerate(self.blocks):
             orbits[c, : len(block)] = np.searchsorted(least, block.members[:, 0])
             self._half_norms[c, : len(block)] = 0.5 * block.norms
-        self._pick = ((np.arange(len(self.blocks))[:, None, None] * len(least) + orbits[:, :, None])
-                      * len(least) + orbits[:, None, :])
+        self._pick = ((np.arange(len(self.blocks))[:, None, None] * n_orbits + orbits[:, :, None])
+                      * n_orbits + orbits[:, None, :])
+        self._pick[(self._half_norms[:, :, None] * self._half_norms[:, None, :]) == 0.0] = \
+            self._gather.size
+        self._inv_norms = np.divide(0.5, self._half_norms, out=np.zeros_like(self._half_norms),
+                                    where=self._half_norms > 0.0)
+        # unstack's: node i = g k for the least member k of orbit[i] and g = element[i]
+        self._perms, self._least = perms, least
+        self._orbit = np.empty(n, dtype=np.intp)
+        self._element = np.empty(n, dtype=np.intp)
+        for g in range(len(perms) - 1, -1, -1):  # e last, where it fixes a node
+            self._orbit[perms[g, least]] = np.arange(n_orbits)
+            self._element[perms[g, least]] = g
         self.a_ll = self.stack((a_ll,))[0]  # node_reflections checked A_LL's invariance
-        for a in [self.a_ll, self._gather, self._half_norms, self._pick]:
+        for a in [self.a_ll, self._gather, self._half_norms, self._pick, self._inv_norms,
+                  self._orbit, self._element]:
             a.flags.writeable = False
 
-    def stack(self, matrices):
-        """The (len(matrices), 4, n0, n0) blocks of square matrices, or None for one not invariant."""
-        if not self.invariant(matrices):
+    def stack(self, matrices, beside=()):
+        """The (len(matrices), 4, n0, n0) blocks of square matrices, or None for one not invariant.
+
+        The check reads the matrices beside them too, at the tolerance of
+        the largest of all: a step is checked beside its state's Y, so that
+        the rounding of a step near zero passes.
+        """
+        if not self.invariant((*matrices, *beside)):
             return None
         out = np.empty((len(matrices),) + self._pick.shape)
         for matrix, blocks in zip(matrices, out):
             m = matrix.take(self._gather)  # M[k, g k'], g in REFLECTIONS' order
-            # CHARACTERS' sums in place: plus_e + plus_Fy, minus_e + minus_Fy,
-            # plus_e - plus_Fy and minus_e - minus_Fy, where plus_g and
-            # minus_g are M[., g .] +- M[., g Fx .]
-            minus = m[0::2] - m[1::2]
-            np.add(m[0::2], m[1::2], out=m[0::2])
-            np.add(minus[0], minus[1], out=m[1])
-            np.subtract(minus[0], minus[1], out=m[3])
-            np.subtract(m[0], m[2], out=minus[0])
-            np.add(m[0], m[2], out=m[0])
-            m[2] = minus[0]
-            m.take(self._pick, out=blocks)
+            _character_sums(m)
+            m.take(self._pick, out=blocks, mode="clip")  # the padding reads the last, times 0
         out *= self._half_norms[:, :, None]
         out *= self._half_norms[:, None, :]
         return out
 
+    def unstack(self, blocks, at=None):
+        """The n_local x n_local matrix M whose (4, n0, n0) blocks these are, or M[rows, cols].
 
-def _stencil(coords, lam):
+        stack's inverse; `at` is (rows, cols), index arrays of one shape.
+        """
+        sums = np.zeros(self._gather.size + 1)  # and one past them, for the padding
+        scaled = blocks * self._inv_norms[:, :, None]
+        scaled *= self._inv_norms[:, None, :]
+        sums[self._pick] = scaled
+        del scaled
+        sums = sums[:-1].reshape(self._gather.shape)
+        _character_sums(sums)  # M[k_a, g k_b] at [g, a, b]
+        if at is not None:  # M[h k_a, j] = M[k_a, h j]
+            rows, cols = at
+            moved = self._perms[self._element[rows], cols]
+            return sums.take((self._element[moved] * len(self._least) + self._orbit[rows])
+                             * len(self._least) + self._orbit[cols])
+        out = np.empty((len(self._perms[0]),) * 2)
+        out.ravel()[self._gather] = sums
+        rows = out[self._least]
+        for perm in self._perms[1:]:
+            out[perm[self._least]] = rows.take(perm, axis=1)
+        return out
+
+
+def _character_sums(m):
+    """K's four character sums of m[g], g in REFLECTIONS' order, in place, in CHARACTERS' order.
+
+    The sums are plus_e + plus_Fy, minus_e + minus_Fy, plus_e - plus_Fy and
+    minus_e - minus_Fy, where plus_g and minus_g are m[g] +- m[g Fx].
+    CHARACTERS is symmetric, so applied twice this gives 4 m.
+    """
+    minus = m[0::2] - m[1::2]
+    np.add(m[0::2], m[1::2], out=m[0::2])
+    np.add(minus[0], minus[1], out=m[1])
+    np.subtract(minus[0], minus[1], out=m[3])
+    np.subtract(m[0], m[2], out=minus[0])
+    np.add(m[0], m[2], out=m[0])
+    m[2] = minus[0]
+
+
+def stencil(coords, lam):
     """Dense five-point operator on the given integer nodes, in their order.
 
     lam - 4 on the diagonal and 1.0 between axis neighbors; a neighbor
@@ -501,7 +555,7 @@ def build_helmholtz(spec):
     Couplings to off-grid neighbors are simply dropped (Dirichlet truncation);
     the diagonal stays lam - 4 everywhere.
     """
-    return _stencil([(x, y) for y in range(spec.height) for x in range(spec.width)],
+    return stencil([(x, y) for y in range(spec.height) for x in range(spec.width)],
                     spec.lam)
 
 
@@ -591,7 +645,7 @@ def extract_local_supernode(m, p, q, lam):
     # (0, 0) is the first member of the central supernode, which is id 0.
     c = layout.node_ids[0][0]
     return LocalProblem(
-        a_ll=_stencil(layout.order, lam),
+        a_ll=stencil(layout.order, lam),
         n_interior=layout.n_interior,
         gauge_dim=p * q * layout.n_interior - 2 * (p * q - 1),
         decoupled=c,

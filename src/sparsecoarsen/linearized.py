@@ -58,29 +58,35 @@ the same code assembles and solves N itself, bit for bit the full system.
 The blocks' eigensolves cost about 1/16 of N's: a scalar m = 10 step's dA
 solve went from 24.5 to 3.9 ms (x86_64, one BLAS thread).
 
-The split and the line search work in the same way on the region's nodes.
-K maps the nodes and the interior onto themselves, so the orthonormal
-orbit sums of the nodes (LocalProblem.node_blocks, lattice.NodeBlocks)
-split them into four character blocks, and K = P_I A~ Y, Y, A~, dY, dA and
-A_LL of an invariant state are block diagonal there; the interior blocks
-are the interior orbits of the node blocks.  Node coordinates are the
-one-part case of both phases, so each has one body.  split_spaces
-decomposes each part of K on its own (a block K_c, or K itself), reads the
-rank once on the merged singular values, and expands q, q_null and u back
-to node coordinates, so the assembly and dY keep their formulas; a node on
-an axis lies in two blocks.  line_objective reads dY zero-padded to
-n_local x n_local, gathers Y, dY, A~ and dA into zero-padded stacks of the
-blocks once, and each g(alpha) is one chain of stacked products, about a
-ninth of the node-coordinate flops at m = 8; the same chain takes the four
-matrices themselves in node coordinates.  In the blocks it evaluates g(0)
-once and hands it to the line search, since the blocks' sum(R**2) squares
-other numbers.  Node blocks exist only in scalar regions of
-lattice.BLOCKS_MIN_NODES nodes or more (m >= 6), where they save more than
-their numpy calls cost.  Both phases read node coordinates where
-problem.node_blocks is None, and where the reflections do not map what
-they read onto itself (LocalProblem.reflection_invariant; every state of a
-minimization passes).  A scalar m = 10 step's split went from 5.1 to 2.3 ms
-and its line search from 6.8 to 2.1 ms (x86_64, one BLAS thread).
+Every product of a step works in the same way on the region's nodes.  K
+maps the nodes and the interior onto themselves, so the orthonormal orbit
+sums of the nodes (LocalProblem.node_blocks, lattice.NodeBlocks) split them
+into four character blocks, and Y, A~, dA, A_LL, R, K = P_I A~ Y and dY of
+an invariant state are block diagonal there; the interior blocks are the
+interior orbits of the node blocks.  residual_and_error stacks Y and A~
+once per state and forms A~ Y and R = A_LL - Y^T A~ Y on the (4, n0, n0)
+stacks, and the report holds them (ErrorReport.parts).  split_spaces
+decomposes each block K_c on its own, reads the rank once on the merged
+singular values, and hands q, q_null, u and sigma on as zero-padded
+stacks; the assembly forms Z = Y Q_null, G, Q_null^T R Q_null and M on
+them and reads G whole and M at the pattern's entries back in node
+coordinates (NodeBlocks.unstack), where the normal equations are gathered;
+dA, solved in node coordinates, is stacked once per step, compute_dy forms
+dY's six products on the stacks, and dY is read back in node coordinates
+once, for the update; the line search's g(alpha) chains the same stacks.
+The state itself stays in node coordinates, so A~'s zero pattern and Y's
+identity boundary rows stay exact.  Node coordinates are the one-part case
+of every phase, so each has one body: there the parts are the matrices
+themselves and the split holds one part's columns.  Node blocks exist only
+in scalar regions of lattice.BLOCKS_MIN_NODES nodes or more (m >= 6),
+where they save more than their numpy calls cost.  A state the reflections
+do not map onto itself (LocalProblem.reflection_invariant; every state of
+a minimization passes) is read in node coordinates.  A scalar lambda = 3.5,
+m = 10 step took 12.8 ms with the split and line search alone in the
+blocks and 10.7 ms with every product there (x86_64, one BLAS thread, best
+of 5; per step, node coordinates -> blocks: residual 1.0 -> 0.5, split 2.4
+-> 1.8, assembly 2.2 -> 2.4 of which 1.0 reads G, M and dY back, dA solve
+3.2 -> 3.4, dY 1.8 -> 0.3, line search 1.9 -> 1.1 ms).
 
 A NormalSystem owns the buffers of the normal equations and holds the
 state last assembled into it (build_normal_system).  solve_for_da and
@@ -110,17 +116,19 @@ trace's stop_reason:
 - no_descent: the line search returned alpha = 0, so the next state would
   be this one and would repeat this step's bits;
 - max_iter: max_iter steps were taken;
-- failed: a NumericalFailure is raised, with the partial trace attached.
+- failed: a NumericalFailure is raised, with the partial trace attached; a
+  library solve's LinAlgError is raised as one, and solve_for_da raises one
+  on a non-finite spectrum.
 
 The stop rules read the errors but never enter the arithmetic of a step, so
 tightening rel_tol only extends a trace: the default trace is a prefix of the
 trace at any smaller rel_tol.
 
-Every phase reads the state's one evaluation, its ErrorReport: the split
-takes K = (A~ Y)[:n_I] (or its node blocks), the assembly and dY take Y
-and R, the gradient and linearized_residual take Y, A~ Y and R, and
-line_objective takes Y (or its node blocks) and, in node coordinates,
-g(0) = sum(R**2).  In node coordinates the results are bit-for-bit those
+Every phase reads the state's one evaluation, its ErrorReport, in its
+parts: the split takes K = (A~ Y)[:n_I], the assembly and dY take Y and R,
+line_objective takes Y and A~ and g(0) = sum(R**2), and the gradient and
+linearized_residual take Y, A~ Y and R in node coordinates.  In node
+coordinates the results are bit-for-bit those
 of the direct formulas, which the tests keep as a reference: near a stop,
 a change in the last bit can decide whether a minimization stops or runs
 on.  The phases are called by their module names at call time, so a
@@ -167,16 +175,24 @@ PIN_REL_TOL = 1e-3
 
 @dataclass
 class SubspaceSplit:
-    """Right singular subspaces of K = P_I A~ Y, plus what the pseudo-inverse needs."""
+    """Right singular subspaces of K = P_I A~ Y, plus what the pseudo-inverse needs.
+
+    In node coordinates the shapes are those below.  In a report's node
+    blocks (split_spaces) each array is a stack of the blocks' arrays,
+    zero-padded to (4, n0, width) and (4, width) for the largest block's n0
+    and the widest block: u over each block's interior orbits, sigma padded
+    with 1.0, where u and q are zero; ranks then holds each block's rank.
+    """
 
     q: np.ndarray  # (n_local, rank): span of K's rows
     q_null: np.ndarray  # (n_local, n_local - rank): orthonormal complement
     sigma: np.ndarray  # (rank,) retained singular values
     u: np.ndarray  # (n_interior, rank) left singular vectors
+    ranks: tuple = None  # in the node blocks, each block's rank
 
     @property
     def rank(self):
-        return self.q.shape[1]
+        return self.q.shape[1] if self.ranks is None else sum(self.ranks)
 
 
 @dataclass
@@ -408,39 +424,44 @@ def null_cut(u, s, rhs, pinned=0, rest=()):
 def split_spaces(problem, report):
     """SVD split of the report's K = P_I A~ Y into span (q) and null space (q_null).
 
-    One body over the parts of K, each with the map of its singular vectors
-    to node coordinates: where the problem's node blocks hold A~ Y's blocks
-    (NodeBlocks.stack), each block's K_c, its interior orbits' rows, with
-    block.expand; elsewhere K itself, the one part, with no map.  Each part
-    is decomposed on its own, the rank is read once on the merged singular
-    values at RANK_TOL of the largest, and q, q_null and u hold the parts'
-    mapped columns side by side, sigma following them.
+    One body over the parts of K, in the report's parts (ErrorReport.parts):
+    K itself, the one part, in node coordinates; in the node blocks, each
+    block's K_c, its interior orbits' rows of (A~ Y)_c.  Each part is
+    decomposed on its own, and the rank is read once on the merged singular
+    values at RANK_TOL of the largest.  The one part's q, q_null, sigma and
+    u are its own arrays; the blocks' are zero-padded into stacks
+    (SubspaceSplit), so the assembly and dY take them as they take Y.
     """
-    n_i = problem.n_interior
-    nodes = problem.node_blocks
-    k = None if nodes is None else nodes.stack((report.ay,))
-    if k is None:  # node coordinates
-        parts = [(report.ay[:n_i], lambda rows, n: rows)]
+    n_i, nodes = problem.n_interior, report.nodes
+    ay = report.parts[2]
+    if nodes is None:
+        parts = [ay[:n_i]]
     else:
-        parts = [(k[0, c, :n_ic, :len(block)], block.expand)
+        parts = [ay[c, :n_ic, :len(block)]
                  for c, (n_ic, block) in enumerate(zip(nodes.interior, nodes.blocks))]
-    svds = [np.linalg.svd(k_c, full_matrices=True) for k_c, _ in parts]
+    svds = [np.linalg.svd(k_c, full_matrices=True) for k_c in parts]
     top = max(s[0] for _, s, _ in svds if len(s))
     ranks = [int(np.sum(s > RANK_TOL * top)) for _, s, _ in svds]
-    # rows: the vectors B_c v over the nodes, and B_c u over the interior
-    right = [expand(vt, problem.n_local) for (_, expand), (_, _, vt) in zip(parts, svds)]
-    left = [expand(u[:, :r].T, n_i) for (_, expand), (u, _, _), r in zip(parts, svds, ranks)]
 
-    def columns(arrays):
-        """The arrays' columns side by side, C-ordered, as svd(K)'s .T.copy() is."""
-        out = np.empty((len(arrays[0]), sum(a.shape[1] for a in arrays)))
-        return np.concatenate(arrays, axis=1, out=out)
+    def laid_out(arrays, rows=None, fill=0.0):
+        """The one part's array, C-ordered, as svd(K)'s .T.copy() is; or the blocks', stacked."""
+        if nodes is None:
+            return arrays[0].copy()
+        shape = np.max([a.shape for a in arrays], axis=0)
+        if rows is not None:
+            shape[0] = rows
+        out = np.full((len(arrays), *shape), fill)
+        for o, a in zip(out, arrays):
+            o[tuple(slice(k) for k in a.shape)] = a
+        return out
 
     return SubspaceSplit(
-        q=columns([v[:r].T for v, r in zip(right, ranks)]),
-        q_null=columns([v[r:].T for v, r in zip(right, ranks)]),
-        sigma=np.concatenate([s[:r] for (_, s, _), r in zip(svds, ranks)]),
-        u=columns([w.T for w in left]),
+        q=laid_out([vt[:r].T for (_, _, vt), r in zip(svds, ranks)]),
+        q_null=laid_out([vt[r:].T for (_, _, vt), r in zip(svds, ranks)]),
+        sigma=laid_out([s[:r] for (_, s, _), r in zip(svds, ranks)], fill=1.0),
+        u=laid_out([u[:, :r] for (u, _, _), r in zip(svds, ranks)],
+                   rows=None if nodes is None else len(ay[0])),
+        ranks=None if nodes is None else tuple(ranks),
     )
 
 
@@ -481,13 +502,15 @@ def build_normal_system(problem, report, split, system, pins=None):
         raise ValueError(f"G's gathers of {gathers_size} doubles do not fit in a "
                          f"work array of {len(system.work)}")
 
-    z = report.y @ split.q_null
-    g = symmetrized(z @ z.T)
-    t = split.q_null.T @ report.residual @ split.q_null
-    m = symmetrized(z @ t @ z.T)
+    y, _, _, residual = report.parts
+    q_null_t = split.q_null.swapaxes(-1, -2)
+    z = y @ split.q_null
+    g = report.unstack(symmetrized(z @ z.swapaxes(-1, -2)))
+    t = q_null_t @ residual @ split.q_null
+    m = report.unstack(symmetrized(z @ t @ z.swapaxes(-1, -2)), at=(i_idx, j_idx))
     del z, t
 
-    system.rhs = multiplicity * m[i_idx, j_idx]
+    system.rhs = multiplicity * m
     system.pattern = pattern
     system.pins = pins
     system.expected_null = problem.gauge_dim if split.rank == problem.n_interior else None
@@ -552,10 +575,14 @@ def solve_for_da(system):
     null_dim counts the pins too.  A pinned system's solution is zero at
     the pins and then projected off the gauge (GaugePins.unpin).  A warning
     is emitted when the detected null dimension disagrees with the gauge
-    count expected_null (only meaningful when A~ had full rank).
+    count expected_null (only meaningful when A~ had full rank).  A
+    non-finite spectrum raises NumericalFailure: from 26 unknowns on,
+    dsyevd returns NaN eigenvalues of a NaN matrix without an error.
     """
     u, s, sign = system.eigh()
     rest = system.eigvals()
+    if not (np.all(np.isfinite(s)) and np.all(np.isfinite(rest))):
+        raise NumericalFailure("the normal system's spectrum is not finite")
     trivial = system.blocks[0]
     rhs = trivial.project(system.rhs)
     pinned = 0 if system.pins is None else len(system.pins.pinned)
@@ -578,15 +605,20 @@ def solve_for_da(system):
 
 
 def compute_dy(report, da, split):
-    """dY = 1/2 (K^+)^T (R - Y^T dA Y)(I + Qn Qn^T) at the report's Y, R; zero at rank 0."""
-    y = report.y
-    w = y.T @ da @ y
-    np.subtract(report.residual, w, out=w)
+    """dY = 1/2 (K^+)^T (R - Y^T dA Y)(I + Qn Qn^T) at the report's Y, R; zero at rank 0.
+
+    dA, the split and dY are in the report's parts: dY is the interior rows
+    in node coordinates, and in the node blocks the stack of the n_local x
+    n_local dY with zero boundary rows.
+    """
+    y, _, _, residual = report.parts
+    w = y.swapaxes(-1, -2) @ da @ y
+    np.subtract(residual, w, out=w)
     w = symmetrized(w)
-    w2 = (w @ split.q_null) @ split.q_null.T
+    w2 = (w @ split.q_null) @ split.q_null.swapaxes(-1, -2)
     w2 += w
     del w
-    pinv_t = (split.u / split.sigma[None, :]) @ split.q.T
+    pinv_t = (split.u / split.sigma[..., None, :]) @ split.q.swapaxes(-1, -2)
     pinv_t *= 0.5
     return pinv_t @ w2
 
@@ -598,25 +630,21 @@ def linearized_residual(problem, report, dy, da):
     return float(np.linalg.norm(report.residual - y.T @ da @ y - k.T @ dy - dy.T @ k))
 
 
-def line_objective(problem, pair, report, dy, da):
+def line_objective(problem, report, dy, da):
     """Squared error norm along the step, g(alpha), a degree-6 polynomial.
 
-    Returns (g, g(0)), g as a function of alpha from the report's Y.  dY is
-    read as the n_local x n_local matrix with zero boundary rows.  Where the
-    problem's node blocks hold the blocks of Y, dY, A~ and dA
-    (NodeBlocks.stack), g reads their stacks, summing the blocks' errors,
-    and g(0) is evaluated; elsewhere g reads the four matrices themselves,
-    and g(0) is the report's sum(R**2), bit for bit.  Either way one body
-    makes each g(alpha), a chain of products.
+    Returns (g, g(0)), g as a function of alpha from the report's Y.  dY
+    and dA are in the report's parts (ErrorReport.parts), as are Y and A~:
+    the node-coordinate matrices, or the node blocks' stacks, where g sums
+    the blocks' errors.  dY is read zero-padded to Y's rows.  One body makes
+    each g(alpha), a chain of products, and g(0) is the report's sum(R**2),
+    which is g(0) bit for bit.
     """
-    padded = np.zeros_like(report.y)
-    padded[: problem.n_interior] = dy
-    matrices = (report.y, padded, pair.a_tilde, da)
-    nodes = problem.node_blocks
-    stacks = None if nodes is None else nodes.stack(matrices)
-    y, dy, a_tilde, da = matrices if stacks is None else stacks  # None: node coordinates
-    a_ll = problem.a_ll if stacks is None else nodes.a_ll
-    del matrices, padded  # the padded dY is dropped once stacked
+    y, a_tilde, _, residual = report.parts
+    padded = np.zeros_like(y)
+    padded[..., : dy.shape[-2], :] = dy
+    dy = padded
+    a_ll = problem.a_ll if report.nodes is None else report.nodes.a_ll
 
     def g(alpha):
         y_at = alpha * dy
@@ -632,7 +660,7 @@ def line_objective(problem, pair, report, dy, da):
         s *= s
         return float(np.sum(s))
 
-    return g, float(np.sum(report.residual**2)) if stacks is None else g(0.0)
+    return g, float(np.sum(residual**2))
 
 
 def fit_line_polynomial(g, g0):
@@ -651,7 +679,7 @@ def fit_line_polynomial(g, g0):
     raise NumericalFailure("line search could not evaluate the objective finitely")
 
 
-def line_search(problem, pair, report, dy, da):
+def line_search(problem, report, dy, da):
     """Exact line search on the degree-6 polynomial g; returns (alpha, error).
 
     g and its g(0) are line_objective's, so the fit's g(0) is g's, bit for
@@ -660,7 +688,7 @@ def line_search(problem, pair, report, dy, da):
     that improves on g(0) wins, otherwise alpha = 0.  The returned error is
     the (non-squared) norm at the chosen alpha, never above the current one.
     """
-    g_of, g0 = line_objective(problem, pair, report, dy, da)
+    g_of, g0 = line_objective(problem, report, dy, da)
     coeffs, scale = fit_line_polynomial(g_of, g0)
 
     best_alpha, best_g = 0.0, g0
@@ -722,8 +750,11 @@ def _descend(problem, step, opts):
     """The loop of both minimizers (module docstring); returns (pair, trace).
 
     step(problem, pair, report) returns the direction and the record's
-    `solve`: (dY, dA, solve).  A NumericalFailure leaves with the partial
-    trace attached.
+    `solve`: (dY, dA, parts, solve), dY's interior rows and dA in node
+    coordinates, which update the state, and parts, the two in the report's
+    parts (ErrorReport.stack), which the line search reads.  A
+    NumericalFailure, or a LinAlgError of a library solve, leaves as a
+    NumericalFailure with the partial trace attached.
     """
     # Any node blocks are made before the first state's arrays: made among a
     # step's temporaries, they left the large_region benchmark's peak RSS
@@ -742,7 +773,7 @@ def _descend(problem, step, opts):
             if not np.isfinite(err):
                 raise NumericalFailure("minimization produced a non-finite error")
 
-            dy, da, solve = step(problem, pair, report)
+            dy, da, parts, solve = step(problem, pair, report)
             trace.iterations.append(
                 IterationRecord(iteration=k, error=err, alpha=alpha, solve=solve))
 
@@ -759,17 +790,20 @@ def _descend(problem, step, opts):
                 trace.stop_reason = "max_iter"
                 break
 
-            alpha, _ = line_search(problem, pair, report, dy, da)
+            alpha, _ = line_search(problem, report, *parts)
             if alpha == 0.0:  # the next state would be this one
                 trace.stop_reason = "no_descent"
                 break
             pair.y_rows += alpha * dy
             pair.a_tilde += alpha * da
-            del report, dy, da  # not held while the next state is evaluated and solved
-    except NumericalFailure as exc:
+            del report, dy, da, parts  # not held while the next state is evaluated and solved
+    except (NumericalFailure, np.linalg.LinAlgError) as exc:
         trace.stop_reason = "failed"
-        exc.trace = trace
-        raise
+        failure = exc if isinstance(exc, NumericalFailure) else NumericalFailure(str(exc))
+        failure.trace = trace
+        if failure is exc:
+            raise
+        raise failure from exc
 
     return pair, trace
 
@@ -777,7 +811,8 @@ def _descend(problem, step, opts):
 def _gradient_step(problem, pair, report):
     """The negative gradient in the joint (Y, A~) variables."""
     grad_y, grad_a = objective_gradient(problem, report)
-    return -grad_y, -grad_a, None
+    dy, da = -grad_y, -grad_a
+    return dy, da, (report.stack(dy), report.stack(da)), None
 
 
 def linearized_minimize(problem, opts=MinimizeOptions()):
@@ -813,7 +848,9 @@ def linearized_minimize(problem, opts=MinimizeOptions()):
         split = split_spaces(problem, report)
         build_normal_system(problem, report, split, system, pins)
         da, solve = solve_for_da(system)
-        return compute_dy(report, da, split), da, solve
+        da_parts = report.stack(da)
+        dy = compute_dy(report, da_parts, split)
+        return report.unstack(dy)[: problem.n_interior], da, (dy, da_parts), solve
 
     pair, trace = _descend(problem, step, opts)
     return pair, trace, [rec.solve for rec in trace.iterations]

@@ -17,6 +17,7 @@ stays empty (TestGaugeFreedom.test_error_invariant_under_block_gauge).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,14 +55,58 @@ class TransformPair:
         return TransformPair(self.y_rows.copy(), self.a_tilde.copy())
 
 
-@dataclass
+@dataclass(eq=False)
 class ErrorReport:
-    """One evaluation of a state, and the products it was formed from."""
+    """One evaluation of a state, and the products it was formed from.
 
-    residual: np.ndarray  # A_LL - Y^T A~ Y, exactly symmetric
+    norm is ||R||_F for R = A_LL - Y^T A~ Y, and y the full Y
+    (TransformPair.full_y).  parts holds what the products were formed
+    from and in, (Y, A~, A~ Y, R), R exactly symmetric: the node-coordinate
+    matrices, A~ the pair's own, or, where nodes is the problem's NodeBlocks,
+    their (4, n0, n0) stacks (NodeBlocks.stack).  A step's phases read and
+    form every matrix in the parts' coordinates (stack and unstack map
+    them).  residual and ay are R and A~ Y in node coordinates: the parts
+    themselves, or read back from the blocks on first use.
+    """
+
     norm: float
-    y: np.ndarray  # the full Y (TransformPair.full_y)
-    ay: np.ndarray  # A~ Y; its interior rows are K = P_I A~ Y
+    y: np.ndarray
+    parts: tuple
+    nodes: object = None
+
+    @cached_property
+    def residual(self):
+        return self.unstack(self.parts[3])
+
+    @cached_property
+    def ay(self):
+        return self.unstack(self.parts[2])
+
+    def unstack(self, x, at=None):
+        """The matrix x of the parts' coordinates in node coordinates, or its x[rows, cols].
+
+        at is (rows, cols), index arrays of one shape (NodeBlocks.unstack).
+        """
+        if self.nodes is None:
+            return x if at is None else x[at]
+        return self.nodes.unstack(x, at)
+
+    def stack(self, matrix):
+        """An n_local x n_local matrix, or dY's interior rows, in the parts' coordinates.
+
+        In the blocks, interior rows are read zero-padded to n_local rows.
+        A direction formed at a state that the reflections map onto itself
+        is mapped too, so one they do not map, checked beside the state's Y
+        (NodeBlocks.stack), raises NumericalFailure.
+        """
+        if self.nodes is None:
+            return matrix
+        if len(matrix) < len(self.y):
+            matrix = np.concatenate((matrix, np.zeros((len(self.y) - len(matrix), len(self.y)))))
+        blocks = self.nodes.stack((matrix,), beside=(self.y,))
+        if blocks is None:
+            raise NumericalFailure("a step the reflections do not map onto itself")
+        return blocks[0]
 
 
 def initial_guess(problem):
@@ -83,11 +128,23 @@ def symmetrized(x):
 
 
 def residual_and_error(problem, pair):
-    """Residual A_LL - Y^T A~ Y (symmetrized exactly), its Frobenius norm, Y and A~ Y."""
+    """The state's ErrorReport: R = A_LL - Y^T A~ Y, symmetrized exactly, and its norm.
+
+    A~ Y and Y^T (A~ Y) are formed in the problem's node blocks where it has
+    them and the reflections map Y and A~ onto themselves (NodeBlocks.stack),
+    else in node coordinates.
+    """
     y = pair.full_y()
-    ay = pair.a_tilde @ y
-    residual = problem.a_ll - symmetrized(y.T @ ay)
-    return ErrorReport(residual=residual, norm=float(np.linalg.norm(residual)), y=y, ay=ay)
+    nodes = problem.node_blocks
+    stacks = None if nodes is None else nodes.stack((y, pair.a_tilde))
+    if stacks is None:
+        nodes, stacks = None, (y, pair.a_tilde)
+    y_parts, a_tilde = stacks
+    ay = a_tilde @ y_parts
+    a_ll = problem.a_ll if nodes is None else nodes.a_ll
+    residual = a_ll - symmetrized(y_parts.swapaxes(-1, -2) @ ay)
+    return ErrorReport(norm=float(np.linalg.norm(residual)), y=y,
+                       parts=(y_parts, a_tilde, ay, residual), nodes=nodes)
 
 
 def objective_gradient(problem, report):

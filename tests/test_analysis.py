@@ -204,28 +204,65 @@ class TestGlobalVerify:
 
     @pytest.mark.parametrize("m,lam,dims", GLOBAL_VERIFY_CASES)
     def test_report_matches_seven_array_check(self, m, lam, dims):
+        # The local and objective errors are the same products, bit for
+        # bit; B's entries on the sub-grid are sums over fewer zero terms,
+        # so the global error and the maxima agree to rounding in
+        # ||X_L||^2 ||A_LL|| (they read at most 5.4e-18 of it).
         problem = extract_local_supernode(m, *dims, lam)
         pair = random_state(problem, seed=m)
         spec, center = default_verify_grid(problem)
         with blas.single_thread():
             expected = seven_array_verify(spec, center, problem, pair)
-        assert global_verify(spec, center, problem, pair) == expected
+        got = global_verify(spec, center, problem, pair)
+        assert got.local_error == expected.local_error
+        assert got.objective_error == expected.objective_error
+        scale = (np.linalg.norm(np.linalg.inv(pair.full_y())) ** 2
+                 * np.linalg.norm(problem.a_ll))
+        for name in ("global_error", "max_decoupled_offdiag", "coupling_block_max",
+                     "external_block_max"):
+            assert getattr(got, name) == pytest.approx(getattr(expected, name), rel=1e-13,
+                                                       abs=1e-15 * scale)
+
+    @pytest.mark.parametrize("m,lam,dims", GLOBAL_VERIFY_CASES)
+    def test_dense_difference_is_zero_beyond_the_ring(self, m, lam, dims):
+        # X^T A X - A on the whole grid vanishes exactly off the sub-grid of
+        # the region and its grid neighbours, which global_verify reads alone.
+        problem = extract_local_supernode(m, *dims, lam)
+        pair = random_state(problem, seed=m)
+        spec, center = default_verify_grid(problem)
+        w, h = spec.width, spec.height
+        gidx = (problem.coords[:, 1] + center[1]) * w + problem.coords[:, 0] + center[0]
+        a = build_helmholtz(spec)
+        x = np.eye(w * h)
+        x[np.ix_(gidx, gidx)] = np.linalg.inv(pair.full_y())
+        with blas.single_thread():
+            outside = x.T @ a @ x - a
+        near = np.zeros(w * h, dtype=bool)
+        near[gidx] = True
+        near |= (a[:, gidx] != 0.0).any(axis=1)  # the ring
+        assert near.sum() < w * h
+        assert np.all(outside[~near] == 0.0) and np.all(outside[:, ~near] == 0.0)
 
     @pytest.mark.parametrize("m", [6, 8])
     def test_holds_about_three_grid_arrays(self, m):
-        # X, A and X^T A, then X, X^T A and B: A is dropped once X^T A is
-        # formed and built again for B - A, which is formed in B.
+        # X, A and X^T A, then X, X^T A and B, each over the sub-grid of the
+        # region and its ring, with X_L of the region: A is dropped once
+        # X^T A is formed and built again for B - A, which is formed in B.
+        # The problem's node blocks are made before (m = 6 and 8 have them).
         problem = extract_local_scalar(m, 0.0)
         pair = random_state(problem, seed=m)
+        residual_and_error(problem, pair)
         spec, center = default_verify_grid(problem)
-        grid_array = 8 * (spec.width * spec.height) ** 2
+        n_sub = sum(1 for y in range(spec.height) for x in range(spec.width)
+                    if abs(x - center[0]) + abs(y - center[1]) <= m + 1)
+        grid_array = 8 * n_sub ** 2
         tracemalloc.start()
         try:
             global_verify(spec, center, problem, pair)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.5 * grid_array
+        assert peak <= 3.75 * grid_array
 
     def test_independent_of_caller_blas_threads(self, caller_blas_threads):
         # The grid is 19 x 19: run on the caller's thread count, the report
@@ -395,6 +432,35 @@ class TestRunSweep:
         assert records[0].status.startswith("failed:")
         assert records[0].stop_reason == "failed"
         assert math.isnan(records[0].error)
+
+    def test_library_solve_error_is_a_failed_row(self, monkeypatch):
+        # A LinAlgError in a step leaves the minimization as a
+        # NumericalFailure with the partial trace, and the sweep goes on.
+        solve = linearized.solve_for_da
+
+        def breaks_at_lambda_two(system):
+            if system.pattern is not None and lam_of[0] == 2.0:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return solve(system)
+
+        lam_of = [None]
+        extract = analysis.extract_local_supernode
+
+        def recording(m, p, q, lam):
+            lam_of[0] = lam
+            return extract(m, p, q, lam)
+
+        monkeypatch.setattr(linearized, "solve_for_da", breaks_at_lambda_two)
+        monkeypatch.setattr(analysis, "extract_local_supernode", recording)
+        records = run_sweep([0.0, 2.0, 3.5], [2])
+        assert [r.status for r in records] == \
+            ["ok", "failed: Eigenvalues did not converge", "ok"]
+        assert records[1].stop_reason == "failed" and math.isnan(records[1].error)
+        with pytest.raises(NumericalFailure, match="did not converge") as caught:
+            linearized.linearized_minimize(recording(2, 1, 1, 2.0))
+        assert isinstance(caught.value.__cause__, np.linalg.LinAlgError)
+        assert caught.value.trace.stop_reason == "failed"
+        assert len(caught.value.trace.iterations) == 0
 
     @pytest.mark.parametrize("action", ["always", "default"])
     def test_warnings_emitted_in_grid_order_at_any_jobs(self, action):

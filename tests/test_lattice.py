@@ -568,6 +568,27 @@ class TestNodeBlocks:
         np.testing.assert_array_equal(nodes.a_ll, stacked[0])
         assert not nodes.a_ll.flags.writeable
 
+    @pytest.mark.parametrize("m", [1, 2, 5, 8])
+    def test_unstack_inverts_stack(self, active_blocks, m):
+        # whole, and at index arrays of any shape, to rounding; the padding
+        # of the stacks is zero and stays out of the matrix
+        problem = extract_local_scalar(m, 2.0)
+        nodes = problem.node_blocks
+        x = invariant_matrix(problem, m)
+        blocks = nodes.stack((x,))[0]
+        whole = nodes.unstack(blocks)
+        np.testing.assert_allclose(whole, x, rtol=0.0, atol=1e-14 * np.abs(x).max())
+        rows, cols = problem.target_pattern.index_arrays
+        np.testing.assert_array_equal(nodes.unstack(blocks, at=(rows, cols)), whole[rows, cols])
+        every = tuple(np.indices((problem.n_local,) * 2))
+        np.testing.assert_allclose(nodes.unstack(blocks, at=every), whole, rtol=0.0,
+                                   atol=1e-14 * np.abs(x).max())
+        padded = blocks.copy()
+        for c, block in enumerate(nodes.blocks):
+            padded[c, len(block):] = 1.0
+            padded[c, :, len(block):] = 1.0
+        np.testing.assert_array_equal(nodes.unstack(padded), whole)
+
     @pytest.mark.parametrize("m", [1, 3, 6])
     def test_matrices_the_reflections_move_are_not_stacked(self, active_blocks, m):
         # Rounding-level strays from invariance are stacked; a matrix that

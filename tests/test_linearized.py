@@ -225,6 +225,28 @@ def direct_split(problem, report):
                          sigma=s[:rank].copy(), u=u[:, :rank].copy())
 
 
+def node_split(problem, report, split):
+    """The split in node coordinates: in the node blocks, each block's columns expanded.
+
+    q, q_null and u are each block's columns side by side, mapped to the
+    nodes (u to the interior ones) by SymmetryBlock.expand, and sigma
+    follows them; a node-coordinate split is returned as it is.
+    """
+    nodes = report.nodes
+    if nodes is None:
+        return split
+    n, n_i = problem.n_local, problem.n_interior
+    q, q_null, u, sigma = [], [], [], []
+    for c, (block, n_ic, r) in enumerate(zip(nodes.blocks, nodes.interior, split.ranks)):
+        k = len(block)
+        q.append(block.expand(split.q[c, :k, :r].T, n).T)
+        q_null.append(block.expand(split.q_null[c, :k, : k - r].T, n).T)
+        u.append(block.expand(split.u[c, :n_ic, :r].T, n_i).T)
+        sigma.append(split.sigma[c, :r])
+    return SubspaceSplit(q=np.hstack(q), q_null=np.hstack(q_null), sigma=np.concatenate(sigma),
+                         u=np.hstack(u))
+
+
 def direct_line_objective(problem, pair, report, dy, da):
     """The node-coordinate g(alpha): the whole residual along the step, formed in place."""
     n_i = problem.n_interior
@@ -332,7 +354,8 @@ def full_system_step(problem, pair, report):
     system = NormalSystem(problem.target_pattern.n_entries, problem.n_local)
     build_normal_system(problem, report, split, system)
     da, solve = solve_for_da(system)
-    return compute_dy(report, da, split), da, solve
+    dy = compute_dy(report, da, split)
+    return dy, da, (dy, da), solve
 
 
 class TestByteIdentity:
@@ -369,7 +392,9 @@ class TestByteIdentity:
     def test_report_holds_what_the_phases_formed(self, monkeypatch, kind, m, dims, state,
                                                  active):
         # The phases read Y, K and g(0) from the one report of a state; g(0)
-        # comes with g, bit for bit.
+        # comes with g, bit for bit, and is the report's sum(R**2) in either
+        # coordinates.  In node coordinates the report holds the products
+        # themselves; in the node blocks, A~ Y and R read back from them.
         if active:
             monkeypatch.setattr(lattice, "BLOCKS_MIN_NODES", 0)
         problem = case_problem(kind, m, dims)
@@ -378,16 +403,27 @@ class TestByteIdentity:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             da, _ = solve_for_da(system)
-        dy = compute_dy(report, da, split)
+        da_parts = report.stack(da)
+        dy = compute_dy(report, da_parts, split)
+        y, a_tilde, ay, residual = report.parts
         assert np.array_equal(report.y, pair.full_y())
-        assert np.array_equal(report.ay[: problem.n_interior],
-                              (pair.a_tilde @ pair.full_y())[: problem.n_interior])
-        g, g0 = line_objective(problem, pair, report, dy, da)
-        assert g(0.0) == g0
-        if reads_node_coordinates(problem, state):  # g(0) is sum(R**2) itself
-            assert float(np.sum(report.residual**2)) == g0
-        else:  # the node blocks' g(0) sums their squares, which are others
-            assert g0 == pytest.approx(float(np.sum(report.residual**2)), rel=1e-13)
+        assert report.norm == float(np.linalg.norm(residual))
+        g, g0 = line_objective(problem, report, dy, da_parts)
+        assert g(0.0) == g0 == float(np.sum(residual**2))
+        direct_ay = pair.a_tilde @ pair.full_y()
+        direct_residual = problem.a_ll - transform.symmetrized(pair.full_y().T @ direct_ay)
+        if reads_node_coordinates(problem, state):
+            assert report.nodes is None
+            assert y is report.y and a_tilde is pair.a_tilde and da_parts is da
+            assert np.array_equal(report.ay, direct_ay)
+            assert np.array_equal(report.residual, direct_residual)
+        else:
+            assert report.nodes is problem.node_blocks
+            np.testing.assert_allclose(report.ay, direct_ay, rtol=0.0,
+                                       atol=1e-14 * np.abs(direct_ay).max())
+            np.testing.assert_allclose(report.residual, direct_residual, rtol=0.0,
+                                       atol=1e-14 * np.abs(problem.a_ll).max())
+            assert g0 == pytest.approx(float(np.sum(direct_residual**2)), rel=1e-13)
 
     @pytest.mark.parametrize("kind,m,dims,state,active", [
         (*case, state, active) for case in BYTE_IDENTITY_CASES
@@ -412,8 +448,9 @@ class TestByteIdentity:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             da, _ = solve_for_da(system)
+        assert report.nodes is None and report.stack(da) is da
         dy = compute_dy(report, da, split)
-        g, g0 = line_objective(problem, pair, report, dy, da)
+        g, g0 = line_objective(problem, report, dy, da)
         ref_g = direct_line_objective(problem, pair, report, dy, da)
         assert g0 == ref_g(0.0)
         for alpha in LINE_SEARCH_ABSCISSAE:
@@ -422,7 +459,7 @@ class TestByteIdentity:
 
 def two_step_line_search(problem, pair, dy, da):
     """The line search with g(0) evaluated at alpha = 0, twice."""
-    g_of, _ = line_objective(problem, pair, residual_and_error(problem, pair), dy, da)
+    g_of, _ = line_objective(problem, residual_and_error(problem, pair), dy, da)
     vals = np.array([g_of(t) for t in LINE_SEARCH_ABSCISSAE])
     coeffs = np.linalg.solve(np.vander(LINE_SEARCH_ABSCISSAE, 7), vals)
     g0 = g_of(0.0)
@@ -454,6 +491,7 @@ class TestLineSearchReadsG0:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             da, _ = solve_for_da(system)
+        da = report.stack(da)
         dy = compute_dy(report, da, split)
         expected = two_step_line_search(problem, pair, dy, da)
 
@@ -481,18 +519,14 @@ class TestLineSearchReadsG0:
         monkeypatch.setattr(linearized, "line_objective", counted)
         monkeypatch.setattr(linearized, "fit_line_polynomial", recorded_fit)
         monkeypatch.setattr(linearized, "symmetrized", counted_symmetrized)
-        got = line_search(problem, pair, report, dy, da)
-        # The fit's g0 is g(0) bit for bit, and line_search never evaluates
-        # g at 0.  Where g reads node coordinates g0 is read from the
-        # report, and g is never evaluated at 0: in a problem without node
-        # blocks, and for a state the reflections move.  Where g reads the
-        # blocks, line_objective evaluates g(0) once.
-        in_blocks = not reads_node_coordinates(problem, state)
+        got = line_search(problem, report, dy, da)
+        # The fit's g0 is g(0) bit for bit, read from the report in node
+        # coordinates and in the node blocks alike, and g is never
+        # evaluated at 0.
         assert at_zero and not any(at_zero)
-        assert len(evaluations) == len(at_zero) + in_blocks
-        assert fitted_g0 == [original(problem, pair, report, dy, da)[0](0.0)]
-        if reads_node_coordinates(problem, state):
-            assert fitted_g0 == [float(np.sum(report.residual**2))]
+        assert len(evaluations) == len(at_zero)
+        assert fitted_g0 == [original(problem, report, dy, da)[0](0.0)]
+        assert fitted_g0 == [float(np.sum(report.parts[3]**2))]
         assert got == expected  # alpha and error, bit for bit
 
 
@@ -522,7 +556,9 @@ class TestSplitSpaces:
         problem = extract_local_scalar(m, lam)
         assert problem.node_blocks is not None
         for _, report in minimization_states(problem, monkeypatch):
-            split, want = split_spaces(problem, report), direct_split(problem, report)
+            assert report.nodes is problem.node_blocks
+            split = node_split(problem, report, split_spaces(problem, report))
+            want = direct_split(problem, report)
             assert split.rank == want.rank
             np.testing.assert_allclose(split.q_null @ split.q_null.T,
                                        want.q_null @ want.q_null.T, rtol=0.0, atol=1e-13)
@@ -620,12 +656,21 @@ class TestBlockedAssembly:
     @pytest.mark.parametrize("kind,m,dims", ASSEMBLY_CASES)
     @pytest.mark.parametrize("state", ["initial", "random"])
     def test_matches_outer_weighted_assembly(self, kind, m, dims, state):
+        # In node coordinates bit for bit; an initial state of m >= 6 is
+        # assembled from G and M formed in the node blocks, to rounding.
         problem = case_problem(kind, m, dims)
         pair = case_state(problem, state, m)
         report, split, system = linearized_phases(problem, pair)
-        matrix, rhs = outer_weighted_normal_system(problem, report, split)
-        assert np.array_equal(system.matrix, matrix)
-        assert np.array_equal(system.rhs, rhs)
+        matrix, rhs = outer_weighted_normal_system(problem, report,
+                                                   node_split(problem, report, split))
+        if report.nodes is None:
+            assert np.array_equal(system.matrix, matrix)
+            assert np.array_equal(system.rhs, rhs)
+        else:
+            assert kind == "scalar" and m >= 6 and state == "initial"
+            scale = np.abs(matrix).max()
+            np.testing.assert_allclose(system.matrix, matrix, rtol=0.0, atol=1e-12 * scale)
+            np.testing.assert_allclose(system.rhs, rhs, rtol=0.0, atol=1e-12 * scale)
 
     @pytest.mark.parametrize("m", [2, 4, 7])
     @pytest.mark.parametrize("pinned", [False, True])
@@ -899,6 +944,12 @@ class TestInPlaceEigensolve:
         system = matrix_system(np.full((7, 7), np.nan))
         with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
             system.eigh()
+
+    def test_nan_spectrum_raises_in_the_solve(self, binding):
+        # 30 unknowns: past where dsyevd reports a NaN matrix itself
+        system = matrix_system(np.full((30, 30), np.nan))
+        with pytest.raises(NumericalFailure, match="spectrum is not finite"):
+            solve_for_da(system)
 
     def test_eigh_sorts_in_place(self, binding):
         n = 200
@@ -1304,6 +1355,65 @@ class TestNodeBlocksWhereRead:
         assert len(made) == read and problem.reflection_invariant is check
 
 
+def step_parts(problem, pair):
+    """(report, solve, R, dA, dY) of the linearized step at a state; dY in node coordinates."""
+    report = residual_and_error(problem, pair)
+    pins = gauge_pins(problem, pair.a_tilde)
+    blocks = reflection_blocks(problem, pins.free)
+    system = NormalSystem(len(pins.free), problem.n_local, blocks)
+    split = split_spaces(problem, report)
+    build_normal_system(problem, report, split, system, pins)
+    da, solve = solve_for_da(system)
+    dy = compute_dy(report, report.stack(da), split)
+    return report, solve, report.residual, da, report.unstack(dy)[: problem.n_interior]
+
+
+class TestBlockStep:
+    """A step at an invariant state of m >= 6 forms its products in the node blocks."""
+
+    @KNOWN_MISCOUNT
+    @pytest.mark.parametrize("lam", [0.0, 3.5])
+    @pytest.mark.parametrize("m", [6, 8])
+    def test_matches_the_node_coordinate_step(self, monkeypatch, m, lam):
+        # R, dA and dY against the same phases in node coordinates, after
+        # three steps: R to 1e-12 of its largest entry, and dA and dY, which
+        # the solve forms from rounding-level differences in N and its rhs,
+        # to 1e-12 or to eps times N's retained condition number, relative
+        # in norm (at lambda = 0 that reaches 1e-7)
+        problem = extract_local_scalar(m, lam)
+        pair = linearized_minimize(problem, MinimizeOptions(max_iter=3))[0]
+        monkeypatch.setattr(lattice, "BLOCKS_MIN_NODES", 10**9)
+        plain = extract_local_scalar(m, lam)
+        assert plain.node_blocks is None
+        report, solve, r, *got = step_parts(problem, pair)
+        want_report, want_solve, want_r, *want = step_parts(plain, pair)
+        assert report.nodes is problem.node_blocks is not None
+        assert want_report.nodes is None
+        assert report.norm == pytest.approx(want_report.norm, rel=1e-12)
+        assert solve.null_dim == want_solve.null_dim
+        np.testing.assert_allclose(r, want_r, rtol=0.0, atol=1e-12 * np.abs(want_r).max())
+        tol = max(1e-12, want_solve.cond_retained * np.finfo(float).eps)
+        for x, ref in zip(got, want):
+            assert np.linalg.norm(x - ref) <= tol * np.linalg.norm(ref)
+
+    @KNOWN_MISCOUNT
+    @pytest.mark.parametrize("m", [6, 8])
+    def test_state_the_reflections_move_reads_node_coordinates(self, monkeypatch, m):
+        # random_state is not invariant: the report holds node-coordinate
+        # products, and the step is that of a problem without node blocks, bit for bit
+        problem = extract_local_scalar(m, 0.0)
+        pair = random_state(problem, seed=m)
+        assert problem.node_blocks is not None
+        monkeypatch.setattr(lattice, "BLOCKS_MIN_NODES", 10**9)
+        plain = extract_local_scalar(m, 0.0)
+        report, *got = step_parts(problem, pair)
+        want_report, *want = step_parts(plain, pair)
+        assert report.nodes is None
+        assert report.norm == want_report.norm
+        for x, ref in zip(got, want):
+            assert np.array_equal(x, ref)
+
+
 class TestMinimizationMemory:
     @KNOWN_MISCOUNT
     @pytest.mark.parametrize("kind,m,dims", [("scalar", 8, None), ("supernode", 4, (2, 1))])
@@ -1396,7 +1506,7 @@ class TestLineSearch:
         report, split, system = linearized_phases(problem, pair)
         da, _ = solve_for_da(system)
         dy = compute_dy(report, da, split)
-        g, g0 = line_objective(problem, pair, report, dy, da)
+        g, g0 = line_objective(problem, report, dy, da)
         coeffs, scale = fit_line_polynomial(g, g0)
         rng = np.random.default_rng(19)
         for alpha in rng.uniform(-2.0, 2.0, size=20):
@@ -1409,25 +1519,37 @@ class TestLineSearch:
     @pytest.mark.parametrize("lam", [0.0, 3.5, 4.0])
     @pytest.mark.parametrize("m", [1, 3, 5, 8])
     def test_block_g_is_the_node_g(self, monkeypatch, active_blocks, m, lam):
-        # At every line search of a minimization, at the seven abscissae.
-        # The absolute floor is the residual's own rounding, eps ||A_LL||^2:
-        # near convergence g is small, and both forms of it carry that much.
+        # At every line search of a minimization, at the seven abscissae,
+        # against the state's pair and the step's directions read back in
+        # node coordinates.  The absolute floor is the residual's own
+        # rounding, eps ||A_LL||^2: near convergence g is small, and both
+        # forms of it carry that much.
         problem = extract_local_scalar(m, lam)
         assert problem.node_blocks is not None
-        searches, search = [], linearized.line_search
+        searches, search, evaluate, pairs = [], linearized.line_search, \
+            linearized.residual_and_error, {}
 
-        def recorded(problem, pair, *args):
-            searches.append((pair.copy(), *args))
-            return search(problem, pair, *args)
+        def evaluated(problem, pair):
+            report = evaluate(problem, pair)
+            pairs[id(report)] = pair.copy()  # read while the report lives
+            return report
+
+        def recorded(problem, report, dy, da):
+            assert report.nodes is problem.node_blocks
+            searches.append((pairs[id(report)], report, dy, da))
+            return search(problem, report, dy, da)
 
         with monkeypatch.context() as patch:
+            patch.setattr(linearized, "residual_and_error", evaluated)
             patch.setattr(linearized, "line_search", recorded)
             linearized_minimize(problem)
         assert searches
         floor = 1e-15 * np.linalg.norm(problem.a_ll) ** 2
-        for args in searches:
-            g, g0 = line_objective(problem, *args)
-            want = direct_line_objective(problem, *args)
+        for pair, report, dy, da in searches:
+            g, g0 = line_objective(problem, report, dy, da)
+            want = direct_line_objective(problem, pair, report,
+                                         report.unstack(dy)[: problem.n_interior],
+                                         report.unstack(da))
             assert g0 == g(0.0)
             for alpha in LINE_SEARCH_ABSCISSAE:
                 assert g(alpha) == pytest.approx(want(alpha), rel=1e-12, abs=floor)
@@ -1438,7 +1560,7 @@ class TestLineSearch:
         report, split, system = linearized_phases(problem, pair)
         da, _ = solve_for_da(system)
         dy = compute_dy(report, da, split)
-        alpha, err = line_search(problem, pair, report, dy, da)
+        alpha, err = line_search(problem, report, dy, da)
         assert 0.0 < alpha <= 4.0
         assert err < report.norm
 
@@ -1448,7 +1570,7 @@ class TestLineSearch:
         zero_dy = np.zeros((problem.n_interior, problem.n_local))
         zero_da = np.zeros((problem.n_local,) * 2)
         report = residual_and_error(problem, pair)
-        alpha, err = line_search(problem, pair, report, zero_dy, zero_da)
+        alpha, err = line_search(problem, report, zero_dy, zero_da)
         assert alpha == 0.0
         assert err == pytest.approx(math.sqrt(8.0), rel=1e-12)
 
@@ -1629,13 +1751,10 @@ class TestSharedLoop:
         trace = minimize(problem, MinimizeOptions(max_iter=30))[1]
         assert trace.n_steps > 3
         assert len(calls) == len(trace.iterations)
-        # Where the problem has no node blocks (m = 3 and the supernode),
-        # g(0) is read from the report, never evaluated again; where it has
-        # them (m = 6), line_objective evaluates it once per line search,
-        # and the line search never does.
-        has_blocks = problem.node_blocks is not None
+        # g(0) is read from the report, never evaluated again, whether the
+        # problem has node blocks (m = 6) or not (m = 3 and the supernode).
         assert alphas and alphas.count(0.0) == 0
-        assert at_zero == [has_blocks] * len(at_zero)
+        assert at_zero == [0] * len(at_zero)
 
 
 class TestOneBlasThread:
