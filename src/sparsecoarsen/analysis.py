@@ -23,9 +23,8 @@ from .linearized import (
     MinimizeOptions,
     NormalSystem,
     build_normal_system,
+    cut_spectrum,
     linearized_minimize,
-    merged_spectrum,
-    null_cut,
     split_spaces,
 )
 from .transform import condition_of_y, interior_scaling, residual_and_error
@@ -88,29 +87,32 @@ class SweepRecord:
 def spectrum_at(problem, pair):
     """(sigma, diagnostics) of the dA normal system at the given state.
 
-    sigma is the descending spectrum of every reflection block merged
-    (NormalSystem.eigh() and eigvals()) and diagnostics what null_cut makes
-    of it.  The state is assembled, with no pins, into a NormalSystem of
-    its own over lattice.reflection_blocks and solved there, so the gauge's
-    null values stay in sigma.  N is block diagonal there only where the
-    reflections map the state onto itself (LocalProblem.reflection_invariant);
-    any other state is solved in the one identity block.  The split reads
-    node coordinates where problem.node_blocks is None.  Where the step at
-    this state pins nothing (linearized.gauge_pins), diagnostics is the
-    record it puts in its trace; where it pins, the null_dim is the same
-    wherever the cut drops the gauge alone, but the other fields read the
-    unpinned spectrum.
+    sigma is the descending spectrum of every reflection block merged and
+    diagnostics what the null cut makes of it (linearized.cut_spectrum, as
+    a step reads it).  The state is assembled, with no pins, into a
+    NormalSystem of its own over lattice.reflection_blocks and solved
+    there, so the gauge's null values stay in sigma.  N is block diagonal
+    there only where the reflections map the state onto itself
+    (LocalProblem.reflection_invariant); any other state is solved under
+    the identity alone.  The split reads node coordinates where
+    problem.node_blocks is None.  Where the step at this state pins nothing
+    (linearized.gauge_pins), diagnostics is the record it puts in its
+    trace; where it pins, the null_dim is the same wherever the cut drops
+    the gauge alone, but the other fields read the unpinned spectrum.  A
+    library solve's LinAlgError is raised as a NumericalFailure, as a
+    minimization raises it, and so is a non-finite spectrum.
     """
-    report = residual_and_error(problem, pair)
-    split = split_spaces(problem, report)
-    n = problem.target_pattern.n_entries
-    invariant = problem.reflection_invariant((report.y, pair.a_tilde))
-    system = NormalSystem(n, problem.n_local, reflection_blocks(problem) if invariant else None)
-    build_normal_system(problem, report, split, system)
-    u, s, _ = system.eigh()
-    rest = system.eigvals()
-    return (merged_spectrum(s, rest),
-            null_cut(u, s, system.blocks[0].project(system.rhs), rest=rest))
+    try:
+        report = residual_and_error(problem, pair)
+        split = split_spaces(problem, report)
+        n = problem.target_pattern.n_entries
+        invariant = problem.reflection_invariant((report.y, pair.a_tilde))
+        system = NormalSystem(n, problem.n_local, reflection_blocks(problem) if invariant else None)
+        build_normal_system(problem, report, split, system)
+        sigma, diagnostics, _, _ = cut_spectrum(system)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(str(exc)) from exc
+    return sigma, diagnostics
 
 
 def spatial_decay(problem, pair):

@@ -16,14 +16,18 @@ rule on supernode coordinates (stated there).  A
 SparsityPattern owns the free-value map: its free values, one per
 positions() entry, are the unknowns of A~ and dA, and embed and
 multiplicity say how they fill the symmetric matrix.  gauge_basis states
-the gauge directions of dA in those coordinates.  orbit_blocks splits
-items that the reflections about the decoupled node permute into the
-character blocks of that group: reflection_blocks applies it to the free
-values, and LocalProblem.node_blocks (NodeBlocks) to the region's nodes.
+the gauge directions of dA in those coordinates.  OrbitStacks is the one
+place a matrix is put into the character blocks of the reflections about
+the decoupled node: it holds the orbits of the items they permute and
+forms the blocks, as one zero-padded stack, from the matrix's rows at each
+orbit's least member.  reflection_blocks builds it over the free values,
+or over the identity alone where the reflections do not map them, and
+LocalProblem.node_blocks (NodeBlocks) over the region's nodes.
 Node blocks exist only where the split and the line search read them: in
 scalar regions of BLOCKS_MIN_NODES nodes or more.  Elsewhere node_blocks is None.
 """
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
@@ -309,94 +313,103 @@ INVARIANCE_TOL = 1e-12
 BLOCKS_MIN_NODES = 80
 
 
-@dataclass(frozen=True, eq=False)
-class SymmetryBlock:
-    """One character block of an orthonormal basis of n items (orbit_blocks).
+class OrbitStacks:
+    """The orbits of a group of item permutations, and its character blocks as one stack.
 
-    The items are the unknowns (reflection_blocks) or the nodes
-    (NodeBlocks).  Column b holds weights[b, t] at item members[b, t],
-    t < width: the orbit sum sum_g chi(g) e_(g k) / sqrt(|orbit|) over the
-    orbit of its least member k = members[b, 0], one term per orbit member;
-    a member that repeats in a row has weight 0.  norms[b] is sqrt(|orbit|).
+    OrbitStacks(images) takes the group's (order, n) item permutations, the
+    identity first: K's four in REFLECTIONS' order, over the nodes or the
+    unknowns, or the identity alone.  The orthonormal basis is the orbit
+    sums sum_g chi(g) e_(g k), normalized, over the orbit O of each least
+    member k, one per character chi (CHARACTERS, or the identity's one)
+    that is 1 on k's stabilizer: a node on an axis lies in two of K's
+    blocks, the decoupled node in one.  A matrix M that commutes with the
+    group, M[g k, g k'] = M[k, k'], is block diagonal in this basis
+    (Faessler & Stiefel, Group Theoretical Methods and Their Applications,
+    1992).
+
+    least holds each orbit's least member, members its images
+    (images[:, least]) and norms sqrt|O|; item i is members[element[i],
+    orbit[i]].  orbits[c] lists block c's orbits, ascending, and sizes
+    their counts; the first block, the trivial one, has every orbit.
+    combine forms the blocks B_c^T M B_c, zero-padded to shape = (n_c, n0,
+    n0), from M's rows at the least members alone: entry (a, b) is
+    half_norms[c, a] half_norms[c, b] sum_g chi_c(g) M[k_a, g k_b], where
+    half_norms is sqrt|O| / sqrt(order).  project and expand are B^T and B
+    of the trivial block.  Every array is read-only.
     """
 
-    members: np.ndarray  # (n_block, width) intp
-    weights: np.ndarray  # (n_block, width)
-    norms: np.ndarray  # (n_block,)
-
-    @classmethod
-    def identity(cls, n):
-        """The one block of the group {e}: unknown b alone, with weight 1."""
-        return cls(np.arange(n)[:, None], np.ones((n, 1)), np.ones(n))
-
-    def __len__(self):
-        return len(self.members)
-
-    def project(self, x):
-        """B^T x: the coordinates in this block of x over the items."""
-        out = self.weights[:, 0] * x[self.members[:, 0]]
-        for t in range(1, self.members.shape[1]):
-            out += self.weights[:, t] * x[self.members[:, t]]
-        return out
+    def __init__(self, images):
+        self.images = images
+        order, self.n = images.shape
+        self.least = np.flatnonzero(images.min(axis=0) == np.arange(self.n))
+        self.members = images[:, self.least]
+        stabilizer = self.members == self.least
+        self.norms = np.sqrt(order / stabilizer.sum(axis=0))
+        characters = CHARACTERS if order > 1 else np.ones((1, 1))
+        self.orbits = tuple(np.flatnonzero(~np.any(stabilizer & (chi[:, None] < 0), axis=0))
+                            for chi in characters)
+        self.sizes = tuple(map(len, self.orbits))
+        self.shape = (len(characters), self.sizes[0], self.sizes[0])
+        self.sums_shape = (len(self.least), order, len(self.least))
+        self._padded = np.zeros(self.shape[:2], dtype=np.intp)  # each block's orbits
+        self.half_norms = np.zeros(self.shape[:2])  # 0 on the padding
+        for c, orbits in enumerate(self.orbits):
+            self._padded[c, : len(orbits)] = orbits
+            self.half_norms[c, : len(orbits)] = self.norms[orbits] / math.sqrt(order)
+        self.orbit = np.empty(self.n, dtype=np.intp)
+        self.element = np.empty(self.n, dtype=np.intp)
+        for g in range(order - 1, -1, -1):  # e last, where it fixes an item
+            self.orbit[self.members[g]] = np.arange(len(self.least))
+            self.element[self.members[g]] = g
+        for a in [images, self.least, self.members, self.norms, *self.orbits,
+                  self.half_norms, self.orbit, self.element]:
+            a.flags.writeable = False
 
     @cached_property
-    def _pairs(self):
-        """(column, item, weight) of each nonzero term, by column: each item's one term."""
-        column, t = np.nonzero(self.weights)  # a repeated member has weight 0
-        return column, self.members[column, t], self.weights[column, t]
+    def pick(self):
+        """Each block entry's flat index among the sums; the padding's is one past them."""
+        order, n_orbits = self.sums_shape[1:]
+        pick = ((self._padded[:, :, None] * order + np.arange(self.shape[0])[:, None, None])
+                * n_orbits + self._padded[:, None, :])
+        pick[(self.half_norms[:, :, None] * self.half_norms[:, None, :]) == 0.0] = \
+            math.prod(self.sums_shape)
+        pick.flags.writeable = False
+        return pick
 
-    def expand(self, coeffs, n):
-        """B c: the n items of these block coordinates, zero off the block.
+    def combine(self, sums, out):
+        """The blocks, into out, of sums[a, g, b] = M[k_a, g k_b] (sums_shape); returns out.
 
-        coeffs may be a stack of coordinate rows, (..., k), over the block's
-        first k columns; each row is expanded.
+        The sums are overwritten with K's character sums.  Under the
+        identity, M is its one block, and sums is out's own memory.
         """
-        column, item, weight = self._pairs
-        end = np.searchsorted(column, coeffs.shape[-1])  # the first k columns' terms
-        x = np.zeros(coeffs.shape[:-1] + (n,))
-        x[..., item[:end]] = coeffs[..., column[:end]] * weight[:end]
-        return x
+        if len(self.members) == 1:
+            return out
+        _character_sums(sums)
+        sums.take(self.pick, out=out, mode="clip")  # the padding reads the last, times 0
+        out *= self.half_norms[:, :, None]
+        out *= self.half_norms[:, None, :]
+        return out
 
+    def project(self, x):
+        """B^T x: x's coordinates in the trivial block; under the identity, x's bits (-0.0 too)."""
+        out = x.take(self.members[0])
+        for members in self.members[1:]:
+            out += x.take(members)
+        out *= self.norms / len(self.members)
+        return out
 
-def orbit_blocks(images):
-    """The orthonormal orbit-sum basis of n items under K, split into K's character blocks.
-
-    images is K's (4, n) permutation of the items, in REFLECTIONS' order.
-    Returns four SymmetryBlocks, the trivial character's first, each orbit
-    sum in the blocks of the characters that are 1 on its stabilizer; an
-    item fixed by a reflection, as a node on an axis is, lies in two
-    blocks, or in one where K fixes it.  Within a block, the orbits are in
-    the order of their least members.  A matrix that commutes with K is
-    block diagonal in this basis (Faessler & Stiefel, Group Theoretical
-    Methods and Their Applications, 1992).
-    """
-    n = images.shape[1]
-    least = np.flatnonzero(images.min(axis=0) == np.arange(n))
-    members = images[:, least]
-    first = np.ones(members.shape, dtype=bool)  # member g is not one of g' < g
-    for g in range(1, len(members)):
-        first[g] = np.all(members[g] != members[:g], axis=0)
-    norms = np.sqrt(first.sum(axis=0))
-    stabilizer = members == least
-    blocks = []
-    for chi in CHARACTERS:
-        inside = ~np.any(stabilizer & (chi[:, None] < 0), axis=0)
-        weights = np.where(first, chi[:, None], 0.0)[:, inside] / norms[inside]
-        blocks.append(SymmetryBlock(np.ascontiguousarray(members[:, inside].T),
-                                    np.ascontiguousarray(weights.T), norms[inside]))
-    return tuple(blocks)
+    def expand(self, coeffs):
+        """B c: the items of the trivial block's coordinates c."""
+        return coeffs[self.orbit] / self.norms[self.orbit]
 
 
 def reflection_blocks(problem, free=None):
-    """The unknowns' orthonormal basis, split into K's character blocks.
+    """The unknowns' OrbitStacks: under K where it maps them onto themselves, else the identity.
 
     The unknowns are the target pattern's free values, or those in `free`
-    (ascending) alone, numbered in their order.  Returns a tuple of
-    SymmetryBlock, the trivial character's first: where K maps the problem
-    (LocalProblem.reflection_images) and the unknowns onto themselves,
-    orbit_blocks' four; else the one block of {e}.  The normal matrix of a
-    reflection-invariant state commutes with K, so it is block diagonal in
-    this basis.
+    (ascending) alone, numbered in their order; a pinned set that splits an
+    orbit of K (LocalProblem.reflection_images) leaves the identity.  The
+    normal matrix of a reflection-invariant state commutes with K.
     """
     n = problem.target_pattern.n_entries if free is None else len(free)
     images = problem.reflection_images
@@ -406,9 +419,7 @@ def reflection_blocks(problem, free=None):
         images = position[images[:, free]]
         if np.any(images < 0):  # the pins split an orbit
             images = None
-    if images is None:
-        return (SymmetryBlock.identity(n),)
-    return orbit_blocks(images)
+    return OrbitStacks(np.arange(n)[None] if images is None else images)
 
 
 class NodeBlocks:
@@ -416,78 +427,41 @@ class NodeBlocks:
 
     NodeBlocks(perms, n_interior, a_ll, invariant) takes K's (4, n_local)
     node permutations and check (LocalProblem.node_reflections and
-    reflection_invariant).  blocks is orbit_blocks over the nodes;
-    interior[c] counts block c's interior orbits, which come first, since
-    the interior nodes do.
-
-    An n_local x n_local matrix M that K maps onto itself, M[g k, g k'] =
-    M[k, k'], is block diagonal in this basis, and stack holds its blocks
-    M_c = B_c^T M B_c, zero-padded to (4, n0, n0) for the largest block's
-    n0.  Since M commutes with K, entry (a, b) is
-    sqrt|O_a| sqrt|O_b| / 4 sum_g chi_c(g) M[k_a, g k_b] for the least
-    members k_a, k_b of the orbits O_a, O_b of columns a and b: stack
-    gathers M[k, g k'] over every pair of orbits and each g, forms K's four
-    character sums from them, and picks each block's pairs.  As that reads
-    only the rows at least members, stack returns None, for the caller to
-    read node coordinates, where invariant rejects a matrix.  unstack is
-    its inverse: the character sums of the blocks' entries, over
-    sqrt|O_a| sqrt|O_b|, give M[k_a, g k_b] (the four characters are
-    orthogonal), and M[h k_a, k'] = M[k_a, h k'] every other entry.  a_ll
-    is A_LL's blocks.  Every array is read-only.
+    reflection_invariant).  orbits is their OrbitStacks; interior[c] counts
+    block c's interior orbits, which come first, as the interior nodes do.
+    stack gathers n_local x n_local matrices M at the least members' rows,
+    M[k, g k'], and combines them (OrbitStacks.combine).  As that reads
+    only those rows, stack returns None, for the caller to read node
+    coordinates, where invariant rejects a matrix.  unstack is its inverse: the
+    character sums of the blocks' entries, over sqrt|O_a| sqrt|O_b|, give
+    M[k_a, g k_b] (the four characters are orthogonal), and M[h k_a, k'] =
+    M[k_a, h k'] every other entry.  a_ll is A_LL's blocks.  Every array
+    is read-only.
     """
 
     def __init__(self, perms, n_interior, a_ll, invariant):
         n = len(a_ll)
         self.invariant = invariant
-        self.blocks = orbit_blocks(perms)
-        self.interior = tuple(int(np.sum(b.members[:, 0] < n_interior)) for b in self.blocks)
-        n0 = max(map(len, self.blocks))
-        least = self.blocks[0].members[:, 0]  # each orbit's least member: the trivial block has all
-        n_orbits = len(least)
-        # stack's flat indices: of M[k, g k'] for least members k, k', and of
-        # each block's orbit pairs among the character sums, with their
-        # sqrt|O| / 2; the padding picks one past the sums, where unstack
-        # puts it, and its sqrt|O| / 2 is 0
-        self._gather = least[:, None] * n + perms[:, least][:, None, :]
-        orbits = np.zeros((len(self.blocks), n0), dtype=np.intp)
-        self._half_norms = np.zeros((len(self.blocks), n0))
-        for c, block in enumerate(self.blocks):
-            orbits[c, : len(block)] = np.searchsorted(least, block.members[:, 0])
-            self._half_norms[c, : len(block)] = 0.5 * block.norms
-        self._pick = ((np.arange(len(self.blocks))[:, None, None] * n_orbits + orbits[:, :, None])
-                      * n_orbits + orbits[:, None, :])
-        self._pick[(self._half_norms[:, :, None] * self._half_norms[:, None, :]) == 0.0] = \
-            self._gather.size
-        self._inv_norms = np.divide(0.5, self._half_norms, out=np.zeros_like(self._half_norms),
-                                    where=self._half_norms > 0.0)
-        # unstack's: node i = g k for the least member k of orbit[i] and g = element[i]
-        self._perms, self._least = perms, least
-        self._orbit = np.empty(n, dtype=np.intp)
-        self._element = np.empty(n, dtype=np.intp)
-        for g in range(len(perms) - 1, -1, -1):  # e last, where it fixes a node
-            self._orbit[perms[g, least]] = np.arange(n_orbits)
-            self._element[perms[g, least]] = g
+        self.orbits = orbits = OrbitStacks(perms)
+        self.interior = tuple(int(np.sum(orbits.least[o] < n_interior)) for o in orbits.orbits)
+        # stack's flat indices, of M[k, g k'] for least members k, k'
+        self._gather = orbits.least[:, None, None] * n + orbits.members[None]
         self.a_ll = self.stack((a_ll,))[0]  # node_reflections checked A_LL's invariance
-        for a in [self.a_ll, self._gather, self._half_norms, self._pick, self._inv_norms,
-                  self._orbit, self._element]:
+        for a in [self.a_ll, self._gather]:
             a.flags.writeable = False
 
     def stack(self, matrices, beside=()):
         """The (len(matrices), 4, n0, n0) blocks of square matrices, or None for one not invariant.
 
         The check reads the matrices beside them too, at the tolerance of
-        the largest of all: a step is checked beside its state's Y, so that
+        the largest of all: a step is checked beside its state's A~, so that
         the rounding of a step near zero passes.
         """
         if not self.invariant((*matrices, *beside)):
             return None
-        out = np.empty((len(matrices),) + self._pick.shape)
+        out = np.empty((len(matrices),) + self.orbits.shape)
         for matrix, blocks in zip(matrices, out):
-            m = matrix.take(self._gather)  # M[k, g k'], g in REFLECTIONS' order
-            _character_sums(m)
-            m.take(self._pick, out=blocks, mode="clip")  # the padding reads the last, times 0
-        out *= self._half_norms[:, :, None]
-        out *= self._half_norms[:, None, :]
+            self.orbits.combine(matrix.take(self._gather), out=blocks)
         return out
 
     def unstack(self, blocks, at=None):
@@ -495,40 +469,44 @@ class NodeBlocks:
 
         stack's inverse; `at` is (rows, cols), index arrays of one shape.
         """
+        orbits = self.orbits
         sums = np.zeros(self._gather.size + 1)  # and one past them, for the padding
-        scaled = blocks * self._inv_norms[:, :, None]
-        scaled *= self._inv_norms[:, None, :]
-        sums[self._pick] = scaled
+        inv_norms = np.divide(0.5, orbits.half_norms, out=np.zeros(orbits.shape[:2]),
+                              where=orbits.half_norms > 0.0)
+        scaled = blocks * inv_norms[:, :, None]
+        scaled *= inv_norms[:, None, :]
+        sums[orbits.pick] = scaled
         del scaled
         sums = sums[:-1].reshape(self._gather.shape)
-        _character_sums(sums)  # M[k_a, g k_b] at [g, a, b]
+        _character_sums(sums)  # M[k_a, g k_b] at [a, g, b]
+        n_orbits = len(orbits.least)
         if at is not None:  # M[h k_a, j] = M[k_a, h j]
             rows, cols = at
-            moved = self._perms[self._element[rows], cols]
-            return sums.take((self._element[moved] * len(self._least) + self._orbit[rows])
-                             * len(self._least) + self._orbit[cols])
-        out = np.empty((len(self._perms[0]),) * 2)
+            moved = orbits.images[orbits.element[rows], cols]
+            return sums.take((orbits.orbit[rows] * 4 + orbits.element[moved]) * n_orbits
+                             + orbits.orbit[cols])
+        out = np.empty((orbits.n,) * 2)
         out.ravel()[self._gather] = sums
-        rows = out[self._least]
-        for perm in self._perms[1:]:
-            out[perm[self._least]] = rows.take(perm, axis=1)
+        rows = out[orbits.least]
+        for image, members in zip(orbits.images[1:], orbits.members[1:]):
+            out[members] = rows.take(image, axis=1)
         return out
 
 
 def _character_sums(m):
-    """K's four character sums of m[g], g in REFLECTIONS' order, in place, in CHARACTERS' order.
+    """K's four character sums of m[:, g], g in REFLECTIONS' order, in place, in CHARACTERS' order.
 
     The sums are plus_e + plus_Fy, minus_e + minus_Fy, plus_e - plus_Fy and
-    minus_e - minus_Fy, where plus_g and minus_g are m[g] +- m[g Fx].
+    minus_e - minus_Fy, where plus_g and minus_g are m[:, g] +- m[:, g Fx].
     CHARACTERS is symmetric, so applied twice this gives 4 m.
     """
-    minus = m[0::2] - m[1::2]
-    np.add(m[0::2], m[1::2], out=m[0::2])
-    np.add(minus[0], minus[1], out=m[1])
-    np.subtract(minus[0], minus[1], out=m[3])
-    np.subtract(m[0], m[2], out=minus[0])
-    np.add(m[0], m[2], out=m[0])
-    m[2] = minus[0]
+    minus = m[:, 0::2] - m[:, 1::2]
+    np.add(m[:, 0::2], m[:, 1::2], out=m[:, 0::2])
+    np.add(minus[:, 0], minus[:, 1], out=m[:, 1])
+    np.subtract(minus[:, 0], minus[:, 1], out=m[:, 3])
+    np.subtract(m[:, 0], m[:, 2], out=minus[:, 0])
+    np.add(m[:, 0], m[:, 2], out=m[:, 0])
+    m[:, 2] = minus[:, 0]
 
 
 def stencil(coords, lam):

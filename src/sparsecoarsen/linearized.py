@@ -42,20 +42,22 @@ the gauge alone, that is the unpinned min-norm step in exact arithmetic.
 A scalar region, its pattern and A_LL are invariant under the reflections
 x -> -x and y -> -y about the decoupled node, and so are the iterates: the
 initial guess is, and a step from an invariant state is.  N then commutes
-with the reflection group K, and in the orthonormal basis of orbit sums
-that lattice.reflection_blocks builds it splits into four blocks, one per
-character of K, of about n/4 unknowns each (Faessler & Stiefel, 1992).
-The rhs is invariant, so it lies in the trivial character's block: dA is
-solved there alone, through that block's eigenvectors, and the other three
-blocks are solved for their eigenvalues only.  The cut and every
+with the reflection group K, and in the orthonormal basis of orbit sums of
+the unknowns it splits into four blocks, one per character of K, of about
+n/4 unknowns each (Faessler & Stiefel, 1992).  The unknowns'
+lattice.OrbitStacks (lattice.reflection_blocks) forms them from N's rows
+at each orbit's least member, as it forms the node blocks (below).  The
+rhs is invariant, so it lies in the trivial character's block: dA is
+solved there alone, through that block's eigenvectors, and the other
+three blocks are solved for their eigenvalues only.  The cut and every
 SolveDiagnostics field read the four spectra merged, which is N's spectrum
 to rounding.  The unknowns are the pinned system's, or every free value
 where nothing is pinned (lambda = 4, where A~'s diagonal is near zero).
 Where K does not map the problem and the unknowns onto themselves (every
 supernode region, whose decoupled node is a supernode's corner, and a
-pinned set that splits an orbit) the basis is the one identity block, and
-the same code assembles and solves N itself, bit for bit the full system.
-The blocks' eigensolves cost about 1/16 of N's: a scalar m = 10 step's dA
+pinned set that splits an orbit) the group is the identity alone, whose
+one block is N itself, bit for bit the full system.  The blocks'
+eigensolves cost about 1/16 of N's: a scalar m = 10 step's dA
 solve went from 24.5 to 3.9 ms (x86_64, one BLAS thread).
 
 Every product of a step works in the same way on the region's nodes.  K
@@ -90,9 +92,10 @@ of 5; per step, node coordinates -> blocks: residual 1.0 -> 0.5, split 2.4
 
 A NormalSystem owns the buffers of the normal equations and holds the
 state last assembled into it (build_normal_system).  solve_for_da and
-analysis.spectrum_at each solve it in place (eigh() on the first block,
-LAPACK's dsyevd, and eigvals() on the others) and cut the merged spectrum
-with null_cut, the one place the cut is made, into the SolveDiagnostics
+analysis.spectrum_at read it through one body, cut_spectrum: it solves the
+system in place (eigh() on the first block, LAPACK's dsyevd, and eigvals()
+on the others) and cuts the merged spectrum with null_cut, the one place
+the cut is made, into the SolveDiagnostics
 the trace records as a state's `solve`: its null_dim counts the pins plus
 the cut, and its condition numbers are the pinned system's.  spectrum_at
 never pins.  A minimization makes one NormalSystem, in its state's
@@ -117,7 +120,7 @@ trace's stop_reason:
   be this one and would repeat this step's bits;
 - max_iter: max_iter steps were taken;
 - failed: a NumericalFailure is raised, with the partial trace attached; a
-  library solve's LinAlgError is raised as one, and solve_for_da raises one
+  library solve's LinAlgError is raised as one, and cut_spectrum raises one
   on a non-finite spectrum.
 
 The stop rules read the errors but never enter the arithmetic of a step, so
@@ -143,7 +146,7 @@ import numpy as np
 
 from .blas import find_dsyevd, single_thread
 from .errors import NumericalFailure
-from .lattice import SymmetryBlock, gauge_basis, reflection_blocks
+from .lattice import OrbitStacks, gauge_basis, reflection_blocks
 from .transform import (initial_guess, objective_gradient, residual_and_error,
                         symmetrized)
 
@@ -281,50 +284,48 @@ def gauge_pins(problem, a_tilde):
 class NormalSystem:
     """The dA normal equations, in buffers made once and reused for each state.
 
-    NormalSystem(n, n_local, blocks) has n unknowns, in the basis of blocks
-    (lattice.reflection_blocks: a tuple of SymmetryBlock, the trivial
-    character's first), or of the one identity block by default.
-    build_normal_system assembles a state into the system, over the last
-    one: each block's B^T N B into matrix (the first block) and others
-    (the rest), and rhs over the n unknowns, pattern (the target
-    SparsityPattern: it owns the map of the free values into dA), pins
-    (the GaugePins the state was assembled with, whose free values are the
-    unknowns; None when they all are) and expected_null (the problem's
-    gauge_dim when A~ had full rank, else None).  eigh() solves the first
-    block in place, so matrix holds it until then and its eigenvectors
-    after; eigvals() solves the others for their eigenvalues alone.
-    Nothing is cached, so call each once per assembly.
+    NormalSystem(n, n_local, orbits) has n unknowns, in the character
+    blocks of their OrbitStacks (lattice.reflection_blocks), by default of
+    the identity alone.  build_normal_system assembles a state into it,
+    over the last one: B_c^T N B_c into blocks, one zero-padded stack
+    (OrbitStacks.shape) whose first block, the trivial one, is matrix; rhs
+    over the n unknowns; pattern (the target SparsityPattern, which embeds
+    the free values into dA); pins (the GaugePins the state was assembled
+    with, whose free values are the unknowns, or None) and expected_null
+    (the problem's gauge_dim when A~ had full rank, else None).  eigh()
+    solves matrix in place, so it holds the block until then and its
+    eigenvectors after; eigvals() solves the others for their eigenvalues
+    alone.  Nothing is cached, so call each once per assembly.
 
-    With the one identity block, matrix is N itself.  N is exactly
-    symmetric, so the C-ordered matrix is N in column-major order too; a
-    block of reflection blocks is symmetric to the state's symmetry defect,
-    and both solvers read the same triangle of it.  eigh() runs numpy's own
-    dsyevd (blas.find_dsyevd) on it, as np.linalg.eigh calls it: the
-    eigenvalues land in w, the eigenvectors overwrite matrix, and the bits
-    are eigh's.  The work arrays are sized by dsyevd's own query, as eigh
-    sizes them: the bits depend on the blocking, and the blocking on lwork.
-    Without the binding, eigh() calls np.linalg.eigh on matrix, and work
-    has LAPACK's minimum size, 1 + 6 n0 + 2 n0^2 for the n0 unknowns of
-    the first block.
+    Under the identity, matrix is N itself.  N is exactly symmetric, so the
+    C-ordered matrix is N in column-major order too; a block of K's is
+    symmetric to the state's symmetry defect, and both solvers read the
+    same triangle of it.  eigh() runs numpy's own dsyevd (blas.find_dsyevd)
+    on it, as np.linalg.eigh calls it: the eigenvalues land in w, the
+    eigenvectors overwrite matrix, and the bits are eigh's.  The work
+    arrays are sized by dsyevd's own query, as eigh sizes them: the bits
+    depend on the blocking, and the blocking on lwork.  Without the
+    binding, eigh() calls np.linalg.eigh on matrix, and work has LAPACK's
+    minimum size, 1 + 6 n0 + 2 n0^2.
 
-    work is the one n0^2-sized scratch: it holds G's gathers for one block
-    at a time before the solve, dsyevd's work during it and the sort's
-    gather after it.  The gathers of a region of n_local nodes are
-    2 n_local doubles per column of the block: G's columns for the identity
-    block, G's rows at the least members for the others.  If they do not
-    fit, work is made that long, and dsyevd still gets the queried lwork.
+    work is the one n0^2-sized scratch: it holds G's gathers before the
+    solve, dsyevd's work during it and the sort's gather after it.  The
+    gathers of a region of n_local nodes are 2 n_local doubles per orbit of
+    the unknowns: G's columns at every unknown under the identity, G's rows
+    at the least members under K.  If they do not fit, work is made that
+    long, and dsyevd still gets the queried lwork.
     """
 
-    def __init__(self, n, n_local=0, blocks=None):
+    def __init__(self, n, n_local=0, orbits=None):
         self.n = n
-        self.blocks = (SymmetryBlock.identity(n),) if blocks is None else blocks
-        if sum(map(len, self.blocks)) != n:
-            raise ValueError(f"blocks of {[len(b) for b in self.blocks]} unknowns for {n}")
-        n0 = len(self.blocks[0])
-        self.matrix = np.empty((n0, n0))
-        self.others = [np.empty((len(b), len(b))) for b in self.blocks[1:]]
+        self.orbits = OrbitStacks(np.arange(n)[None]) if orbits is None else orbits
+        if self.orbits.n != n:
+            raise ValueError(f"orbit stacks of {self.orbits.n} unknowns for {n}")
+        self.blocks = np.empty(self.orbits.shape)
+        self.matrix = self.blocks[0]
+        n0 = len(self.matrix)
         self.rhs = self.pattern = self.expected_null = self.pins = None
-        gathers = 2 * n_local * max(map(len, self.blocks))
+        gathers = 2 * n_local * len(self.orbits.least)
         self._dsyevd = find_dsyevd()
         if self._dsyevd is None:
             self.work = np.empty(max(1 + 6 * n0 + 2 * n0 * n0, gathers))
@@ -374,13 +375,9 @@ class NormalSystem:
 
         eigvalsh reads the triangle eigh() reads, on either path.
         """
-        return np.abs(np.concatenate([np.linalg.eigvalsh(b.T) for b in self.others]
-                                     or [np.empty(0)]))
-
-
-def merged_spectrum(s, rest):
-    """The descending merge of one block's descending spectrum s and the others' values rest."""
-    return s if len(rest) == 0 else np.sort(np.concatenate((s, rest)))[::-1]
+        sizes = self.orbits.sizes[1:]
+        return np.abs(np.concatenate([np.linalg.eigvalsh(b[:k, :k].T)
+                                      for b, k in zip(self.blocks[1:], sizes)] or [np.empty(0)]))
 
 
 def _null_count(s, top):
@@ -389,7 +386,7 @@ def _null_count(s, top):
 
 
 def null_cut(u, s, rhs, pinned=0, rest=()):
-    """The SolveDiagnostics of a solved block's (u, s, rhs) and the other blocks' values rest.
+    """The null cut of a solved block's (u, s, rhs) and the other blocks' values rest.
 
     s is descending with u's columns (NormalSystem.eigh) and rhs is in the
     block's coordinates; rest holds the other blocks' |eigenvalues|
@@ -399,26 +396,47 @@ def null_cut(u, s, rhs, pinned=0, rest=()):
     and the `pinned` free values the system was solved without, and the
     condition numbers, NaN when everything is null, read the merged
     spectrum too.  rhs_null_component is the norm of rhs in the block's
-    null directions: rhs lies in the trivial block.
+    null directions: rhs lies in the trivial block.  Returns the
+    SolveDiagnostics, how many of s's leading values the cut keeps, and the
+    merged spectrum, descending.
     """
-    merged = merged_spectrum(s, rest)
-    n = len(merged)
-    cut = _null_count(merged, merged[0] if n else 0.0)
+    sigma = s if len(rest) == 0 else np.sort(np.concatenate((s, rest)))[::-1]
+    n = len(sigma)
+    cut = _null_count(sigma, sigma[0] if n else 0.0)
     retained = n - cut
+    kept = len(s) - _null_count(s, sigma[0] if n else 0.0)
     rhs_norm = float(np.linalg.norm(rhs))
     if retained == 0:
-        return SolveDiagnostics(pinned + cut, 1.0 if cut else 0.0,
-                                math.nan, math.nan, rhs_norm, rhs_norm)
-    cond = float(merged[0] / merged[retained - 1])
-    kept = len(s) - _null_count(s, merged[0])
+        return (SolveDiagnostics(pinned + cut, 1.0 if cut else 0.0,
+                                 math.nan, math.nan, rhs_norm, rhs_norm), kept, sigma)
+    cond = float(sigma[0] / sigma[retained - 1])
     return SolveDiagnostics(
         null_dim=pinned + cut,
-        gap_ratio=float(merged[retained] / merged[retained - 1]) if cut else 0.0,
+        gap_ratio=float(sigma[retained] / sigma[retained - 1]) if cut else 0.0,
         cond_retained=cond,
         cond_eq7_estimate=math.sqrt(cond),
         rhs_null_component=float(np.linalg.norm(u[:, kept:].T @ rhs)),
         rhs_norm=rhs_norm,
-    )
+    ), kept, sigma
+
+
+def cut_spectrum(system):
+    """Solve the system in place (eigh(), eigvals()) and cut its spectrum (null_cut).
+
+    Returns (sigma, diagnostics, kept, rhs): the merged spectrum, the cut's
+    reading, counting system.pins, the first block's (u, s, sign) that it
+    keeps, and rhs in that block, the trivial one (OrbitStacks.project).  A
+    non-finite spectrum raises NumericalFailure: from 26 unknowns on,
+    dsyevd returns NaN eigenvalues of a NaN matrix without an error.
+    """
+    u, s, sign = system.eigh()
+    rest = system.eigvals()
+    if not (np.all(np.isfinite(s)) and np.all(np.isfinite(rest))):
+        raise NumericalFailure("the normal system's spectrum is not finite")
+    rhs = system.orbits.project(system.rhs)
+    pinned = 0 if system.pins is None else len(system.pins.pinned)
+    diagnostics, kept, sigma = null_cut(u, s, rhs, pinned, rest)
+    return sigma, diagnostics, (u[:, :kept], s[:kept], sign[:kept]), rhs
 
 
 def split_spaces(problem, report):
@@ -437,8 +455,8 @@ def split_spaces(problem, report):
     if nodes is None:
         parts = [ay[:n_i]]
     else:
-        parts = [ay[c, :n_ic, :len(block)]
-                 for c, (n_ic, block) in enumerate(zip(nodes.interior, nodes.blocks))]
+        parts = [ay[c, :n_ic, :k] for c, (n_ic, k) in enumerate(zip(nodes.interior,
+                                                                   nodes.orbits.sizes))]
     svds = [np.linalg.svd(k_c, full_matrices=True) for k_c in parts]
     top = max(s[0] for _, s, _ in svds if len(s))
     ranks = [int(np.sum(s > RANK_TOL * top)) for _, s, _ in svds]
@@ -476,15 +494,15 @@ def build_normal_system(problem, report, split, system, pins=None):
     for n unknowns.  Y and R are read from the state's report.  With pins
     (GaugePins), k and l run over the free values pins.free alone, and the
     system keeps pins for solve_for_da; without, over every free value.
-    rhs is over the unknowns; the blocks are gathered from G directly, and
-    N itself is formed only where it is the one block.
+    rhs is over the unknowns.  N's rows at the unknowns' least members are
+    gathered, N(k_a, g k_b), and OrbitStacks.combine makes the blocks.
 
     G is symmetrized first, so G_ji = G_ij^T exactly and N comes out exactly
     symmetric: each entry and its mirror are the same two products, summed.
-    Each block's gathers of G, 2 n_local doubles per column of the block, go
-    into the system's work array, which the last eigensolve there has
-    finished with.  A system of another size, or a work array too small for
-    the gathers, raises ValueError.
+    G's gathers, 2 n_local doubles per orbit, go into the system's work
+    array, which the last eigensolve there has finished with.  A system of
+    another size, or a work array too small for the gathers, raises
+    ValueError.
     """
     pattern = problem.target_pattern
     if pattern.n_entries == 0:
@@ -497,7 +515,8 @@ def build_normal_system(problem, report, split, system, pins=None):
     if system.n != n:
         raise ValueError(f"normal system of {system.n} unknowns for "
                          f"{n} unpinned pattern entries")
-    gathers_size = 2 * problem.n_local * max(map(len, system.blocks))
+    orbits, n_local = system.orbits, problem.n_local
+    gathers_size = 2 * n_local * len(orbits.least)
     if gathers_size > len(system.work):
         raise ValueError(f"G's gathers of {gathers_size} doubles do not fit in a "
                          f"work array of {len(system.work)}")
@@ -516,77 +535,61 @@ def build_normal_system(problem, report, split, system, pins=None):
     system.expected_null = problem.gauge_dim if split.rank == problem.n_interior else None
     del m
 
-    # Block entry (a, b) is sqrt|O_a| sum_t w_bt N_(k_a, l_bt): the row of
-    # a's least member k_a against b's orbit members l_bt, since N commutes
-    # with K (Faessler & Stiefel).  For free values k, l at (i, j), (i', j'),
+    # Row a of the sums is N(k_a, g k_b) over every g and b.  For free
+    # values k, l at (i, j), (i', j'),
     # N_kl = c_k c_l (G_ii' G_jj' + G_ij' G_ji') / 2 with c = multiplicity:
     # powers of two, applied rows first, so the bytes are those of one
     # multiplication by their product.  The four G factors are gathered one
-    # block of rows at a time.  The one identity block gathers G's columns
-    # first (G is symmetric, so they are the rows G_i, G_j transposed, and
-    # every gather copies contiguous rows), and its terms are N's entries
-    # bit for bit, in place; a block of orbit sums gathers G's rows at its
-    # least members first, then their orbits' columns.  Either way the
-    # products and sums are the same.
-    n_local = problem.n_local
-    for block, matrix in zip(system.blocks, [system.matrix] + system.others):
-        # member t of every column, t by t, so that the sum over t adds whole rows
-        rows, cols = block.members[:, 0], block.members.T.ravel()
-        row_idx, col_idx = (i_idx[rows], j_idx[rows]), (i_idx[cols], j_idx[cols])
-        row_scale = multiplicity[rows] * block.norms
-        col_scale = 0.5 * multiplicity[cols] * block.weights.T.ravel()
-        width = block.members.shape[1]
-        shape = (2, len(rows), n_local) if width > 1 else (2, n_local, len(cols))
-        gathers = system.work[: math.prod(shape)].reshape(shape)
-        if width > 1:
-            by_row = [g.take(r, axis=0, out=out, mode="clip") for r, out in zip(row_idx, gathers)]
-        else:
-            by_col = [g.take(c, axis=1, out=out, mode="clip") for c, out in zip(col_idx, gathers)]
+    # band of rows at a time, in place in the sums.  Under the identity the
+    # sums are N itself, and G's columns are gathered first (G is
+    # symmetric, so they are the rows G_i, G_j transposed, and every gather
+    # copies contiguous rows); under K, G's rows at the least members, then
+    # their images' columns.  Either way the products and sums are the same.
+    rows, cols = orbits.least, orbits.members.ravel()
+    row_idx, col_idx = (i_idx[rows], j_idx[rows]), (i_idx[cols], j_idx[cols])
+    by_rows = len(orbits.members) > 1
+    shape = (2, len(rows), n_local) if by_rows else (2, n_local, len(cols))
+    gathers = system.work[: math.prod(shape)].reshape(shape)
+    if by_rows:
+        by_row = [g.take(r, axis=0, out=out, mode="clip") for r, out in zip(row_idx, gathers)]
+        sums = np.empty(orbits.sums_shape)
+    else:
+        by_col = [g.take(c, axis=1, out=out, mode="clip") for c, out in zip(col_idx, gathers)]
+        sums = system.matrix
 
-        def factor(r, c, band, out=None):
-            """G at rows row_idx[r][band] and columns col_idx[c]; 0 is i, 1 is j."""
-            if width > 1:
-                return by_row[r][band].take(col_idx[c], axis=1, out=out)
-            return by_col[c].take(row_idx[r][band], axis=0, out=out)
+    def factor(r, c, band, out=None):
+        """G at rows row_idx[r][band] and columns col_idx[c]; 0 is i, 1 is j."""
+        if by_rows:
+            return by_row[r][band].take(col_idx[c], axis=1, out=out)
+        return by_col[c].take(row_idx[r][band], axis=0, out=out)
 
-        for start in range(0, len(rows), BLOCK_ROWS):
-            band = slice(start, start + BLOCK_ROWS)
-            entries = matrix[band]  # C-ordered, so the row blocks are contiguous
-            # one term per entry, as in the identity block, goes in place
-            terms = factor(0, 0, band, out=entries if width == 1 else None)  # G_ii'
-            terms *= factor(1, 1, band)  # G_jj'
-            cross = factor(0, 1, band)  # G_ij'
-            cross *= factor(1, 0, band)  # G_ji', which is G_ij'^T
-            terms += cross
-            terms *= row_scale[band, None]
-            terms *= col_scale
-            if width > 1:
-                terms.reshape(len(terms), width, len(block)).sum(axis=1, out=entries)
+    row_scale, col_scale = multiplicity[rows], 0.5 * multiplicity[cols]
+    entries = sums.reshape(len(rows), len(cols))  # C-ordered, so the bands are contiguous
+    for start in range(0, len(rows), BLOCK_ROWS):
+        band = slice(start, start + BLOCK_ROWS)
+        terms = factor(0, 0, band, out=entries[band])  # G_ii'
+        terms *= factor(1, 1, band)  # G_jj'
+        cross = factor(0, 1, band)  # G_ij'
+        cross *= factor(1, 0, band)  # G_ji', which is G_ij'^T
+        terms += cross
+        terms *= row_scale[band, None]
+        terms *= col_scale
+    orbits.combine(sums, out=system.blocks)
 
 
 def solve_for_da(system):
     """Solve the normal equations on their non-null eigenpairs; returns (dA, diagnostics).
 
     The solution is dA's free values, which system.pattern embeds.  It is
-    solved in the first block alone (system.eigh()): the state's rhs lies
-    in the trivial block.  diagnostics is null_cut's reading of every
-    block's spectrum merged (system.eigvals() gives the others'); the
-    first block's null directions are dropped from the solution, and
-    null_dim counts the pins too.  A pinned system's solution is zero at
-    the pins and then projected off the gauge (GaugePins.unpin).  A warning
-    is emitted when the detected null dimension disagrees with the gauge
-    count expected_null (only meaningful when A~ had full rank).  A
-    non-finite spectrum raises NumericalFailure: from 26 unknowns on,
-    dsyevd returns NaN eigenvalues of a NaN matrix without an error.
+    solved in the first block alone, on the eigenpairs that cut_spectrum
+    keeps: the state's rhs lies in the trivial block.  diagnostics is
+    null_cut's reading of every block's spectrum merged, and null_dim
+    counts the pins too.  A pinned system's solution is zero at the pins
+    and then projected off the gauge (GaugePins.unpin).  A warning is
+    emitted when the detected null dimension disagrees with the gauge count
+    expected_null (only meaningful when A~ had full rank).
     """
-    u, s, sign = system.eigh()
-    rest = system.eigvals()
-    if not (np.all(np.isfinite(s)) and np.all(np.isfinite(rest))):
-        raise NumericalFailure("the normal system's spectrum is not finite")
-    trivial = system.blocks[0]
-    rhs = trivial.project(system.rhs)
-    pinned = 0 if system.pins is None else len(system.pins.pinned)
-    diagnostics = null_cut(u, s, rhs, pinned, rest)
+    _, diagnostics, (u, s, sign), rhs = cut_spectrum(system)
     if system.expected_null is not None and diagnostics.null_dim != system.expected_null:
         warnings.warn(
             f"detected null dimension {diagnostics.null_dim} != gauge count "
@@ -595,10 +598,8 @@ def solve_for_da(system):
             stacklevel=2,
         )
 
-    retained = len(s) - _null_count(s, max(s.max(initial=0.0), rest.max(initial=0.0)))
-    proj = u[:, :retained].T @ rhs
-    coeffs = trivial.expand(u[:, :retained] @ (proj / s[:retained] * sign[:retained]),
-                            len(system.rhs))
+    proj = u.T @ rhs
+    coeffs = system.orbits.expand(u @ (proj / s * sign))
     if system.pins is not None:
         coeffs = system.pins.unpin(coeffs)
     return system.pattern.embed(coeffs), diagnostics
@@ -842,8 +843,8 @@ def linearized_minimize(problem, opts=MinimizeOptions()):
         pins = gauge_pins(problem, pair.a_tilde)
         now = np.empty(0, dtype=np.intp) if pins is None else pins.pinned
         if system is None or not np.array_equal(now, pinned):
-            blocks = reflection_blocks(problem, None if pins is None else pins.free)
-            system = NormalSystem(sum(map(len, blocks)), problem.n_local, blocks)
+            orbits = reflection_blocks(problem, None if pins is None else pins.free)
+            system = NormalSystem(orbits.n, problem.n_local, orbits)
             pinned = now
         split = split_spaces(problem, report)
         build_normal_system(problem, report, split, system, pins)

@@ -59,20 +59,24 @@ class TransformPair:
 class ErrorReport:
     """One evaluation of a state, and the products it was formed from.
 
-    norm is ||R||_F for R = A_LL - Y^T A~ Y, and y the full Y
-    (TransformPair.full_y).  parts holds what the products were formed
-    from and in, (Y, A~, A~ Y, R), R exactly symmetric: the node-coordinate
-    matrices, A~ the pair's own, or, where nodes is the problem's NodeBlocks,
+    norm is ||R||_F for R = A_LL - Y^T A~ Y, and a_tilde the pair's own A~.
+    parts holds what the products were formed from and in, (Y, A~, A~ Y,
+    R), R exactly symmetric: the node-coordinate matrices, Y the full Y
+    (TransformPair.full_y), or, where nodes is the problem's NodeBlocks,
     their (4, n0, n0) stacks (NodeBlocks.stack).  A step's phases read and
     form every matrix in the parts' coordinates (stack and unstack map
-    them).  residual and ay are R and A~ Y in node coordinates: the parts
-    themselves, or read back from the blocks on first use.
+    them).  y, residual and ay are Y, R and A~ Y in node coordinates: the
+    parts themselves, or read back from the blocks on first use.
     """
 
     norm: float
-    y: np.ndarray
+    a_tilde: np.ndarray
     parts: tuple
     nodes: object = None
+
+    @cached_property
+    def y(self):
+        return self.unstack(self.parts[0])
 
     @cached_property
     def residual(self):
@@ -96,14 +100,15 @@ class ErrorReport:
 
         In the blocks, interior rows are read zero-padded to n_local rows.
         A direction formed at a state that the reflections map onto itself
-        is mapped too, so one they do not map, checked beside the state's Y
+        is mapped too, so one they do not map, checked beside the state's A~
         (NodeBlocks.stack), raises NumericalFailure.
         """
         if self.nodes is None:
             return matrix
-        if len(matrix) < len(self.y):
-            matrix = np.concatenate((matrix, np.zeros((len(self.y) - len(matrix), len(self.y)))))
-        blocks = self.nodes.stack((matrix,), beside=(self.y,))
+        n = len(self.a_tilde)
+        if len(matrix) < n:
+            matrix = np.concatenate((matrix, np.zeros((n - len(matrix), n))))
+        blocks = self.nodes.stack((matrix,), beside=(self.a_tilde,))
         if blocks is None:
             raise NumericalFailure("a step the reflections do not map onto itself")
         return blocks[0]
@@ -143,7 +148,7 @@ def residual_and_error(problem, pair):
     ay = a_tilde @ y_parts
     a_ll = problem.a_ll if nodes is None else nodes.a_ll
     residual = a_ll - symmetrized(y_parts.swapaxes(-1, -2) @ ay)
-    return ErrorReport(norm=float(np.linalg.norm(residual)), y=y,
+    return ErrorReport(norm=float(np.linalg.norm(residual)), a_tilde=pair.a_tilde,
                        parts=(y_parts, a_tilde, ay, residual), nodes=nodes)
 
 

@@ -30,7 +30,7 @@ from sparsecoarsen.lattice import (
     reflection_blocks,
 )
 from sparsecoarsen.linearized import (MinimizeOptions, NormalSystem, build_normal_system,
-                                      linearized_minimize, merged_spectrum, split_spaces)
+                                      cut_spectrum, linearized_minimize, split_spaces)
 from sparsecoarsen.transform import initial_guess, residual_and_error
 
 from test_transform import random_state
@@ -58,6 +58,35 @@ class TestSpectrum:
         assert diag.cond_eq7_estimate == \
             pytest.approx(math.sqrt(diag.cond_retained))
         assert diag.gap_ratio < 1e-10
+
+    @pytest.mark.parametrize("m,p,q", [(3, 1, 1), (3, 2, 1)])
+    def test_nan_state_is_a_numerical_failure(self, m, p, q):
+        # as a minimization raises it: the library solve's LinAlgError
+        # (here the split's SVD), chained
+        problem = extract_local_supernode(m, p, q, 0.0)
+        pair = initial_guess(problem)
+        pair.a_tilde[0, 0] = np.nan
+        with pytest.raises(NumericalFailure) as failure:
+            spectrum_at(problem, pair)
+        assert isinstance(failure.value.__cause__, np.linalg.LinAlgError)
+
+    @pytest.mark.parametrize("m,p,q", [(5, 1, 1), (3, 2, 1)])
+    def test_non_finite_spectrum_is_a_numerical_failure(self, monkeypatch, m, p, q):
+        # a NaN in the first block, of more than 26 unknowns, where dsyevd
+        # returns NaN eigenvalues without an error
+        if linearized.find_dsyevd() is None:
+            pytest.skip("numpy's OpenBLAS exports no LAPACKE dsyevd here")
+        build = analysis.build_normal_system
+
+        def poisoned(problem, report, split, system, pins=None):
+            build(problem, report, split, system, pins)
+            assert len(system.matrix) > 26
+            system.matrix[0, 0] = np.nan
+
+        monkeypatch.setattr(analysis, "build_normal_system", poisoned)
+        problem = extract_local_supernode(m, p, q, 0.0)
+        with pytest.raises(NumericalFailure, match="not finite"):
+            spectrum_at(problem, initial_guess(problem))
 
     @pytest.mark.parametrize("lam", [0.0, 3.5, 4.0])
     @pytest.mark.parametrize("m", [2, 3, 4])
@@ -94,7 +123,7 @@ class TestSpectrum:
         np.testing.assert_allclose(sigma, want, rtol=0.0, atol=1e-12 * want[0])
         blocked = NormalSystem(n, problem.n_local, reflection_blocks(problem))
         build_normal_system(problem, report, split, blocked)
-        wrong = merged_spectrum(blocked.eigh()[1], blocked.eigvals())
+        wrong = cut_spectrum(blocked)[0]
         assert np.abs(wrong - want).max() > 1e-3 * want[0]
 
     @pytest.mark.parametrize("m,p,q", [(8, 1, 1), (4, 2, 1)])

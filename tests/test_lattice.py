@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from sparsecoarsen.lattice import (
     decoupled_pattern,
     extract_local_scalar,
     extract_local_supernode,
+    OrbitStacks,
     gauge_basis,
     reflection_blocks,
     supernode_layout,
@@ -39,10 +41,33 @@ def node_reflections(problem):
     return [np.array([index[(sx * x, sy * y)] for x, y in coords]) for sx, sy in REFLECTIONS]
 
 
-def dense_blocks(blocks, n):
-    """Each SymmetryBlock as an n x len(block) array: its basis columns."""
-    return [np.column_stack([b.expand(e, n) for e in np.eye(len(b))]) if len(b)
-            else np.zeros((n, 0)) for b in blocks]
+def dense_blocks(images):
+    """The orthonormal orbit-sum basis of a group's (order, n) item images, by character block.
+
+    Built from the images and CHARACTERS alone: for each character, in
+    CHARACTERS' order (the trivial one alone for the identity), the orbit
+    sums sum_g chi(g) e_(g k) over the least members k, ascending, that are
+    not zero, normalized.  Each is chi(g) / sqrt|O| at every orbit member,
+    as a value that lies in one column of a block is read exactly.
+    """
+    order, n = images.shape
+    characters = CHARACTERS if order > 1 else np.ones((1, 1))
+    least = [k for k in range(n) if images[:, k].min() == k]
+    blocks = []
+    for chi in characters:
+        columns = []
+        for k in least:
+            v = np.zeros(n)
+            np.add.at(v, images[:, k], chi)
+            if v.any():
+                columns.append(np.sign(v) / math.sqrt(np.count_nonzero(v)))
+        blocks.append(np.column_stack(columns) if columns else np.zeros((n, 0)))
+    return blocks
+
+
+def block_matrices(stack, sizes):
+    """Each block of a zero-padded (n_c, n0, n0) stack, without its padding."""
+    return [b[:k, :k] for b, k in zip(stack, sizes)]
 
 
 def region_size(m):
@@ -442,50 +467,102 @@ class TestReflectionBlocks:
         rows, cols = problem.target_pattern.index_arrays
         free = np.flatnonzero((rows != cols) | (rows >= problem.n_interior)) if pinned else None
         n = problem.target_pattern.n_entries if free is None else len(free)
-        blocks = reflection_blocks(problem, free)
-        assert len(blocks) == 4
-        basis = np.column_stack(dense_blocks(blocks, n))
-        assert basis.shape == (n, n)
-        np.testing.assert_allclose(basis.T @ basis, np.eye(n), rtol=0.0, atol=4e-16)
-        for block, dense in zip(blocks, dense_blocks(blocks, n)):
-            assert block.members.shape[1] == 4
-            assert np.count_nonzero(dense, axis=0).max(initial=0) <= 4
-            np.testing.assert_allclose(block.project(np.arange(n, dtype=float)),
-                                       dense.T @ np.arange(n), rtol=0.0, atol=1e-12 * n)
-        # the trivial block's columns are the orbit sums, each reflection fixes them
+        orbits = reflection_blocks(problem, free)
         images = problem.reflection_images if free is None else \
             np.searchsorted(free, problem.reflection_images[:, free])
-        trivial = dense_blocks(blocks, n)[0]
+        np.testing.assert_array_equal(orbits.images, images)
+        assert orbits.n == n and orbits.shape == (4, orbits.sizes[0], orbits.sizes[0])
+        dense = dense_blocks(images)
+        assert orbits.sizes == tuple(b.shape[1] for b in dense)
+        basis = np.column_stack(dense)
+        assert basis.shape == (n, n)
+        np.testing.assert_allclose(basis.T @ basis, np.eye(n), rtol=0.0, atol=4e-16)
+        assert np.count_nonzero(basis, axis=0).max(initial=0) <= 4
+        # each block's orbits, by their least members
+        for b, block in zip(dense, orbits.orbits):
+            np.testing.assert_array_equal(np.abs(b).argmax(axis=0), orbits.least[block])
+        # project is the trivial block's B^T, and each reflection fixes its columns
+        trivial = dense[0]
+        np.testing.assert_allclose(orbits.project(np.arange(n, dtype=float)),
+                                   trivial.T @ np.arange(n), rtol=0.0, atol=1e-12 * n)
         for image in images:
             np.testing.assert_array_equal(trivial[image], trivial)
 
     @pytest.mark.parametrize("m,p,q", [(1, 2, 1), (3, 2, 1), (2, 1, 2), (2, 2, 2), (2, 3, 1)])
-    def test_supernode_regions_have_the_one_identity_block(self, m, p, q):
+    def test_supernode_regions_have_the_identity_alone(self, m, p, q):
         # the decoupled node is a supernode's corner: no reflection about it
         # maps the region onto itself
         problem = extract_local_supernode(m, p, q, 0.0)
         n = problem.target_pattern.n_entries
         assert problem.reflection_images is None
-        (block,) = reflection_blocks(problem)
-        np.testing.assert_array_equal(block.members, np.arange(n)[:, None])
-        assert np.all(block.weights == 1.0) and np.all(block.norms == 1.0)
+        orbits = reflection_blocks(problem)
+        np.testing.assert_array_equal(orbits.images, np.arange(n)[None])
+        np.testing.assert_array_equal(orbits.least, np.arange(n))
+        assert orbits.sizes == (n,) and orbits.shape == (1, n, n) and np.all(orbits.norms == 1.0)
 
-    def test_pins_that_split_an_orbit_leave_the_one_block(self):
+    def test_pins_that_split_an_orbit_leave_the_identity(self):
         problem = extract_local_scalar(3, 0.0)
         n = problem.target_pattern.n_entries
         one = np.flatnonzero(problem.reflection_images[1] != np.arange(n))[:1]
         free = np.delete(np.arange(n), one)
-        (block,) = reflection_blocks(problem, free)
-        np.testing.assert_array_equal(block.members[:, 0], np.arange(n - 1))
+        orbits = reflection_blocks(problem, free)
+        np.testing.assert_array_equal(orbits.images, np.arange(n - 1)[None])
 
-    def test_project_and_expand_are_transposes(self):
-        problem = extract_local_scalar(4, 2.0)
+    @pytest.mark.parametrize("m,p,q", [(4, 1, 1), (2, 2, 1)])
+    def test_project_and_expand_are_transposes(self, m, p, q):
+        # of the trivial block, under K and under the identity
+        problem = extract_local_supernode(m, p, q, 2.0)
         n = problem.target_pattern.n_entries
         rng = np.random.default_rng(4)
         x = rng.standard_normal(n)
-        for block in reflection_blocks(problem):
-            c = rng.standard_normal(len(block))
-            assert block.project(x) @ c == pytest.approx(x @ block.expand(c, n), rel=1e-13)
+        orbits = reflection_blocks(problem)
+        c = rng.standard_normal(orbits.sizes[0])
+        assert orbits.project(x) @ c == pytest.approx(x @ orbits.expand(c), rel=1e-13)
+        trivial = dense_blocks(orbits.images)[0]
+        np.testing.assert_allclose(orbits.expand(c), trivial @ c, rtol=0.0, atol=1e-15)
+
+    def test_identity_keeps_the_matrix_and_the_vectors(self):
+        # under the identity alone the one block is M bit for bit, in its
+        # own memory, and project and expand leave a vector's bits
+        n = 7
+        orbits = OrbitStacks(np.arange(n)[None])
+        m = np.random.default_rng(7).standard_normal((n, n))
+        blocks = np.empty(orbits.shape)
+        blocks[0] = m
+        assert orbits.combine(blocks[0].reshape(orbits.sums_shape), out=blocks) is blocks
+        assert np.array_equal(blocks[0], m)
+        x = np.array([-0.0, 1.5, -2.25, 3e-300, np.pi, 1e300, -1.0])
+        assert orbits.project(x).tobytes() == x.tobytes()
+        assert orbits.expand(x).tobytes() == x.tobytes()
+
+
+class TestCombine:
+    @pytest.mark.parametrize("items,m,pinned", [
+        *[("nodes", m, False) for m in range(1, 9)],
+        *[("unknowns", m, pinned) for m in range(1, 9) for pinned in (False, True)]])
+    def test_blocks_are_the_matrix_in_the_orbit_sum_basis(self, items, m, pinned):
+        # each block of a K-invariant matrix, from its rows at the least
+        # members alone, is B^T M B of the dense orbit-sum basis: over the
+        # nodes, and over the unknowns with every interior diagonal pinned or none
+        problem = extract_local_scalar(m, 1.0)
+        if items == "nodes":
+            images = problem.node_reflections
+        else:
+            rows, cols = problem.target_pattern.index_arrays
+            free = np.flatnonzero((rows != cols) | (rows >= problem.n_interior)) if pinned \
+                else None
+            images = reflection_blocks(problem, free).images
+        orbits = OrbitStacks(images)
+        x = np.random.default_rng(m).standard_normal((orbits.n,) * 2)
+        matrix = sum(x[np.ix_(image, image)] for image in images) / 4
+        sums = matrix[orbits.least[:, None, None], orbits.members[None]]
+        assert sums.shape == orbits.sums_shape
+        blocks = orbits.combine(sums, out=np.full(orbits.shape, np.nan))
+        for got, b, k in zip(blocks, dense_blocks(images), orbits.sizes):
+            want = b.T @ matrix @ b
+            np.testing.assert_allclose(got[:k, :k], want, rtol=0.0,
+                                       atol=1e-14 * np.abs(want).max(initial=0.0))
+            assert not got[k:].any() and not got[:, k:].any()
 
 
 def invariant_matrix(problem, seed):
@@ -516,15 +593,18 @@ class TestNodeBlocks:
         assert perms.shape == (4, n) and not perms.flags.writeable
         np.testing.assert_array_equal(perms, node_reflections(problem))
         nodes = problem.node_blocks
-        assert len(nodes.blocks) == 4 and nodes.stack((problem.a_ll,)).shape[:2] == (1, 4)
-        dense = dense_blocks(nodes.blocks, n)
+        orbits = nodes.orbits
+        assert orbits.shape[0] == 4 and nodes.stack((problem.a_ll,)).shape[:2] == (1, 4)
+        np.testing.assert_array_equal(orbits.images, perms)
+        dense = dense_blocks(perms)
+        assert orbits.sizes == tuple(b.shape[1] for b in dense)
         basis = np.column_stack(dense)
         assert basis.shape == (n, n)
         np.testing.assert_allclose(basis.T @ basis, np.eye(n), rtol=0.0, atol=4e-16)
-        for block, interior, b, chi in zip(nodes.blocks, nodes.interior, dense, CHARACTERS):
+        for block, interior, b, chi in zip(orbits.orbits, nodes.interior, dense, CHARACTERS):
             # the interior orbits come first, and span the interior's rows of the block
-            assert np.all(block.members[:interior] < n_i)
-            assert np.all(block.members[interior:] >= n_i)
+            assert np.all(orbits.members[:, block[:interior]] < n_i)
+            assert np.all(orbits.members[:, block[interior:]] >= n_i)
             assert not b[n_i:, :interior].any() and not b[:n_i, interior:].any()
             for perm, sign in zip(node_reflections(problem), chi):  # P_g B_c = chi(g) B_c
                 np.testing.assert_array_equal(b[perm], sign * b)
@@ -541,10 +621,10 @@ class TestNodeBlocks:
         assert problem.node_reflections is None
         assert problem.node_blocks is None and not problem.reflection_invariant((problem.a_ll,))
         n = problem.target_pattern.n_entries
-        (block,) = reflection_blocks(problem)
-        np.testing.assert_array_equal(block.members, np.arange(n)[:, None])
-        x = np.random.default_rng(1).standard_normal((3, n))
-        assert np.array_equal(block.expand(x, n), x)
+        orbits = reflection_blocks(problem)
+        np.testing.assert_array_equal(orbits.images, np.arange(n)[None])
+        x = np.random.default_rng(1).standard_normal(n)
+        assert np.array_equal(orbits.expand(x), x) and np.array_equal(orbits.project(x), x)
 
     @pytest.mark.parametrize("m", [1, 2, 5, 8])
     def test_stack_holds_the_blocks_of_invariant_matrices(self, active_blocks, m):
@@ -552,8 +632,8 @@ class TestNodeBlocks:
         # of a matrix's interior rows with zeros below them, as dY is read
         problem = extract_local_scalar(m, 2.0)
         nodes = problem.node_blocks
-        dense = dense_blocks(nodes.blocks, problem.n_local)
-        n0 = max(map(len, nodes.blocks))
+        dense = dense_blocks(problem.node_reflections)
+        n0 = nodes.orbits.sizes[0]
         x = invariant_matrix(problem, m)
         matrices = (problem.a_ll, x, interior_rows(x, problem.n_interior))
         stacked = nodes.stack(matrices)
@@ -584,9 +664,9 @@ class TestNodeBlocks:
         np.testing.assert_allclose(nodes.unstack(blocks, at=every), whole, rtol=0.0,
                                    atol=1e-14 * np.abs(x).max())
         padded = blocks.copy()
-        for c, block in enumerate(nodes.blocks):
-            padded[c, len(block):] = 1.0
-            padded[c, :, len(block):] = 1.0
+        for c, k in enumerate(nodes.orbits.sizes):
+            padded[c, k:] = 1.0
+            padded[c, :, k:] = 1.0
         np.testing.assert_array_equal(nodes.unstack(padded), whole)
 
     @pytest.mark.parametrize("m", [1, 3, 6])
@@ -630,22 +710,21 @@ class TestNodeBlocks:
         invariant = problem.reflection_invariant
         assert invariant is problem.reflection_invariant and invariant((problem.a_ll,))
         if nodes is not None:
-            assert len(nodes.blocks) == 4 and nodes.invariant is invariant
+            assert nodes.orbits.shape[0] == 4 and nodes.invariant is invariant
             np.testing.assert_array_equal(nodes.stack((problem.a_ll,))[0], nodes.a_ll)
 
     @pytest.mark.parametrize("m", [1, 3, 6])
-    def test_block_expand_applies_the_basis_to_rows(self, active_blocks, m):
-        # B c of each row of a stack, over all the block's columns or its
-        # first ones: the interior orbits' columns reach the interior nodes alone
+    def test_trivial_block_project_and_expand_apply_the_basis(self, active_blocks, m):
+        # B^T x and B c of the nodes' trivial block: its interior orbits'
+        # coordinates reach the interior nodes alone
         problem = extract_local_scalar(m, 0.0)
-        nodes = problem.node_blocks
-        n, n_i = problem.n_local, problem.n_interior
+        orbits = problem.node_blocks.orbits
+        n_i = problem.n_interior
+        interior = problem.node_blocks.interior[0]
+        trivial = dense_blocks(problem.node_reflections)[0]
         rng = np.random.default_rng(m)
-        for block, interior, b in zip(nodes.blocks, nodes.interior,
-                                      dense_blocks(nodes.blocks, n)):
-            v = rng.standard_normal((3, b.shape[1]))
-            np.testing.assert_array_equal(block.expand(v, n), v @ b.T)
-            for row, want in zip(v, v @ b.T):
-                np.testing.assert_array_equal(block.expand(row, n), want)
-            np.testing.assert_array_equal(block.expand(v[:, :interior], n_i),
-                                          v[:, :interior] @ b[:n_i, :interior].T)
+        c, x = rng.standard_normal(orbits.sizes[0]), rng.standard_normal(orbits.n)
+        np.testing.assert_allclose(orbits.expand(c), trivial @ c, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(orbits.project(x), trivial.T @ x, rtol=0.0, atol=1e-14)
+        c[interior:] = 0.0
+        assert not orbits.expand(c)[n_i:].any()

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sparsecoarsen.lattice import (
+    CHARACTERS,
     LocalProblem,
     SparsityPattern,
     extract_local_scalar,
@@ -41,7 +42,7 @@ from sparsecoarsen.analysis import spectrum_at
 from sparsecoarsen.errors import NumericalFailure
 from sparsecoarsen.transform import initial_guess, residual_and_error
 
-from test_lattice import dense_blocks, dense_gauge_basis, node_reflections
+from test_lattice import block_matrices, dense_blocks, dense_gauge_basis, node_reflections
 from test_transform import random_state
 
 
@@ -144,11 +145,19 @@ def outer_weighted_normal_system(problem, report, split):
     return matrix, rhs
 
 
-def columns_first_blocks(problem, report, split, blocks, pins=None):
+# The blocks are K's character sums of N's rows at the least members, and the
+# reference sums each orbit's weighted members: they round apart by a few
+# units in the last place of a block's largest entry.
+BLOCK_ULPS = 4
+
+
+def columns_first_blocks(problem, report, split, orbits, pins=None):
     """Each block's B^T N B, whole, from G's columns at every orbit member, then its rows.
 
-    The columns-first order, which the identity block keeps; the rows-first
-    gathers of the orbit blocks must reproduce its bits.
+    The columns-first order, which the identity keeps, with each orbit's
+    distinct members weighted chi(g) / sqrt|O| and summed: so the blocks
+    were formed before they were K's character sums of N's rows at the
+    least members.
     """
     z = report.y @ split.q_null
     g = z @ z.T
@@ -157,14 +166,20 @@ def columns_first_blocks(problem, report, split, blocks, pins=None):
     multiplicity = problem.target_pattern.multiplicity
     if pins is not None:
         i_idx, j_idx, multiplicity = i_idx[pins.free], j_idx[pins.free], multiplicity[pins.free]
+    members = orbits.members
+    first = np.ones(members.shape, dtype=bool)  # member g is not one of g' < g
+    for k in range(1, len(members)):
+        first[k] = np.all(members[k] != members[:k], axis=0)
+    norms = np.sqrt(first.sum(axis=0))
     out = []
-    for block in blocks:
-        rows, cols = block.members[:, 0], block.members.ravel()
+    for chi, block in zip(CHARACTERS, orbits.orbits):
+        rows, cols = orbits.least[block], members[:, block].T.ravel()
+        weights = (np.where(first, chi[:, None], 0.0) / norms)[:, block].T.ravel()
         g_ti, g_tj = g[:, i_idx[cols]], g[:, j_idx[cols]]
         terms = g_ti[i_idx[rows]] * g_tj[j_idx[rows]]
         terms += g_tj[i_idx[rows]] * g_ti[j_idx[rows]]
-        terms *= (multiplicity[rows] * block.norms)[:, None]
-        terms *= 0.5 * multiplicity[cols] * block.weights.ravel()
+        terms *= (multiplicity[rows] * norms[block])[:, None]
+        terms *= 0.5 * multiplicity[cols] * weights
         out.append(terms.reshape(len(rows), len(block), -1).sum(axis=2))
     return out
 
@@ -229,19 +244,21 @@ def node_split(problem, report, split):
     """The split in node coordinates: in the node blocks, each block's columns expanded.
 
     q, q_null and u are each block's columns side by side, mapped to the
-    nodes (u to the interior ones) by SymmetryBlock.expand, and sigma
-    follows them; a node-coordinate split is returned as it is.
+    nodes (u to the interior ones) by the dense orbit-sum basis, one
+    product per entry, and sigma follows them; a node-coordinate split is
+    returned as it is.
     """
     nodes = report.nodes
     if nodes is None:
         return split
-    n, n_i = problem.n_local, problem.n_interior
+    n_i = problem.n_interior
     q, q_null, u, sigma = [], [], [], []
-    for c, (block, n_ic, r) in enumerate(zip(nodes.blocks, nodes.interior, split.ranks)):
-        k = len(block)
-        q.append(block.expand(split.q[c, :k, :r].T, n).T)
-        q_null.append(block.expand(split.q_null[c, :k, : k - r].T, n).T)
-        u.append(block.expand(split.u[c, :n_ic, :r].T, n_i).T)
+    dense = dense_blocks(problem.node_reflections)
+    for c, (b, n_ic, r) in enumerate(zip(dense, nodes.interior, split.ranks)):
+        k = b.shape[1]
+        q.append(b @ split.q[c, :k, :r])
+        q_null.append(b @ split.q_null[c, :k, : k - r])
+        u.append(b[:n_i, :n_ic] @ split.u[c, :n_ic, :r])
         sigma.append(split.sigma[c, :r])
     return SubspaceSplit(q=np.hstack(q), q_null=np.hstack(q_null), sigma=np.concatenate(sigma),
                          u=np.hstack(u))
@@ -680,13 +697,14 @@ class TestBlockedAssembly:
         report = residual_and_error(problem, pair)
         split = split_spaces(problem, report)
         pins = gauge_pins(problem, pair.a_tilde) if pinned else None
-        blocks = reflection_blocks(problem, None if pins is None else pins.free)
-        assert len(blocks) == 4 and (pins is None) != pinned
-        system = NormalSystem(sum(map(len, blocks)), problem.n_local, blocks)
+        orbits = reflection_blocks(problem, None if pins is None else pins.free)
+        assert orbits.shape[0] == 4 and (pins is None) != pinned
+        system = NormalSystem(orbits.n, problem.n_local, orbits)
         build_normal_system(problem, report, split, system, pins)
-        want = columns_first_blocks(problem, report, split, blocks, pins)
-        for got, ref in zip([system.matrix] + system.others, want, strict=True):
-            assert np.array_equal(got, ref)
+        want = columns_first_blocks(problem, report, split, orbits, pins)
+        for got, ref in zip(block_matrices(system.blocks, orbits.sizes), want, strict=True):
+            np.testing.assert_allclose(got, ref, rtol=0.0,
+                                       atol=BLOCK_ULPS * np.finfo(float).eps * np.abs(ref).max())
 
     @pytest.mark.parametrize("kind,m,dims", [("supernode", 4, (2, 1)),
                                              ("scalar", 8, None)])
@@ -709,9 +727,9 @@ class TestBlockedAssembly:
 
 
 def unit_cut(s, rhs=None):
-    """null_cut of the descending spectrum s on unit vectors, with a zero rhs by default."""
+    """null_cut's diagnostics of the descending s on unit vectors, with a zero rhs by default."""
     s = np.asarray(s, dtype=float)
-    return null_cut(np.eye(len(s)), s, np.zeros(len(s)) if rhs is None else np.asarray(rhs))
+    return null_cut(np.eye(len(s)), s, np.zeros(len(s)) if rhs is None else np.asarray(rhs))[0]
 
 
 # Spectra over many decades, with exact zeros and either sign.
@@ -766,9 +784,10 @@ class TestNullCount:
 
     def test_cut_reads_every_blocks_spectrum(self):
         # merged: 8, 4, 2, 3e-8, 1e-9, cut at 8e-8; rhs is the solved
-        # block's, whose null direction is its second
-        diag = null_cut(np.eye(2), np.array([4.0, 1e-9]), np.array([3.0, 4.0]), pinned=1,
-                        rest=np.array([8.0, 3e-8, 2.0]))
+        # block's, whose null direction is its second, so it keeps one value
+        diag, kept, sigma = null_cut(np.eye(2), np.array([4.0, 1e-9]), np.array([3.0, 4.0]),
+                                     pinned=1, rest=np.array([8.0, 3e-8, 2.0]))
+        assert kept == 1 and np.array_equal(sigma, [8.0, 4.0, 2.0, 3e-8, 1e-9])
         assert diag == linearized.SolveDiagnostics(
             null_dim=3, gap_ratio=1.5e-8, cond_retained=4.0, cond_eq7_estimate=2.0,
             rhs_null_component=4.0, rhs_norm=5.0)
@@ -779,7 +798,9 @@ class TestNullCount:
         # the counts and condition numbers do not see where the blocks split
         s = -np.sort(-np.abs(values))
         whole = unit_cut(np.sort(np.abs(values + rest))[::-1])
-        split = null_cut(np.eye(len(s)), s, np.zeros(len(s)), rest=np.abs(rest))
+        split, kept, sigma = null_cut(np.eye(len(s)), s, np.zeros(len(s)), rest=np.abs(rest))
+        assert np.array_equal(sigma, np.sort(np.abs(values + rest))[::-1])
+        assert kept == len(s) - np.sum(s < NULL_REL_TOL * sigma[0]) if sigma[0] > 0 else kept == 0
         assert (split.null_dim, split.gap_ratio) == (whole.null_dim, whole.gap_ratio)
         assert np.array_equal([split.cond_retained], [whole.cond_retained], equal_nan=True)
 
@@ -849,7 +870,7 @@ class TestSolveForDa:
         system, twin = (linearized_phases(problem, pair)[2] for _ in range(2))
         _, diag = solve_for_da(system)
         u, s, _ = twin.eigh()
-        assert diag == null_cut(u, s, twin.rhs)
+        assert diag == null_cut(u, s, twin.rhs)[0]
 
     def test_everything_truncated_gives_zero(self):
         problem = extract_local_scalar(1, 0.0)
@@ -1001,14 +1022,14 @@ class TestInPlaceEigensolve:
         splits = [split_spaces(problem, report) for report in states]
         reused, fresh = NormalSystem(n_pattern), NormalSystem(n_pattern)
         build_normal_system(problem, states[0], splits[0], reused)
-        first = null_cut(*reused.eigh()[:2], reused.rhs)  # solved in place, as a step solves it
+        first = null_cut(*reused.eigh()[:2], reused.rhs)[0]  # solved in place, as a step solves it
         build_normal_system(problem, states[1], splits[1], reused)
         build_normal_system(problem, states[1], splits[1], fresh)
         assert np.array_equal(reused.matrix, fresh.matrix)
         assert np.array_equal(reused.rhs, fresh.rhs)
         got, want = reused.eigh(), fresh.eigh()
         assert_eig_equal(got, want)
-        assert null_cut(*got[:2], reused.rhs) == null_cut(*want[:2], fresh.rhs) != first
+        assert null_cut(*got[:2], reused.rhs)[0] == null_cut(*want[:2], fresh.rhs)[0] != first
 
     @KNOWN_MISCOUNT
     def test_minimization_same_on_both_paths(self, monkeypatch):
@@ -1028,10 +1049,10 @@ class TestInPlaceEigensolve:
         # doubles, where the columns at every orbit member took 4 times that
         problem = extract_local_scalar(10, 0.0)
         pins = gauge_pins(problem, initial_guess(problem).a_tilde)
-        blocks = reflection_blocks(problem, pins.free)
-        system = NormalSystem(len(pins.free), problem.n_local, blocks)
-        n0 = len(blocks[0])
-        assert n0 == max(map(len, blocks)) and blocks[0].members.size == 4 * n0
+        orbits = reflection_blocks(problem, pins.free)
+        system = NormalSystem(len(pins.free), problem.n_local, orbits)
+        n0 = orbits.sizes[0]
+        assert n0 == max(orbits.sizes) == len(orbits.least) and orbits.members.size == 4 * n0
         assert len(system.work) == 2 * problem.n_local * n0 > 1 + 6 * n0 + 2 * n0**2
 
     def test_work_array_too_small_for_the_gathers_rejected(self):
@@ -1283,12 +1304,12 @@ class TestReflectionPremise:
         # the node blocks at every size, as regions of BLOCKS_MIN_NODES have them
         nodes = lattice.NodeBlocks(problem.node_reflections, problem.n_interior, problem.a_ll,
                                    problem.reflection_invariant)
-        assert len(nodes.blocks) == 4
-        node_basis = dense_blocks(nodes.blocks, problem.n_local)
+        assert nodes.orbits.shape[0] == 4
+        node_basis = dense_blocks(problem.node_reflections)
         interior = np.column_stack([b[: problem.n_interior, :k]
                                     for b, k in zip(node_basis, nodes.interior)])
         node_basis = np.column_stack(node_basis)
-        sizes = [len(b) for b in nodes.blocks]
+        sizes = nodes.orbits.sizes
         for a_tilde, report in states:
             assert symmetry_defect(problem, a_tilde, report.y) <= 1e-10
             # K, Y, A~ and A_LL are block diagonal in the node blocks
@@ -1307,19 +1328,19 @@ class TestReflectionPremise:
                 n = len(images[0]) if free is None else len(free)
                 key = None if free is None else free.tobytes()
                 if key not in bases:
-                    blocks = reflection_blocks(problem, free)
-                    assert len(blocks) == 4
-                    bases[key] = blocks, np.column_stack(dense_blocks(blocks, n))
-                blocks, basis = bases[key]
+                    orbits = reflection_blocks(problem, free)
+                    assert orbits.shape[0] == 4
+                    bases[key] = orbits, np.column_stack(dense_blocks(orbits.images))
+                orbits, basis = bases[key]
                 used = None if free is None else pins
                 full = NormalSystem(n, problem.n_local)
                 build_normal_system(problem, report, split, full, used)
-                blocked = NormalSystem(n, problem.n_local, blocks)
+                blocked = NormalSystem(n, problem.n_local, orbits)
                 build_normal_system(problem, report, split, blocked, used)
                 scale = np.linalg.norm(full.matrix, 2)
                 rotated = basis.T @ full.matrix @ basis
-                ends = np.cumsum([0] + [len(b) for b in blocks])
-                for k, matrix in enumerate([blocked.matrix] + blocked.others):
+                ends = np.cumsum([0, *orbits.sizes])
+                for k, matrix in enumerate(block_matrices(blocked.blocks, orbits.sizes)):
                     inside = slice(ends[k], ends[k + 1])
                     np.testing.assert_allclose(matrix, rotated[inside, inside],
                                                rtol=0.0, atol=1e-12 * scale)
@@ -1438,13 +1459,12 @@ class TestMinimizationMemory:
 
     @KNOWN_MISCOUNT
     def test_pinned_scalar_holds_under_two_point_zero_five_pattern_squared_arrays(self):
-        # The pinned system's four reflection blocks hold about
-        # (n_pattern - n_I)^2 / 4 doubles, and G's gathers for one block,
-        # rows first, 2 n_local n0 for its n0 unknowns: the assembly's peak
-        # read 2.01 n_pattern^2 at m = 8, with the node blocks' index arrays
-        # held, where the one full pinned system read 3.03 and the
-        # columns-first gathers 2.23.  The line search's, which stacks dY
-        # zero-padded to n_local x n_local, reads 2.02.
+        # The pinned system's stack of four reflection blocks holds about
+        # (n_pattern - n_I)^2 / 4 doubles, as does the pick of its
+        # OrbitStacks, and G's gathers, rows first, 2 n_local n0 for the n0
+        # orbits: the assembly, whose character sums are about a stack
+        # again, read 1.90 n_pattern^2 at m = 8 and the line search 1.81,
+        # where the one full pinned system read 3.03.
         if linearized.find_dsyevd() is None:
             pytest.skip("numpy's OpenBLAS exports no LAPACKE dsyevd here")
         problem = extract_local_scalar(8, 0.0)
