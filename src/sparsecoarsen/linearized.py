@@ -536,8 +536,8 @@ def build_normal_system(problem, report, split, system, pins=None):
     del m
 
     # Row a of the sums is N(k_a, g k_b) over every g and b.  For free
-    # values k, l at (i, j), (i', j'),
-    # N_kl = c_k c_l (G_ii' G_jj' + G_ij' G_ji') / 2 with c = multiplicity:
+    # values k, l at (i, j), (i', j'), with c = multiplicity,
+    # N_kl = c_k c_l (G_ii' G_jj' + G_ij' G_ji') / 2:
     # powers of two, applied rows first, so the bytes are those of one
     # multiplication by their product.  The four G factors are gathered one
     # band of rows at a time, in place in the sums.  Under the identity the
@@ -826,11 +826,13 @@ def linearized_minimize(problem, opts=MinimizeOptions()):
     Every step assembles and solves in one NormalSystem, made for the
     free values its state leaves unpinned (gauge_pins), in their
     reflection blocks (lattice.reflection_blocks), so no step makes a
-    fresh system-sized array.  A step that pins another set than the last
-    makes a new one; on the CLI's grids only (2,1) m=1 at lambda = 3 and 5
-    do, where one diagonal drops below PIN_REL_TOL and comes back (20, 21
-    and 20 unknowns).  The rest of a step is n_local^2 temporaries, formed in place where that
-    keeps the bits, and no split outlives its step.  The system is made at
+    fresh array of N's size; under K the assembly's character sums, about
+    the blocks' size, are made per step.  A step that pins another set
+    than the last makes a new one; on the CLI's grids only (2,1) m=1 at
+    lambda = 3 and 5 do, where one diagonal drops below PIN_REL_TOL and
+    comes back (20, 21 and 20 unknowns).  The rest of a step is n_local^2
+    temporaries, formed in place where that keeps the bits, and no split
+    outlives its step.  The system is made at
     the first step, after the first state's arrays: made before them, the
     same buffers left the large_region benchmark's peak RSS 0.5-2 MB higher
     (glibc's heap placed them worse; x86_64 Linux, 2 cores).
